@@ -41,7 +41,7 @@ from .bernoulli import (
     zeta_neg,
     zeta_star_neg,
 )
-from .kernel import BivariateSeries, RationalPolynomial, poly_eval
+from .kernel import BivariateSeries, RationalPolynomial
 from .stirling import (
     stirling_first,
     stirling_poly_first,
@@ -52,7 +52,6 @@ from .stirling import (
     stirling_transform_apply,
 )
 from .values import (
-    CACHE_ENV_VAR,
     ValueKind,
     akiyama_tanigawa_reg,
     akiyama_tanigawa_rev,
@@ -74,7 +73,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BivariateSeries",
     "Bounds",
-    "CACHE_ENV_VAR",
     "RationalPolynomial",
     "SUITE_NAMES",
     "SuiteResult",
@@ -103,7 +101,6 @@ __all__ = [
     "mzsf_rev_stirling",
     "origin_rev_gregory",
     "parity_check",
-    "poly_eval",
     "prop_zero_padding_check",
     "rev_via_gregory",
     "run_suite",

@@ -17,9 +17,8 @@ Values are exact rationals rendered as ``p/q`` (integers drop the ``/1``);
 ``--decimal N`` adds a clearly-marked approximate decimal rendering.
 ``--json`` and ``--csv`` switch the output format.  Exit codes: 0 success,
 1 identity failure (a path disagreement or a failed verification), 2 usage
-error.  If the environment variable named by
-:data:`mzv.values.CACHE_ENV_VAR` (``MZV_CACHE_DIR``) points at a directory,
-memoized values are loaded from it on startup and saved back on exit.
+error, 3 internal error (an unexpected exception, reported on one stderr
+line).  Every call computes from scratch and writes nothing to disk.
 """
 
 from __future__ import annotations
@@ -42,12 +41,9 @@ from .stirling import (
 )
 from .values import (
     ValueKind,
-    cache_dir_from_env,
     iter_index_tuples,
-    load_memo,
     mzf_rev_stirling,
     mzsf_rev_stirling,
-    save_memo,
     value,
 )
 from .verify import SUITE_NAMES, Bounds, run_suites
@@ -55,6 +51,7 @@ from .verify import SUITE_NAMES, Bounds, run_suites
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class _UsageError(Exception):
@@ -549,28 +546,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
-    cache_dir = cache_dir_from_env()
-    if cache_dir:
-        try:
-            load_memo(cache_dir)
-        except (ValueError, OSError) as exc:
-            print(f"error: unusable value cache: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     try:
-        status = args.handler(args)
-    except _UsageError as exc:
+        return args.handler(args)
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if cache_dir:
-        try:
-            save_memo(cache_dir)
-        except OSError as exc:
-            print(f"error: could not save value cache: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    return status
+    except Exception as exc:
+        # Exit 1 means "an identity failed", so a crash must not reach it.
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

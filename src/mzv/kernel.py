@@ -160,14 +160,6 @@ class RationalPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"polynomial power must be a non-negative int, got {n!r}")
-        out = RationalPolynomial.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def evaluate(self, x: RationalLike) -> Fraction:
         """Value at a rational point, by Horner's rule."""
         acc = Fraction(0)
@@ -233,11 +225,6 @@ def _as_poly(value):
     if isinstance(value, (int, Fraction)):
         return RationalPolynomial((value,))
     return NotImplemented
-
-
-def poly_eval(p: RationalPolynomial, x: RationalLike) -> Fraction:
-    """Evaluate a polynomial at a rational point (function form)."""
-    return p.evaluate(x)
 
 
 # ---------------------------------------------------------------------------

@@ -21,23 +21,21 @@ the recurrences this module carries:
   positive (:func:`sign_theorem_check`), together with the regime where it
   genuinely fails (leading entry zero);
 * the zero-padding transform that trades depth against a Stirling kernel
-  (:func:`prop_zero_padding_check`);
-* a tiny text cache for computed values keyed by kind and index tuple.
+  (:func:`prop_zero_padding_check`).
 
-Every result is an exact Fraction; memo tables make repeated evaluation
-cheap and deterministic (the same query returns the identical object).
+Every result is an exact Fraction; an in-memory memo makes repeated
+evaluation cheap and deterministic (the same query returns the identical
+object).  Nothing is persisted between processes.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .bernoulli import zeta_neg, zeta_star_neg
 from .stirling import stirling_first, stirling_poly_first_at, stirling_poly_second_at
@@ -72,10 +70,6 @@ def as_index_tuple(l: Sequence[int]) -> IndexTuple:
 _MEMO: Dict[Tuple[str, IndexTuple], Fraction] = {}
 _MEMO_LOCK = threading.RLock()
 
-CACHE_ENV_VAR = "MZV_CACHE_DIR"
-_CACHE_FILE = "values.txt"
-_CACHE_HEADER = "#mzv-values v1"
-
 
 def clear_memo() -> None:
     """Drop every memoized value (mainly for tests)."""
@@ -83,13 +77,13 @@ def clear_memo() -> None:
         _MEMO.clear()
 
 
-def _memoized(kind: ValueKind, l: IndexTuple, compute) -> Fraction:
+def _memoized(kind: ValueKind, l: IndexTuple, compute, *extra) -> Fraction:
     key = (kind.value, l)
     with _MEMO_LOCK:
         hit = _MEMO.get(key)
     if hit is not None:
         return hit
-    result = compute(l)
+    result = compute(l, *extra)
     with _MEMO_LOCK:
         # first writer wins so callers always see one object per query
         return _MEMO.setdefault(key, result)
@@ -100,13 +94,15 @@ def _memoized(kind: ValueKind, l: IndexTuple, compute) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _mzf_reg_compute(l: IndexTuple) -> Fraction:
+def _reg_compute(l: IndexTuple, recurse, weight) -> Fraction:
+    # The plain and star regular recurrences differ only in the inner
+    # weight: zeta_neg for mzf_reg, zeta_star_neg for mzsf_reg.
     if len(l) == 1:
         return zeta_neg(l[0])
     head, b, c = l[:-2], l[-2], l[-1]
-    total = -Fraction(1, c + 1) * mzf_reg(head + (b + c + 1,))
+    total = -Fraction(1, c + 1) * recurse(head + (b + c + 1,))
     for k in range(c + 1):
-        total += comb(c, k) * mzf_reg(head + (b + c - k,)) * zeta_neg(k)
+        total += comb(c, k) * recurse(head + (b + c - k,)) * weight(k)
     return total
 
 
@@ -119,16 +115,6 @@ def _mzf_rev_compute(l: IndexTuple) -> Fraction:
         total -= comb(a, k) * mzf_rev((a + b - k,) + rest) * zeta_neg(k)
     total += zeta_neg(a) * mzf_rev((b,) + rest)
     total -= mzf_rev((a + b,) + rest)
-    return total
-
-
-def _mzsf_reg_compute(l: IndexTuple) -> Fraction:
-    if len(l) == 1:
-        return zeta_neg(l[0])
-    head, b, c = l[:-2], l[-2], l[-1]
-    total = -Fraction(1, c + 1) * mzsf_reg(head + (b + c + 1,))
-    for k in range(c + 1):
-        total += comb(c, k) * mzsf_reg(head + (b + c - k,)) * zeta_star_neg(k)
     return total
 
 
@@ -148,7 +134,7 @@ def _mzsf_rev_compute(l: IndexTuple) -> Fraction:
 
 def mzf_reg(l: Sequence[int]) -> Fraction:
     """Regular (innermost-first) multiple zeta value at -l."""
-    return _memoized(ValueKind.MZF_REG, as_index_tuple(l), _mzf_reg_compute)
+    return _memoized(ValueKind.MZF_REG, as_index_tuple(l), _reg_compute, mzf_reg, zeta_neg)
 
 
 def mzf_rev(l: Sequence[int]) -> Fraction:
@@ -158,7 +144,9 @@ def mzf_rev(l: Sequence[int]) -> Fraction:
 
 def mzsf_reg(l: Sequence[int]) -> Fraction:
     """Regular (innermost-first) multiple zeta-star value at -l."""
-    return _memoized(ValueKind.MZSF_REG, as_index_tuple(l), _mzsf_reg_compute)
+    return _memoized(
+        ValueKind.MZSF_REG, as_index_tuple(l), _reg_compute, mzsf_reg, zeta_star_neg
+    )
 
 
 def mzsf_rev(l: Sequence[int]) -> Fraction:
@@ -371,67 +359,3 @@ def iter_index_tuples(max_depth: int, max_weight: int, min_depth: int = 1) -> It
         for t in product(range(max_weight + 1), repeat=depth):
             if sum(t) <= max_weight:
                 yield t
-
-
-# ---------------------------------------------------------------------------
-# Text cache
-# ---------------------------------------------------------------------------
-
-
-def _cache_path(directory: str | os.PathLike) -> Path:
-    return Path(directory) / _CACHE_FILE
-
-
-def save_memo(directory: str | os.PathLike) -> int:
-    """Write every memoized value to ``<directory>/values.txt``.
-
-    One line per value, ``kind|i,j,k|p/q``.  Returns the number of lines
-    written.  The directory is created if needed.
-    """
-    path = _cache_path(directory)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with _MEMO_LOCK:
-        items = sorted(_MEMO.items())
-    lines = [_CACHE_HEADER]
-    for (kind, l), v in items:
-        lines.append(f"{kind}|{','.join(map(str, l))}|{v}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    return len(items)
-
-
-def load_memo(directory: str | os.PathLike) -> int:
-    """Load previously saved values into the memo; returns how many.
-
-    Unknown kinds, malformed tuples, or non-rational payloads raise
-    ValueError — a corrupt cache should fail loudly, not silently skew
-    results.  A missing file simply loads nothing.
-    """
-    path = _cache_path(directory)
-    if not path.exists():
-        return 0
-    text = path.read_text(encoding="ascii")
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _CACHE_HEADER:
-        raise ValueError(f"unrecognized cache header in {path}")
-    count = 0
-    for raw in lines[1:]:
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split("|")
-        if len(parts) != 3:
-            raise ValueError(f"malformed cache line: {line!r}")
-        kind_str, tuple_str, value_str = parts
-        kind = ValueKind(kind_str)  # raises ValueError on unknown kinds
-        l = as_index_tuple(tuple(int(p) for p in tuple_str.split(",")))
-        v = Fraction(value_str)
-        with _MEMO_LOCK:
-            _MEMO.setdefault((kind.value, l), v)
-        count += 1
-    return count
-
-
-def cache_dir_from_env() -> str | None:
-    """Directory named by the cache environment variable, if set and non-empty."""
-    raw = os.environ.get(CACHE_ENV_VAR, "").strip()
-    return raw or None

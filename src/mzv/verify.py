@@ -27,14 +27,13 @@ The suites and what they cover:
   the origin identity, direction-vector partition, origin product
   decomposition, bundling, and reverse values via Gregory sums.
 
-``run_suite`` executes one suite; ``run_suites`` fans several out across
-worker threads and returns results sorted by suite name.
+``run_suite`` executes one suite; ``run_suites`` runs several one after
+another in the calling thread and returns results sorted by suite name.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -67,7 +66,7 @@ from .bernoulli import (
     zeta_neg,
     zeta_star_neg,
 )
-from .kernel import RationalPolynomial, poly_eval
+from .kernel import RationalPolynomial
 from .stirling import (
     stirling_first,
     stirling_poly_first_at,
@@ -342,7 +341,7 @@ def _suite_bernoulli(bounds: Bounds, rng: random.Random) -> SuiteResult:
         rec.equal(
             f"poly evaluation consistency n={n}, z={z}",
             bernoulli_poly_at(n, z),
-            poly_eval(bernoulli_poly(n), z),
+            bernoulli_poly(n).evaluate(z),
         )
     for l in range(0, 7):
         a = _random_rational(rng, positive=True)
@@ -566,7 +565,7 @@ def run_suite(name: str, bounds: Bounds = Bounds()) -> SuiteResult:
 
 
 def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteResult]:
-    """Run several suites across worker threads; results sorted by name."""
+    """Run several suites one after another; results sorted by name."""
     expanded: List[str] = []
     for name in names:
         if name == "all":
@@ -578,10 +577,4 @@ def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteRes
                     f"{', '.join(SUITE_NAMES)} or 'all'"
                 )
             expanded.append(name)
-    unique = sorted(set(expanded))
-    if not unique:
-        return []
-    with ThreadPoolExecutor(max_workers=len(unique)) as pool:
-        futures = {name: pool.submit(run_suite, name, bounds) for name in unique}
-        results = [futures[name].result() for name in unique]
-    return sorted(results, key=lambda res: res.suite)
+    return [run_suite(name, bounds) for name in sorted(set(expanded))]

@@ -1,4 +1,4 @@
-"""Tests for the command-line interface: output formats, exit codes, cache."""
+"""Tests for the command-line interface: output formats and exit codes."""
 
 import csv
 import io
@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import mzv.cli
 from mzv.cli import main
-from mzv.values import CACHE_ENV_VAR, clear_memo
+from mzv.values import clear_memo
 
 
 def run(capsys, *argv):
@@ -254,31 +255,27 @@ def test_help_exits_zero(capsys):
     assert "value" in out and "verify" in out
 
 
-def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(mzv.cli, "_cmd_value", crash)
+    code, out, err = run(capsys, "value", "--kind", "mzf-reg", "--index", "1")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: internal error: RuntimeError: boom"]
+    assert "Traceback" not in err
+
+
+def test_cache_dir_is_ignored(tmp_path, monkeypatch, capsys):
+    # A well-formed but wrong value in the old cache format must not leak in.
+    poisoned = tmp_path / "values.txt"
+    poisoned.write_text("#mzv-values v1\nmzf-reg|3|5\n", encoding="ascii")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setenv("MZV_CACHE_DIR", str(tmp_path))
     clear_memo()
-    code, out, _ = run(capsys, "value", "--kind", "mzf-rev", "--index", "1,2")
+    code, out, err = run(capsys, "value", "--kind", "mzf-reg", "--index", "3")
     assert code == 0
-    cache_file = tmp_path / "values.txt"
-    assert cache_file.exists()
-    assert cache_file.read_text().startswith("#mzv-values v1")
-    # a fresh process state reloads the cached values without recomputing
-    clear_memo()
-    code, out2, _ = run(capsys, "value", "--kind", "mzf-rev", "--index", "1,2")
-    assert code == 0
-    assert out == out2
-
-
-def test_cache_dir_corrupt_file_is_reported(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    (tmp_path / "values.txt").write_text("#wrong\n")
-    code, _, err = run(capsys, "value", "--kind", "mzf-reg", "--index", "0")
-    assert code == 2
-    assert "cache" in err
-
-
-def test_usage_error_does_not_save_cache(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    code, _, _ = run(capsys, "value", "--kind", "mzf-reg", "--index", "1,x")
-    assert code == 2
-    assert not (tmp_path / "values.txt").exists()
+    assert err == ""
+    assert "mzf-reg(3) = 1/120" in out
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

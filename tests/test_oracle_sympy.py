@@ -1,0 +1,40 @@
+"""The base layer against sympy, an independent implementation.
+
+sympy is an optional test-time dependency; these checks are skipped when it
+is not installed.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from mzv.bernoulli import bernoulli_number, zeta_neg
+from mzv.stirling import stirling_first, stirling_second
+
+sympy = pytest.importorskip("sympy")
+stirling = sympy.functions.combinatorial.numbers.stirling
+
+
+def _fraction(value) -> Fraction:
+    rational = sympy.Rational(value)
+    return Fraction(int(rational.p), int(rational.q))
+
+
+def test_bernoulli_numbers_match_sympy():
+    for n in range(81):
+        expected = _fraction(sympy.bernoulli(n))
+        if n == 1:
+            expected = -expected  # sympy uses B_1 = +1/2
+        assert bernoulli_number(n) == expected, n
+
+
+def test_zeta_at_non_positive_integers_matches_sympy():
+    for l in range(61):
+        assert zeta_neg(l) == _fraction(sympy.zeta(-l)), l
+
+
+def test_stirling_numbers_match_sympy():
+    for n in range(40):
+        for m in range(n + 1):
+            assert stirling_first(n, m) == int(stirling(n, m, kind=1, signed=True)), (n, m)
+            assert stirling_second(n, m) == int(stirling(n, m)), (n, m)

@@ -1,4 +1,4 @@
-"""Tests for the four value families, their closed forms, and the memo cache."""
+"""Tests for the four value families, their closed forms, and the in-memory memo."""
 
 from fractions import Fraction
 
@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 
 from mzv.bernoulli import zeta_neg
 from mzv.values import (
-    CACHE_ENV_VAR,
     ValueKind,
     akiyama_tanigawa_reg,
     akiyama_tanigawa_rev,
     as_index_tuple,
-    cache_dir_from_env,
     clear_memo,
     iter_index_tuples,
-    load_memo,
     mzf_reg,
     mzf_rev,
     mzf_rev_stirling,
@@ -24,7 +21,6 @@ from mzv.values import (
     mzsf_rev,
     mzsf_rev_stirling,
     prop_zero_padding_check,
-    save_memo,
     sign_theorem_check,
     value,
 )
@@ -182,43 +178,3 @@ def test_memo_determinism():
     assert first == second
     clear_memo()
     assert mzf_rev((1, 2, 1)) == first
-
-
-def test_cache_round_trip(tmp_path):
-    clear_memo()
-    seeded = {
-        ("mzf-rev", (1, 1)): mzf_rev((1, 1)),
-        ("mzsf-reg", (0, 3)): mzsf_reg((0, 3)),
-    }
-    saved = save_memo(tmp_path)
-    assert saved >= len(seeded)
-    clear_memo()
-    loaded = load_memo(tmp_path)
-    assert loaded == saved
-    for (kind, l), expected in seeded.items():
-        assert value(kind, l) == expected
-    # loading from a directory without a cache file is a no-op
-    assert load_memo(tmp_path / "nothing-here") == 0
-
-
-def test_cache_rejects_corrupt_files(tmp_path):
-    path = tmp_path / "values.txt"
-    path.write_text("#wrong-header\n")
-    with pytest.raises(ValueError):
-        load_memo(tmp_path)
-    path.write_text("#mzv-values v1\nmzf-rev|not-an-index|1/2\n")
-    with pytest.raises(ValueError):
-        load_memo(tmp_path)
-    path.write_text("#mzv-values v1\nbogus-kind|1,1|1/2\n")
-    with pytest.raises(ValueError):
-        load_memo(tmp_path)
-    path.write_text("#mzv-values v1\nmzf-rev|1,1\n")
-    with pytest.raises(ValueError):
-        load_memo(tmp_path)
-
-
-def test_cache_dir_from_env(monkeypatch, tmp_path):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    assert cache_dir_from_env() is None
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    assert cache_dir_from_env() == str(tmp_path)

@@ -1,7 +1,10 @@
 """Tests for the verification-suite runner."""
 
+import threading
+
 import pytest
 
+from mzv import verify
 from mzv.verify import SUITE_NAMES, Bounds, run_suite, run_suites
 
 
@@ -38,6 +41,21 @@ def test_run_all_suites_small_bounds():
     for res in results:
         assert res.ok, res.failures[:1]
         assert res.checked > 0
+
+
+def test_run_suites_stays_in_the_calling_thread(monkeypatch):
+    threads = {}
+    for name, fn in list(verify._SUITES.items()):
+
+        def recorded(bounds, rng, name=name, fn=fn):
+            threads[name] = threading.current_thread()
+            return fn(bounds, rng)
+
+        monkeypatch.setitem(verify._SUITES, name, recorded)
+    results = run_suites(["all"], Bounds(max_depth=2, max_weight=2, max_r=3))
+    assert [res.suite for res in results] == sorted(SUITE_NAMES)
+    assert all(res.ok for res in results)
+    assert threads == {name: threading.current_thread() for name in SUITE_NAMES}
 
 
 def test_duplicate_suite_requests_collapse():
