@@ -45,7 +45,7 @@ from .kernel import (
     series_log_one_plus,
     series_mul,
 )
-from .stirling import stirling_poly_second_at
+from .stirling import stirling_kernel_box
 from .values import IndexTuple, as_index_tuple
 
 Direction = Tuple[int, ...]
@@ -572,21 +572,10 @@ def rev_via_gregory(l: Sequence[int]) -> Fraction:
     each origin value (at its padded depth r + k_1 + ... + k_r) is expanded
     into Gregory coefficients."""
     lt = as_index_tuple(l)
-    r = len(lt)
-    total = Fraction(0)
-    for ks in _product(*(range(lj + 1) for lj in lt)):
-        weight = Fraction(1)
-        running = 0
-        for j0 in range(r):
-            prev = running
-            running += ks[j0]
-            weight *= stirling_poly_second_at(lt[j0], ks[j0], prev + j0 + 1)
-            if weight == 0:
-                break
-            weight *= Fraction(factorial(running + j0), factorial(prev + j0))
-        if weight:
-            total += weight * origin_rev_gregory(r + running)
-    return total
+    boxed = stirling_kernel_box(lt, 0)
+    return sum(
+        (w * origin_rev_gregory(len(lt) + k) for k, w in boxed.items()), Fraction(0)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,17 @@ are computed in closed form from the plain numbers:
     S(n, m, Y) = sum_k  binom(n, k) S(n - k, m) Y^k
 
 The two kernels are mutually inverse as lower-triangular transforms, which is
-what :func:`stirling_transform_apply` exposes.
+what :func:`stirling_transform_apply` exposes.  :func:`stirling_kernel_box`
+sums the second-kind kernel over the box that the closed forms for reverse
+values run over.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Sequence, Tuple
+from math import comb, perm
+from typing import Dict, Sequence, Tuple
 
 from .kernel import RationalLike, RationalPolynomial, rat
 
@@ -39,30 +41,30 @@ def _check_pair(n: int, m: int) -> None:
         raise ValueError(f"Stirling indices must be >= 0, got (n, m) = ({n}, {m})")
 
 
+def _stirling_row(n: int, m: int, first: bool) -> int:
+    # Rows of the triangle T(i, j) = T(i-1, j-1) + c T(i-1, j), with
+    # c = -(i-1) for the first kind and c = j for the second, updated in
+    # place over the columns 0..m only.
+    row = [1] + [0] * m
+    for i in range(n):
+        for j in range(min(i + 1, m), 0, -1):
+            row[j] = row[j - 1] + (-i if first else j) * row[j]
+        row[0] = 0
+    return row[m]
+
+
 @lru_cache(maxsize=None)
 def stirling_first(n: int, m: int) -> int:
     """Signed Stirling number of the first kind s(n, m)."""
     _check_pair(n, m)
-    if m > n:
-        return 0
-    if n == 0:
-        return 1  # m == 0 here
-    if m == 0:
-        return 0
-    return stirling_first(n - 1, m - 1) - (n - 1) * stirling_first(n - 1, m)
+    return _stirling_row(n, m, True) if m <= n else 0
 
 
 @lru_cache(maxsize=None)
 def stirling_second(n: int, m: int) -> int:
     """Stirling number of the second kind S(n, m)."""
     _check_pair(n, m)
-    if m > n:
-        return 0
-    if n == 0:
-        return 1
-    if m == 0:
-        return 0
-    return stirling_second(n - 1, m - 1) + m * stirling_second(n - 1, m)
+    return _stirling_row(n, m, False) if m <= n else 0
 
 
 @lru_cache(maxsize=None)
@@ -108,6 +110,34 @@ def stirling_poly_first_at(n: int, m: int, y: RationalLike) -> Fraction:
 def stirling_poly_second_at(n: int, m: int, y: RationalLike) -> Fraction:
     """S(n, m, y) at a rational parameter, memoized."""
     return _poly_second_at(n, m, rat(y))
+
+
+def stirling_kernel_box(l: Sequence[int], shift: int) -> Dict[int, Fraction]:
+    """The second-kind Stirling kernel summed over the box 0 <= k_j <= l_j.
+
+    A box point k = (k_1, ..., k_r) carries the weight
+
+        prod_j (-1)^(shift (l_j - k_j)) S(l_j, k_j, K_{j-1} + j - shift)
+               * (K_j + j - 1)! / (K_{j-1} + j - 1)!
+
+    with K_j = k_1 + ... + k_j: shift 0 is the kernel of the plain reverse
+    values, shift 1 the signed kernel of the star ones.  The weight depends
+    on k only through the running sums, so the box is summed one slot at a
+    time.  Returns {K_r: total weight of the box points with that sum},
+    leaving out zero totals.
+    """
+    totals: Dict[int, Fraction] = {0: Fraction(1)}
+    for j, lj in enumerate(l, start=1):
+        grown: Dict[int, Fraction] = {}
+        for prev, weight in totals.items():
+            for kj in range(lj + 1):
+                factor = stirling_poly_second_at(lj, kj, prev + j - shift)
+                if shift and (lj - kj) % 2:
+                    factor = -factor
+                term = weight * factor * perm(prev + kj + j - 1, kj)
+                grown[prev + kj] = grown.get(prev + kj, 0) + term
+        totals = {k: w for k, w in grown.items() if w}
+    return totals
 
 
 def stirling_transform_apply(

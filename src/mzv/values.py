@@ -9,8 +9,11 @@ distinct values exist for every index tuple (l_1, ..., l_r), all l_j >= 0:
 
 Both satisfy depth-reducing recurrences with ordinary zeta values at
 non-positive integers as weights; the star variants satisfy the same shaped
-recurrences with the star weight (1/2 at zero) in the inner sum.  On top of
-the recurrences this module carries:
+recurrences with the star weight (1/2 at zero) in the inner sum.  Each
+recurrence replaces the pair of entries it peels by one entry, so
+:func:`value` evaluates all four families without recursion: it fills one
+row of values per depth, from depth one up, each row from the one below.
+On top of the recurrences this module carries:
 
 * closed forms for the reverse values as Stirling-kernel transforms of
   origin values at larger depth (:func:`mzf_rev_stirling`,
@@ -23,14 +26,14 @@ the recurrences this module carries:
 * the zero-padding transform that trades depth against a Stirling kernel
   (:func:`prop_zero_padding_check`).
 
-Every result is an exact Fraction; an in-memory memo makes repeated
-evaluation cheap and deterministic (the same query returns the identical
-object).  Nothing is persisted between processes.
+Every result is an exact Fraction.  Each family keeps one in-memory memo of
+every value its rows computed, so repeated evaluation is cheap and
+deterministic (the same query returns the identical object).  Nothing is
+persisted between processes.
 """
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -38,7 +41,7 @@ from math import comb, factorial
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .bernoulli import zeta_neg, zeta_star_neg
-from .stirling import stirling_first, stirling_poly_first_at, stirling_poly_second_at
+from .stirling import stirling_first, stirling_kernel_box, stirling_poly_first_at
 
 IndexTuple = Tuple[int, ...]
 
@@ -66,27 +69,16 @@ def as_index_tuple(l: Sequence[int]) -> IndexTuple:
     return t
 
 
-# One shared memo for the four recurrences.  Keys are (kind value, tuple).
-_MEMO: Dict[Tuple[str, IndexTuple], Fraction] = {}
-_MEMO_LOCK = threading.RLock()
+# One memo per kind, keyed by index tuple.  Entries are only ever added with
+# setdefault, so every caller sees one object per query; a race between
+# threads can at worst store an equal value twice.
+_MEMO: Dict[ValueKind, Dict[IndexTuple, Fraction]] = {kind: {} for kind in ValueKind}
 
 
 def clear_memo() -> None:
     """Drop every memoized value (mainly for tests)."""
-    with _MEMO_LOCK:
-        _MEMO.clear()
-
-
-def _memoized(kind: ValueKind, l: IndexTuple, compute, *extra) -> Fraction:
-    key = (kind.value, l)
-    with _MEMO_LOCK:
-        hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    result = compute(l, *extra)
-    with _MEMO_LOCK:
-        # first writer wins so callers always see one object per query
-        return _MEMO.setdefault(key, result)
+    for memo in _MEMO.values():
+        memo.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -94,87 +86,92 @@ def _memoized(kind: ValueKind, l: IndexTuple, compute, *extra) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _reg_compute(l: IndexTuple, recurse, weight) -> Fraction:
-    # The plain and star regular recurrences differ only in the inner
-    # weight: zeta_neg for mzf_reg, zeta_star_neg for mzsf_reg.
-    if len(l) == 1:
-        return zeta_neg(l[0])
-    head, b, c = l[:-2], l[-2], l[-1]
-    total = -Fraction(1, c + 1) * recurse(head + (b + c + 1,))
+def _reg_step(c: int, prev: Sequence[Fraction], star: bool) -> Fraction:
+    # l = head + (b, c); prev[i] is the value at head + (b + i,).  The plain
+    # and star recurrences differ only in the inner weight.
+    weight = zeta_star_neg if star else zeta_neg
+    total = -Fraction(1, c + 1) * prev[c + 1]
     for k in range(c + 1):
-        total += comb(c, k) * recurse(head + (b + c - k,)) * weight(k)
+        total += comb(c, k) * prev[c - k] * weight(k)
     return total
 
 
-def _mzf_rev_compute(l: IndexTuple) -> Fraction:
-    if len(l) == 1:
-        return zeta_neg(l[0])
-    a, b, rest = l[0], l[1], l[2:]
-    total = Fraction(1, a + 1) * mzf_rev((a + b + 1,) + rest)
+def _rev_step(a: int, prev: Sequence[Fraction], star: bool) -> Fraction:
+    # l = (a, b) + rest; prev[i] is the value at (b + i,) + rest.  The
+    # star-composition split on the first slot cancels the stray
+    # depth-(r-1) term, so the star recurrence keeps plain zeta weights and
+    # lacks only the final -V((a + b,) + rest).
+    total = Fraction(1, a + 1) * prev[a + 1]
     for k in range(a + 1):
-        total -= comb(a, k) * mzf_rev((a + b - k,) + rest) * zeta_neg(k)
-    total += zeta_neg(a) * mzf_rev((b,) + rest)
-    total -= mzf_rev((a + b,) + rest)
+        total -= comb(a, k) * prev[a - k] * zeta_neg(k)
+    total += zeta_neg(a) * prev[0]
+    if not star:
+        total -= prev[a]
     return total
 
 
-def _mzsf_rev_compute(l: IndexTuple) -> Fraction:
-    # The star-composition split on the first slot cancels the stray
-    # depth-(r-1) term, so the star reverse recurrence keeps plain zeta
-    # weights and only gains the leading-entry product term.
-    if len(l) == 1:
-        return zeta_neg(l[0])
-    a, b, rest = l[0], l[1], l[2:]
-    total = Fraction(1, a + 1) * mzsf_rev((a + b + 1,) + rest)
-    for k in range(a + 1):
-        total -= comb(a, k) * mzsf_rev((a + b - k,) + rest) * zeta_neg(k)
-    total += zeta_neg(a) * mzsf_rev((b,) + rest)
-    return total
+def value(kind: ValueKind | str, l: Sequence[int]) -> Fraction:
+    """Evaluate any of the four value families by kind.
+
+    Each recurrence replaces the pair it peels (the last two entries for
+    regular values, the first two for reverse ones) by one entry x.  With o
+    the tuple in peeling order, row d holds the values at depth d whose other
+    entries are o_1, ..., o_{d-1}, as a list over x, and is computed from row
+    d - 1 alone.  Row d needs x in [o_d, hi_d] with hi_r = o_r and
+    hi_d = o_d + hi_{d+1} + 1: exactly the tuples the recurrence reaches
+    from l.
+    """
+    kind = ValueKind(kind)
+    lt = as_index_tuple(l)
+    memo = _MEMO[kind]
+    hit = memo.get(lt)
+    if hit is not None:
+        return hit
+    regular = kind in (ValueKind.MZF_REG, ValueKind.MZSF_REG)
+    star = kind in (ValueKind.MZSF_REG, ValueKind.MZSF_REV)
+    step = _reg_step if regular else _rev_step
+    order = lt if regular else lt[::-1]
+    r = len(lt)
+    hi = list(order)
+    for d in range(r - 2, -1, -1):
+        hi[d] += hi[d + 1] + 1
+    row: list = []
+    for d in range(r):
+        fixed = lt[:d] if regular else lt[r - d :]
+        new_row = []
+        for x in range(order[d], hi[d] + 1):
+            key = fixed + (x,) if regular else (x,) + fixed
+            v = memo.get(key)
+            if v is None:
+                v = memo.setdefault(key, step(x, row, star) if d else zeta_neg(x))
+            new_row.append(v)
+        row = new_row
+    return row[0]
 
 
 def mzf_reg(l: Sequence[int]) -> Fraction:
     """Regular (innermost-first) multiple zeta value at -l."""
-    return _memoized(ValueKind.MZF_REG, as_index_tuple(l), _reg_compute, mzf_reg, zeta_neg)
+    return value(ValueKind.MZF_REG, l)
 
 
 def mzf_rev(l: Sequence[int]) -> Fraction:
     """Reverse (outermost-first) multiple zeta value at -l."""
-    return _memoized(ValueKind.MZF_REV, as_index_tuple(l), _mzf_rev_compute)
+    return value(ValueKind.MZF_REV, l)
 
 
 def mzsf_reg(l: Sequence[int]) -> Fraction:
     """Regular (innermost-first) multiple zeta-star value at -l."""
-    return _memoized(
-        ValueKind.MZSF_REG, as_index_tuple(l), _reg_compute, mzsf_reg, zeta_star_neg
-    )
+    return value(ValueKind.MZSF_REG, l)
 
 
 def mzsf_rev(l: Sequence[int]) -> Fraction:
     """Reverse (outermost-first) multiple zeta-star value at -l."""
-    return _memoized(ValueKind.MZSF_REV, as_index_tuple(l), _mzsf_rev_compute)
-
-
-_DISPATCH = {
-    ValueKind.MZF_REG: mzf_reg,
-    ValueKind.MZF_REV: mzf_rev,
-    ValueKind.MZSF_REG: mzsf_reg,
-    ValueKind.MZSF_REV: mzsf_rev,
-}
-
-
-def value(kind: ValueKind | str, l: Sequence[int]) -> Fraction:
-    """Evaluate any of the four value families by kind."""
-    kind = ValueKind(kind)
-    return _DISPATCH[kind](l)
+    return value(ValueKind.MZSF_REV, l)
 
 
 # ---------------------------------------------------------------------------
 # Closed forms: reverse values as Stirling transforms of origin values
 # ---------------------------------------------------------------------------
-
-
-def _zero_tuple(depth: int) -> IndexTuple:
-    return (0,) * depth
 
 
 def mzf_rev_stirling(l: Sequence[int]) -> Fraction:
@@ -190,21 +187,10 @@ def mzf_rev_stirling(l: Sequence[int]) -> Fraction:
     r + K_r.  Must agree exactly with :func:`mzf_rev`.
     """
     lt = as_index_tuple(l)
-    r = len(lt)
-    total = Fraction(0)
-    for ks in product(*(range(e + 1) for e in lt)):
-        weight = Fraction(1)
-        running = 0  # K_{j-1} with j the 1-based position
-        for j, (lj, kj) in enumerate(zip(lt, ks), start=1):
-            weight *= stirling_poly_second_at(lj, kj, running + j)
-            new_running = running + kj
-            weight *= Fraction(
-                factorial(new_running + j - 1), factorial(running + j - 1)
-            )
-            running = new_running
-        if weight != 0:
-            total += weight * mzf_rev(_zero_tuple(r + running))
-    return total
+    boxed = stirling_kernel_box(lt, 0)
+    return sum(
+        (w * mzf_rev((0,) * (len(lt) + k)) for k, w in boxed.items()), Fraction(0)
+    )
 
 
 def mzsf_rev_stirling(l: Sequence[int]) -> Fraction:
@@ -220,22 +206,10 @@ def mzsf_rev_stirling(l: Sequence[int]) -> Fraction:
     with :func:`mzsf_rev`.
     """
     lt = as_index_tuple(l)
-    r = len(lt)
-    total = Fraction(0)
-    for ks in product(*(range(e + 1) for e in lt)):
-        weight = Fraction(1)
-        running = 0
-        for j, (lj, kj) in enumerate(zip(lt, ks), start=1):
-            sign = -1 if (lj - kj) % 2 else 1
-            weight *= sign * stirling_poly_second_at(lj, kj, running + j - 1)
-            new_running = running + kj
-            weight *= Fraction(
-                factorial(new_running + j - 1), factorial(running + j - 1)
-            )
-            running = new_running
-        if weight != 0:
-            total += weight * mzsf_rev(_zero_tuple(r + running))
-    return total
+    boxed = stirling_kernel_box(lt, 1)
+    return sum(
+        (w * mzsf_rev((0,) * (len(lt) + k)) for k, w in boxed.items()), Fraction(0)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +316,7 @@ def prop_zero_padding_check(l: Sequence[int], s_int: int) -> bool:
     for j, lj in enumerate(lt, start=1):
         scale *= Fraction(factorial(running + lj + j - 1), factorial(running + j - 1))
         running += lj
-    rhs = scale * mzf_rev(_zero_tuple(r + big_l - 1) + (-s_int,))
+    rhs = scale * mzf_rev((0,) * (r + big_l - 1) + (-s_int,))
     return lhs == rhs
 
 

@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -183,6 +185,21 @@ def test_stirling_polynomial_at_value(capsys):
     )
     assert code == 0
     assert "= 2" in out
+
+
+def test_stirling_number_prints_every_digit(capsys):
+    # s(2000, 1) = -1999! has about 5,700 digits, past the interpreter's
+    # default limit on int-to-str conversion.
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        code, out, err = run(
+            capsys, "stirling", "--kind", "s", "--n", "2000", "--m", "1", "--json"
+        )
+        assert code == 0, err
+        assert json.loads(out)["records"][0]["value"] == str(-factorial(1999))
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def test_stirling_y_with_number_kind_is_usage_error(capsys):

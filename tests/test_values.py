@@ -1,11 +1,17 @@
 """Tests for the four value families, their closed forms, and the in-memory memo."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mzv
+from mzv.asymptotic import asym_coeff
 from mzv.bernoulli import zeta_neg
 from mzv.values import (
     ValueKind,
@@ -175,6 +181,65 @@ def test_memo_determinism():
     clear_memo()
     first = mzf_rev((1, 2, 1))
     second = mzf_rev((1, 2, 1))
-    assert first == second
+    assert first is second
     clear_memo()
     assert mzf_rev((1, 2, 1)) == first
+
+
+# SHA-256 of the lines "l_1,...,l_r=value" over iter_index_tuples(5, 6), one
+# digest per kind, recorded from the recursive recurrences this engine
+# replaced.
+PINNED_DIGESTS = {
+    "mzf-reg": "0e1ba77242bf2394d03c6c30870d44a61697c03f61328268083068230fb4ba91",
+    "mzf-rev": "83ecd771107d5e6747bd58cde1a98f8c937045c759f9f4e8cd849293a2fe279f",
+    "mzsf-reg": "f235ec6f94867cb78eeb86110da2741607c5779c823a2f3eec33f83bc49b759d",
+    "mzsf-rev": "c35608517484b21d0e56f126a6cbabae294cf936c8e792fcb89ff2f7517f5861",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_DIGESTS))
+def test_pinned_values(kind):
+    clear_memo()
+    digest = hashlib.sha256()
+    for t in iter_index_tuples(5, 6):
+        digest.update(f"{','.join(map(str, t))}={value(kind, t)}\n".encode())
+    assert digest.hexdigest() == PINNED_DIGESTS[kind]
+
+
+def test_values_do_not_recurse():
+    # One Python frame per depth level would need more than 150 frames here.
+    script = (
+        "import sys\n"
+        "from mzv.values import ValueKind, value\n"
+        "sys.setrecursionlimit(150)\n"
+        "for kind in ValueKind:\n"
+        "    value(kind, (0,) * 70)\n"
+    )
+    src = os.path.dirname(os.path.dirname(mzv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
+small_tuples = st.lists(
+    st.integers(min_value=0, max_value=3), min_size=1, max_size=4
+).map(tuple)
+
+
+@settings(deadline=None)
+@given(small_tuples)
+def test_recurrences_agree_with_definition_sums(l):
+    # The asymptotic coefficients come from their defining sums, with no
+    # value recurrence involved.
+    r = len(l)
+    ones = (1,) * r
+    flat = (0,) * (r - 1)
+    assert asym_coeff(l, flat, ones) == mzf_reg(l)
+    assert asym_coeff(l, flat, (1,) + (0,) * (r - 1)) == mzsf_reg(l)
+    total = Fraction(0)
+    for bits in range(1 << (r - 1)):
+        d = tuple((bits >> t) & 1 for t in range(r - 1))
+        total += asym_coeff(l, d, ones)
+    assert total == mzf_rev(l)
