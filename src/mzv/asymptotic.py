@@ -10,7 +10,8 @@ admissible set of exponent tuples n cut out by d (:func:`admissible_n_set`).
 Three independent computation paths are provided for the staircase directions
 d = (1,...,1,0,...,0):
 
-* :func:`c_ir` — the definition sum itself;
+* :func:`c_ir` — the definition sum itself, over the same admissible set and
+  with the same terms, carried slot by slot over the tail sums of n;
 * :func:`c_ir_recurrence` — depth reduction: one recurrence peels the last
   index slot, a second peels the first slot, with a closed depth-2 base case;
 * :func:`c_ir_explicit` — the fully expanded nested sum obtained by unrolling
@@ -29,16 +30,14 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as _product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import NamedTuple, Sequence, Tuple
 
 from .bernoulli import bernoulli_poly_at
 from .kernel import (
     BivariateSeries,
     RationalLike,
-    falling_factorial,
     rat,
     series_div_unit,
     series_div_xy_difference,
@@ -119,36 +118,6 @@ def _ones_shift(r: int) -> Shift:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _admissible(l: IndexTuple, d: Direction) -> Tuple[Tuple[int, ...], ...]:
-    r = len(l)
-    total = r + sum(l)
-    if r == 1:
-        return ((total,),)
-    # suffix[j] = l_j + ... + l_r  (1-based j), suffix[r+1] = 0
-    suffix = [0] * (r + 2)
-    for j in range(r, 0, -1):
-        suffix[j] = suffix[j + 1] + l[j - 1]
-
-    found = []
-
-    def walk(j: int, t_prev: int, head: Tuple[int, ...]) -> None:
-        # t_prev is the tail sum n_j + ... + n_r still to distribute.
-        if j == r:
-            found.append(head + (t_prev,))
-            return
-        lo, hi = 0, t_prev
-        if d[j - 1] == 0:
-            hi = min(hi, r - j + suffix[j + 1])
-        else:
-            lo = max(lo, r - j + 1 + suffix[j])
-        for t in range(lo, hi + 1):
-            walk(j + 1, t, head + (t_prev - t,))
-
-    walk(1, total, ())
-    return tuple(sorted(found))
-
-
 def admissible_n_set(l: Sequence[int], d: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
     """All exponent tuples n contributing to the coefficient at (-l, d).
 
@@ -158,31 +127,62 @@ def admissible_n_set(l: Sequence[int], d: Sequence[int]) -> Tuple[Tuple[int, ...
     """
     lt = as_index_tuple(l)
     dt = as_direction(d, len(lt))
-    return _admissible(lt, dt)
+    r = len(lt)
+    found = []
+
+    def walk(j: int, t_prev: int, head: Tuple[int, ...]) -> None:
+        # t_prev is the tail sum n_j + ... + n_r still to distribute.
+        if j == r:
+            found.append(head + (t_prev,))
+            return
+        lo, hi = _tail_window(lt, dt, j)
+        for t in range(lo, min(hi, t_prev) + 1):
+            walk(j + 1, t, head + (t_prev - t,))
+
+    walk(1, r + sum(lt), ())
+    return tuple(sorted(found))
+
+
+def _tail_window(l: IndexTuple, d: Direction, j: int) -> Tuple[int, int]:
+    """Bounds (lo, hi) of the tail sum t_j = n_{j+1} + ... + n_r, 1-based j < r."""
+    r = len(l)
+    if d[j - 1] == 0:
+        return 0, r - j + sum(l[j:])
+    return r - j + 1 + sum(l[j - 1 :]), r + sum(l)
 
 
 def _asym_sum(l: IndexTuple, d: Direction, a: Shift) -> Fraction:
     """Definition sum, assuming validated inputs.
 
-    Depth 1 uses the closed value -B_{l+1}(a)/(l+1); at depth >= 2 the sum
-    runs over the admissible exponent set with the parity sign (-1)^(r+|l|).
+    The coefficient is (-1)^(r+|l|) times the sum over the admissible n of
+    prod_j B_{n_j}(a_j)/n_j! * (prefix_j + j - 1)_{l_j}, with (x)_k the falling
+    factorial and prefix_j = (l_1 - n_1) + ... + (l_j - n_j).  In the tail sums
+    t_j = n_{j+1} + ... + n_r (t_0 = r + |l|, t_r = 0), slot j's Bernoulli factor
+    depends on n_j = t_{j-1} - t_j, its falling factorial on t_j alone, and
+    admissibility is one window per t_j.  So the sum runs slot by slot over
+    {t_j: summed product over slots 1..j}: same admissible set, same terms.
     """
-    r = len(l)
-    if r == 1:
-        return -bernoulli_poly_at(l[0] + 1, a[0]) / (l[0] + 1)
-    sign = -1 if (r + sum(l)) % 2 else 1
-    total = Fraction(0)
-    for n in _admissible(l, d):
-        term = Fraction(1)
-        prefix = 0
-        for j, nj in enumerate(n):
-            if term == 0:
-                break
-            term *= bernoulli_poly_at(nj, a[j]) / factorial(nj)
-            prefix += l[j] - nj
-            term *= falling_factorial(prefix + j, l[j])
-        total += term
-    return sign * total
+    r, total = len(l), len(l) + sum(l)
+    row = {total: Fraction(1)}
+    head = 0  # l_1 + ... + l_j
+    for j, (lj, aj) in enumerate(zip(l, a), start=1):
+        head += lj
+        lo, hi = _tail_window(l, d, j) if j < r else (0, 0)
+        hi = min(hi, max(row))
+        n0 = max(0, min(row) - hi)
+        bern = [bernoulli_poly_at(n, aj) / factorial(n) for n in range(n0, max(row) - lo + 1)]
+        nxt = {}
+        for t in range(lo, hi + 1):
+            x = head - total + t + j - 1  # prefix_j + j - 1
+            ff = prod(range(x, x - lj, -1))
+            if ff:
+                acc = sum(w * b for tp, w in row.items() if tp >= t and (b := bern[tp - t - n0]))
+                if acc:
+                    nxt[t] = ff * acc
+        if not nxt:
+            return Fraction(0)
+        row = nxt
+    return -row[0] if total % 2 else row[0]
 
 
 def asym_coeff(
@@ -231,10 +231,18 @@ def _c22_closed(l1: int, l2: int, a2: Fraction) -> Fraction:
     return sign * num / factorial(l1 + l2 + 2)
 
 
-def _c_rec(i: int, r: int, l: IndexTuple, a: Shift) -> Fraction:
+def _c_rec(i: int, r: int, l: IndexTuple, a: Shift, memo: dict) -> Fraction:
+    """Depth reduction; memo maps (i, r, l) to the value within one top-level call.
+
+    The key is sound: the top-level call fixes the shift at each (i, r), its a[:r]
+    while i < r and the last r entries of its a[:i] once i == r.
+    """
+    key = (i, r, l)
+    if key in memo:
+        return memo[key]
     if r == 1:
-        return -bernoulli_poly_at(l[0] + 1, a[0]) / (l[0] + 1)
-    if i < r:
+        value = -bernoulli_poly_at(l[0] + 1, a[0]) / (l[0] + 1)
+    elif i < r:
         # Peel the last slot: the tail exponent is confined to a window of
         # width l_r + 2, and each choice shifts the next-to-last index.
         lr = l[-1]
@@ -243,28 +251,31 @@ def _c_rec(i: int, r: int, l: IndexTuple, a: Shift) -> Fraction:
             sub_l = l[:-2] + (l[-2] + k,)
             total += (
                 comb(lr + 1, k)
-                * _c_rec(i, r - 1, sub_l, a[:-1])
+                * _c_rec(i, r - 1, sub_l, a[:-1], memo)
                 * bernoulli_poly_at(lr + 1 - k, a[-1])
             )
-        return -total / (lr + 1)
-    # i == r: all-ones staircase.
-    if r == 2:
-        return _c22_closed(l[0], l[1], a[1])
-    # Peel the first slot: its exponent is forced to zero, the second slot's
-    # exponent is summed out against the complement shift 1 - a_2, and the
-    # remainder is the depth-(r-1) all-ones staircase.  The leading shift
-    # entry of the sub-call is irrelevant (its exponent is again forced to
-    # zero), so the shift tail is passed unchanged.
-    l1 = l[0]
-    total = Fraction(0)
-    for k in range(l1 + 2):
-        sub_l = (l[1] + k,) + l[2:]
-        total += (
-            comb(l1 + 1, k)
-            * bernoulli_poly_at(l1 + 1 - k, 1 - a[1])
-            * _c_rec(r - 1, r - 1, sub_l, a[1:])
-        )
-    return total / (l1 + 1)
+        value = -total / (lr + 1)
+    elif r == 2:
+        # i == r: all-ones staircase.
+        value = _c22_closed(l[0], l[1], a[1])
+    else:
+        # Peel the first slot: its exponent is forced to zero, the second
+        # slot's exponent is summed out against the complement shift 1 - a_2,
+        # and the remainder is the depth-(r-1) all-ones staircase.  The
+        # leading shift entry of the sub-call is irrelevant (its exponent is
+        # again forced to zero), so the shift tail is passed unchanged.
+        l1 = l[0]
+        total = Fraction(0)
+        for k in range(l1 + 2):
+            sub_l = (l[1] + k,) + l[2:]
+            total += (
+                comb(l1 + 1, k)
+                * bernoulli_poly_at(l1 + 1 - k, 1 - a[1])
+                * _c_rec(r - 1, r - 1, sub_l, a[1:], memo)
+            )
+        value = total / (l1 + 1)
+    memo[key] = value
+    return value
 
 
 def c_ir_recurrence(
@@ -272,7 +283,7 @@ def c_ir_recurrence(
 ) -> Fraction:
     """Staircase coefficient via the two depth-reduction recurrences."""
     lt, at = _validated_staircase_args(i, r, l, a)
-    return _c_rec(i, r, lt, at)
+    return _c_rec(i, r, lt, at, {})
 
 
 def c_ir_explicit(
@@ -288,7 +299,7 @@ def c_ir_explicit(
     """
     lt, at = _validated_staircase_args(i, r, l, a)
     if r < 3 or i == r:
-        return _c_rec(i, r, lt, at)
+        return _c_rec(i, r, lt, at, {})
 
     # Right chain: variables k_r, ..., k_{i+1}; k_{r+1} = 0.  After the loop,
     # `right` maps each value of k_{i+1} to the summed product of the weights

@@ -18,7 +18,8 @@ Values are exact rationals rendered as ``p/q`` (integers drop the ``/1``);
 ``--json`` and ``--csv`` switch the output format.  Exit codes: 0 success,
 1 identity failure (a path disagreement or a failed verification), 2 usage
 error, 3 internal error (an unexpected exception, reported on one stderr
-line).  Every call computes from scratch and writes nothing to disk.
+line), 141 stdout closed by its reader (128 + SIGPIPE).  Every call computes
+from scratch and writes nothing to disk.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,6 +54,7 @@ EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer that lost its reader
 
 
 class _UsageError(Exception):
@@ -550,7 +553,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # `mzv ... | head`: what is still buffered goes to /dev/null at shutdown.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,10 @@
 """Tests for asymptotic coefficients, staircase paths, Gregory coefficients,
 and the direction-vector combinatorics."""
 
+import hashlib
 from fractions import Fraction
+from itertools import product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from mzv.asymptotic import (
     CompositionPair,
+    _asym_sum,
     admissible_n_set,
     as_direction,
     as_shift,
@@ -30,7 +34,8 @@ from mzv.asymptotic import (
     star_coeff_relation_check,
     staircase_direction,
 )
-from mzv.values import mzf_reg, mzf_rev, mzsf_reg
+from mzv.bernoulli import bernoulli_poly_at
+from mzv.values import iter_index_tuples, mzf_reg, mzf_rev, mzsf_reg
 
 
 def test_input_validation():
@@ -53,6 +58,112 @@ def test_admissible_sets():
     assert admissible_n_set((0, 0), (0,)) == ((1, 1), (2, 0))
     assert admissible_n_set((0, 0), (1,)) == ((0, 2),)
     assert admissible_n_set((1, 1), (1,)) == ((0, 4),)
+
+
+def _compositions(total, r):
+    if r == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, r - 1):
+            yield (first,) + rest
+
+
+def _admissible_by_definition(l, d):
+    r = len(l)
+    return tuple(
+        n
+        for n in _compositions(r + sum(l), r)
+        if all(
+            sum(n[j:]) <= r - j + sum(l[j:])
+            if d[j - 1] == 0
+            else sum(n[j:]) >= r - j + 1 + sum(l[j - 1 :])
+            for j in range(1, r)
+        )
+    )
+
+
+def _definition_sum_oracle(l, d, a):
+    # (-1)^(r+|l|) sum over admissible n of
+    # prod_j B_{n_j}(a_j)/n_j! * (prefix_j + j - 1)_{l_j},
+    # prefix_j = (l_1 - n_1) + ... + (l_j - n_j), term by term.
+    total = Fraction(0)
+    for n in admissible_n_set(l, d):
+        term = Fraction(1)
+        prefix = 0
+        for j in range(1, len(l) + 1):
+            prefix += l[j - 1] - n[j - 1]
+            x = prefix + j - 1
+            term *= bernoulli_poly_at(n[j - 1], a[j - 1]) / factorial(n[j - 1])
+            term *= prod(x - s for s in range(l[j - 1]))
+        total += term
+    return -total if (len(l) + sum(l)) % 2 else total
+
+
+@st.composite
+def _definition_points(draw):
+    r = draw(st.integers(min_value=1, max_value=5))
+    l, budget = [], 6
+    for _ in range(r):
+        l.append(draw(st.integers(min_value=0, max_value=budget)))
+        budget -= l[-1]
+    d = tuple(draw(st.integers(min_value=0, max_value=1)) for _ in range(r - 1))
+    family = draw(st.sampled_from(["ones", "basis", "signed"]))
+    if family == "ones":
+        a = (Fraction(1),) * r
+    elif family == "basis":
+        p = draw(st.integers(min_value=0, max_value=r - 1))
+        a = tuple(Fraction(int(t == p)) for t in range(r))
+    else:
+        # Entries of either sign whose partial sums stay positive.
+        sums = [Fraction(0)] + [
+            draw(st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5))
+            for _ in range(r)
+        ]
+        a = tuple(sums[t + 1] - sums[t] for t in range(r))
+    return tuple(l), d, a
+
+
+@settings(deadline=None, max_examples=150)
+@given(_definition_points())
+def test_definition_sum_matches_term_by_term_oracle(point):
+    l, d, a = point
+    assert admissible_n_set(l, d) == _admissible_by_definition(l, d)
+    a = as_shift(a, len(l), relaxed=True)
+    expected = _definition_sum_oracle(l, d, a)
+    assert _asym_sum(l, d, a) == expected
+    if a[0] > 0:  # every family has positive partial sums once a_1 > 0
+        assert asym_coeff(l, d, a) == expected
+
+
+# A signed shift with positive partial sums; its prefixes serve every depth.
+_PINNED_SIGNED_SHIFT = (Fraction(3, 2), Fraction(-1, 3), Fraction(5, 4), Fraction(-2, 5))
+# SHA-256 of the lines written by test_pinned_coefficients, recorded before the
+# definition sum and the recurrence were regrouped.
+PINNED_COEFFICIENT_DIGEST = "0b2dcc1b8f442d73c2a7465c036600991da65365f28c8f13dd6ce4bda877f878"
+
+
+def test_pinned_coefficients():
+    digest = hashlib.sha256()
+    for l in iter_index_tuples(4, 5):
+        r = len(l)
+        shifts = [(Fraction(1),) * r, _PINNED_SIGNED_SHIFT[:r]]
+        shifts += [tuple(Fraction(int(t == p)) for t in range(r)) for p in range(r)]
+        for a in shifts:
+            if a[0] == 0:  # basis shifts e_p, p >= 2: only the relaxed definition sum
+                for d in product((0, 1), repeat=r - 1):
+                    digest.update(f"_asym_sum {l} {d} {a}={_asym_sum(l, d, a)}\n".encode())
+                continue
+            for d in product((0, 1), repeat=r - 1):
+                digest.update(f"asym_coeff {l} {d} {a}={asym_coeff(l, d, a)}\n".encode())
+            for i in range(1, r + 1):
+                for name, path in (
+                    ("c_ir", c_ir),
+                    ("c_ir_recurrence", c_ir_recurrence),
+                    ("c_ir_explicit", c_ir_explicit),
+                ):
+                    digest.update(f"{name} {i} {l} {a}={path(i, r, l, a)}\n".encode())
+    assert digest.hexdigest() == PINNED_COEFFICIENT_DIGEST
 
 
 def test_asym_coeff_worked_examples():

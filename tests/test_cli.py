@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
@@ -282,6 +284,26 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     assert out == ""
     assert err.splitlines() == ["error: internal error: RuntimeError: boom"]
     assert "Traceback" not in err
+
+
+def test_closed_stdout_is_not_an_internal_error():
+    # The read end is closed before the child starts, so its first write
+    # (here the flush of a short output) always meets a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(mzv.__file__))
+    try:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "mzv.cli", "stirling", "--kind", "S", "--n", "5", "--m", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == mzv.cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 def test_cache_dir_is_ignored(tmp_path, monkeypatch, capsys):
