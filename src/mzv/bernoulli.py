@@ -7,10 +7,14 @@ B_n^(m)(z) / n!, the higher-order Bernoulli polynomials.  Order m = 1 gives
 the ordinary Bernoulli polynomials, and z = 0 the ordinary numbers (with the
 B_1 = -1/2 convention that R(X) itself carries).
 
-Zeta values at non-positive integers are taken in the form
-zeta(-l) = -B_{l+1}(1) / (l+1); using the polynomial at 1 rather than the
-bare number is what makes zeta(0) = -1/2 and keeps the depth-one reductions
-used elsewhere in the package consistent.
+The Bernoulli numbers themselves come from integer tangent numbers (Brent
+and Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
+2011): B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), so the only rational
+step is one reduction per number.  They are kept in one list, grown on
+demand, which also yields the series coefficients B_n / n! of R(X).  Zeta
+values at non-positive integers are read from a second list,
+zeta(-l) = -B_{l+1} / (l+1) with zeta(0) = -1/2 (the bare number would give
++1/2 there, as B_1 = -1/2).
 
 The iterated Hurwitz-type sum of depth r at argument -l with shift z > 0 has
 the exact value
@@ -23,40 +27,76 @@ check :func:`choi_identity_check`.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import List
 
 from .kernel import RationalLike, RationalPolynomial, rat
 
-# Coefficients of R(X) = X / (e^X - 1) as an exponential generating function:
-# _RATIO_COEFFS[n] is the plain (non-EGF) series coefficient of X^n, so
-# B_n = n! * _RATIO_COEFFS[n].  Grown on demand, guarded for thread safety.
-_RATIO_COEFFS = [Fraction(1)]
-_RATIO_LOCK = threading.Lock()
+# B_0, B_1, ... and zeta(0), zeta(-1), ...: grown on demand by _grow.  Each
+# growth writes one slice of values fixed by their indices, so neither list
+# ever shrinks, and two threads growing one at once write equal values.
+_BERNOULLI: List[Fraction] = []
+_ZETA_NEG: List[Fraction] = []
 
 
-def _ratio_coeffs(order: int):
-    """Series coefficients of X/(e^X - 1) up to X^order, by unit division."""
-    with _RATIO_LOCK:
-        while len(_RATIO_COEFFS) <= order:
-            n = len(_RATIO_COEFFS)
-            # Divide 1 by (e^X - 1)/X = sum_k X^k / (k+1)!  term by term:
-            # the X^n coefficient of the quotient satisfies
-            # r_n = -sum_{k=1}^{n} r_{n-k} / (k+1)!.
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                acc -= _RATIO_COEFFS[n - k] / factorial(k + 1)
-            _RATIO_COEFFS.append(acc)
-        return list(_RATIO_COEFFS[: order + 1])
+def _tangent_numbers(k: int) -> List[int]:
+    """Tangent numbers T_1..T_k at indices 1..k: tan x = sum_j T_j x^(2j-1)/(2j-1)!.
+
+    Brent and Harvey's in-place triangle: O(k^2) integer additions and
+    small multiplications, no division.
+    """
+    t = [0] * (k + 1)
+    if k:
+        t[1] = 1
+    for j in range(2, k + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return t
+
+
+def _grow(n: int) -> None:
+    """Make _BERNOULLI hold B_0..B_n and _ZETA_NEG hold zeta(0)..zeta(-(n-1))."""
+    have = len(_BERNOULLI)
+    if n < have and n <= len(_ZETA_NEG):
+        return
+    # The triangle cannot be extended in place, so rebuild it at least
+    # doubled: every number is then built a bounded number of times.
+    top = max(n, 2 * have)
+    tangent = _tangent_numbers(top // 2)
+    new = []
+    for m in range(have, top + 1):
+        if m < 2:
+            new.append(Fraction(1) if m == 0 else Fraction(-1, 2))
+        elif m % 2:
+            new.append(Fraction(0))
+        else:
+            k = m // 2
+            sign = 1 if k % 2 else -1
+            new.append(Fraction(sign * m * tangent[k], 4**k * (4**k - 1)))
+    _BERNOULLI[have : top + 1] = new
+    low = len(_ZETA_NEG)
+    _ZETA_NEG[low:top] = [
+        Fraction(-1, 2) if l == 0 else -_BERNOULLI[l + 1] / (l + 1) for l in range(low, top)
+    ]
+
+
+def _ratio_coeffs(order: int) -> List[Fraction]:
+    """Series coefficients B_n / n! of X/(e^X - 1) up to X^order."""
+    _grow(order)
+    return [_BERNOULLI[n] / factorial(n) for n in range(order + 1)]
 
 
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number B_n, with the B_1 = -1/2 convention."""
     if n < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-    return _ratio_coeffs(n)[n] * factorial(n)
+    if n >= len(_BERNOULLI):
+        _grow(n)
+    return _BERNOULLI[n]
 
 
 @lru_cache(maxsize=None)
@@ -131,13 +171,17 @@ def bernoulli_higher_at(n: int, m: int, z: RationalLike) -> Fraction:
 
 
 def zeta_neg(l: int) -> Fraction:
-    """zeta(-l) for integer l >= 0, as -B_{l+1}(1) / (l+1).
+    """zeta(-l) for integer l >= 0: -B_{l+1} / (l+1), and -1/2 at l = 0.
 
-    zeta(0) = -1/2, zeta(-1) = -1/12, zeta(-2k) = 0 for k >= 1.
+    zeta(0) = -1/2, zeta(-1) = -1/12, zeta(-2k) = 0 for k >= 1.  Read from a
+    table grown with the Bernoulli numbers, so repeated calls are list
+    lookups.
     """
     if l < 0:
         raise ValueError(f"zeta_neg expects l >= 0 (the value zeta(-l)), got l={l}")
-    return -bernoulli_poly_at(l + 1, 1) / (l + 1)
+    if l >= len(_ZETA_NEG):
+        _grow(l + 1)
+    return _ZETA_NEG[l]
 
 
 def zeta_star_neg(l: int) -> Fraction:

@@ -319,6 +319,11 @@ def _cmd_stirling(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_formats(args)
+    if args.max_depth < 1 or args.max_weight < 0 or args.max_r < 1:
+        raise _UsageError(
+            f"need --max-depth >= 1, --max-weight >= 0 and --max-r >= 1, got "
+            f"{args.max_depth}, {args.max_weight}, {args.max_r}"
+        )
     bounds = Bounds(
         max_depth=args.max_depth,
         max_weight=args.max_weight,

@@ -86,13 +86,29 @@ def clear_memo() -> None:
 # ---------------------------------------------------------------------------
 
 
+# _WEIGHTS[star][c] lists the pairs (c - k, comb(c, k) * w(k)) for k in
+# 0..c, w = zeta_star_neg if star else zeta_neg, zero weights left out:
+# the inner sums of the recurrences, one product per term.  Grown on demand;
+# setdefault keeps one row per c if two threads build it at once.
+_WEIGHTS: Tuple[Dict[int, tuple], Dict[int, tuple]] = ({}, {})
+
+
+def _weights(c: int, star: bool) -> tuple:
+    table = _WEIGHTS[star]
+    row = table.get(c)
+    if row is None:
+        weight = zeta_star_neg if star else zeta_neg
+        pairs = ((c - k, comb(c, k) * weight(k)) for k in range(c + 1))
+        row = table.setdefault(c, tuple((i, w) for i, w in pairs if w))
+    return row
+
+
 def _reg_step(c: int, prev: Sequence[Fraction], star: bool) -> Fraction:
     # l = head + (b, c); prev[i] is the value at head + (b + i,).  The plain
     # and star recurrences differ only in the inner weight.
-    weight = zeta_star_neg if star else zeta_neg
-    total = -Fraction(1, c + 1) * prev[c + 1]
-    for k in range(c + 1):
-        total += comb(c, k) * prev[c - k] * weight(k)
+    total = -prev[c + 1] / (c + 1)
+    for i, w in _weights(c, star):
+        total += w * prev[i]
     return total
 
 
@@ -101,10 +117,9 @@ def _rev_step(a: int, prev: Sequence[Fraction], star: bool) -> Fraction:
     # star-composition split on the first slot cancels the stray
     # depth-(r-1) term, so the star recurrence keeps plain zeta weights and
     # lacks only the final -V((a + b,) + rest).
-    total = Fraction(1, a + 1) * prev[a + 1]
-    for k in range(a + 1):
-        total -= comb(a, k) * prev[a - k] * zeta_neg(k)
-    total += zeta_neg(a) * prev[0]
+    total = prev[a + 1] / (a + 1) + zeta_neg(a) * prev[0]
+    for i, w in _weights(a, False):
+        total -= w * prev[i]
     if not star:
         total -= prev[a]
     return total
@@ -326,10 +341,31 @@ def prop_zero_padding_check(l: Sequence[int], s_int: int) -> bool:
 
 
 def iter_index_tuples(max_depth: int, max_weight: int, min_depth: int = 1) -> Iterator[IndexTuple]:
-    """All index tuples with min_depth <= depth <= max_depth, sum <= max_weight."""
+    """All index tuples with min_depth <= depth <= max_depth, sum <= max_weight.
+
+    Depth by depth, each in lexicographic order.  The walk visits only these
+    tuples, in one frame whatever the depth: below the budget the last entry
+    steps up; at the budget the last nonzero entry is cleared and the one
+    before it steps up.
+    """
     if min_depth < 1:
         raise ValueError(f"min_depth must be >= 1, got {min_depth}")
+    if max_weight < 0:
+        return
     for depth in range(min_depth, max_depth + 1):
-        for t in product(range(max_weight + 1), repeat=depth):
-            if sum(t) <= max_weight:
-                yield t
+        t = [0] * depth
+        total = 0
+        while True:
+            yield tuple(t)
+            if total < max_weight:
+                t[-1] += 1
+                total += 1
+                continue
+            j = depth - 1
+            while j and not t[j]:
+                j -= 1
+            if not j:
+                break
+            total -= t[j] - 1
+            t[j] = 0
+            t[j - 1] += 1

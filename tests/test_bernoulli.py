@@ -109,6 +109,13 @@ def test_zeta_values():
         zeta_neg(-1)
 
 
+def test_zeta_neg_matches_bernoulli_polynomial_at_one():
+    # zeta_neg reads -B_{l+1}/(l+1) from the numbers, with zeta(0) set apart;
+    # the polynomial at one needs no special case, so it is the reference.
+    for l in range(201):
+        assert zeta_neg(l) == -bernoulli_poly_at(l + 1, 1) / (l + 1), l
+
+
 @given(st.integers(min_value=0, max_value=15))
 def test_zeta_and_star_differ_by_one_at_zero_weight_only(l):
     assert zeta_star_neg(l) - zeta_neg(l) == (1 if l == 0 else 0)

@@ -240,6 +240,20 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "bound", [("--max-depth", "0"), ("--max-weight", "-1"), ("--max-r", "0")]
+)
+def test_verify_degenerate_bounds_are_usage_errors(capsys, monkeypatch, bound):
+    def no_suites(names, bounds):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(mzv.cli, "run_suites", no_suites)
+    code, out, err = run(capsys, "verify", "--suite", "asym", *bound)
+    assert code == 2
+    assert out == ""
+    assert bound[0] in err
+
+
 def test_table_command(capsys):
     code, out, _ = run(
         capsys,

@@ -21,7 +21,8 @@ def _fraction(value) -> Fraction:
 
 
 def test_bernoulli_numbers_match_sympy():
-    for n in range(81):
+    # Up to B_400: the benchmark's query workload reads Bernoulli numbers past B_160.
+    for n in range(401):
         expected = _fraction(sympy.bernoulli(n))
         if n == 1:
             expected = -expected  # sympy uses B_1 = +1/2
@@ -29,7 +30,7 @@ def test_bernoulli_numbers_match_sympy():
 
 
 def test_zeta_at_non_positive_integers_matches_sympy():
-    for l in range(61):
+    for l in range(201):
         assert zeta_neg(l) == _fraction(sympy.zeta(-l)), l
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,39 @@ def test_iter_index_tuples():
     ]
 
 
+def _filtered_product(max_depth, max_weight, min_depth):
+    # The enumeration iter_index_tuples replaced, kept as its reference.
+    for depth in range(min_depth, max_depth + 1):
+        for t in product(range(max_weight + 1), repeat=depth):
+            if sum(t) <= max_weight:
+                yield t
+
+
+@pytest.mark.parametrize("max_depth", range(5))
+def test_iter_index_tuples_matches_filtered_product(max_depth):
+    # Empty grids included: max_depth 0, max_weight -1, min_depth > max_depth.
+    for max_weight in range(-1, 6):
+        for min_depth in range(1, max_depth + 2):
+            got = list(iter_index_tuples(max_depth, max_weight, min_depth=min_depth))
+            assert got == list(_filtered_product(max_depth, max_weight, min_depth))
+
+
+def test_iter_index_tuples_does_not_recurse():
+    # One Python frame per depth level would need more than 150 frames here.
+    script = (
+        "import sys\n"
+        "from mzv.values import iter_index_tuples\n"
+        "sys.setrecursionlimit(150)\n"
+        "assert next(iter_index_tuples(1500, 1, min_depth=1500)) == (0,) * 1500\n"
+    )
+    src = os.path.dirname(os.path.dirname(mzv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_memo_determinism():
     clear_memo()
     first = mzf_rev((1, 2, 1))
@@ -243,3 +277,25 @@ def test_recurrences_agree_with_definition_sums(l):
         d = tuple((bits >> t) & 1 for t in range(r - 1))
         total += asym_coeff(l, d, ones)
     assert total == mzf_rev(l)
+
+
+# Within the regular range of the benchmark's query workload: depth <= 3,
+# weight <= 160, where the recurrences read zeta(-l) past l = 160.
+HIGH_WEIGHT_TUPLES = [
+    (160,),
+    (0, 160),
+    (60, 50),
+    (3, 100),
+    (159, 1),
+    (20, 30, 40),
+    (0, 0, 120),
+    (80, 0, 80),
+]
+
+
+@pytest.mark.parametrize("l", HIGH_WEIGHT_TUPLES, ids=lambda l: ",".join(map(str, l)))
+def test_high_weight_regular_values_agree_with_definition_sums(l):
+    r = len(l)
+    flat = (0,) * (r - 1)
+    assert asym_coeff(l, flat, (1,) * r) == mzf_reg(l)
+    assert asym_coeff(l, flat, (1,) + (0,) * (r - 1)) == mzsf_reg(l)
