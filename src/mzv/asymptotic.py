@@ -17,24 +17,30 @@ d = (1,...,1,0,...,0):
 * :func:`c_ir_explicit` — the fully expanded nested sum obtained by unrolling
   both recurrences down to the depth-2 closed form.
 
+The three paths share only the base table of B_n(a)/n!, read as integer
+numerators over one denominator per shift (:func:`mzv.bernoulli.shift_ratios`).
+Each path keeps its own formula and adds its terms as integers, building
+one Fraction per sum.
+
 The module also computes generalized Gregory coefficients G_{m,n} as
 coefficients of the bivariate series
 (y log^2(1+x) - x log^2(1+y)) / (log(1+x) - log(1+y)),
 classifies direction vectors into blocks (:func:`classify_direction`,
 :func:`enumerate_I`, :func:`enumerate_J`), and assembles reverse values of
 multiple zeta functions from Gregory coefficients alone
-(:func:`origin_rev_gregory`, :func:`rev_via_gregory`).
+(:func:`origin_rev_gregory`, :func:`rev_via_gregory`): a prefix sum over
+block sizes gives the origin values in O(r^2) Gregory reads, while
+:func:`gregory_bundling_check` still lists the composition pairs one by one.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from itertools import product as _product
-from math import comb, factorial, prod
-from typing import NamedTuple, Sequence, Tuple
+from math import factorial, lcm, perm, prod
+from typing import List, NamedTuple, Sequence, Tuple
 
-from .bernoulli import bernoulli_poly_at
+from .bernoulli import shift_ratios
 from .kernel import (
     BivariateSeries,
     RationalLike,
@@ -161,16 +167,21 @@ def _asym_sum(l: IndexTuple, d: Direction, a: Shift) -> Fraction:
     depends on n_j = t_{j-1} - t_j, its falling factorial on t_j alone, and
     admissibility is one window per t_j.  So the sum runs slot by slot over
     {t_j: summed product over slots 1..j}: same admissible set, same terms.
+    The weights are integers over den, which takes one factor per slot: the
+    common denominator of that slot's B_n(a_j)/n!.
     """
     r, total = len(l), len(l) + sum(l)
-    row = {total: Fraction(1)}
+    row = {total: 1}
+    den = 1
     head = 0  # l_1 + ... + l_j
     for j, (lj, aj) in enumerate(zip(l, a), start=1):
         head += lj
         lo, hi = _tail_window(l, d, j) if j < r else (0, 0)
         hi = min(hi, max(row))
+        if hi < lo:
+            return Fraction(0)
         n0 = max(0, min(row) - hi)
-        bern = [bernoulli_poly_at(n, aj) / factorial(n) for n in range(n0, max(row) - lo + 1)]
+        slot_den, bern = shift_ratios(aj, n0, max(row) - lo)
         nxt = {}
         for t in range(lo, hi + 1):
             x = head - total + t + j - 1  # prefix_j + j - 1
@@ -182,7 +193,8 @@ def _asym_sum(l: IndexTuple, d: Direction, a: Shift) -> Fraction:
         if not nxt:
             return Fraction(0)
         row = nxt
-    return -row[0] if total % 2 else row[0]
+        den *= slot_den
+    return Fraction(-row[0] if total % 2 else row[0], den)
 
 
 def asym_coeff(
@@ -226,9 +238,25 @@ def _c22_closed(l1: int, l2: int, a2: Fraction) -> Fraction:
     giving (-1)^{l1} l1! l2! B_{l1+l2+2}(a2) / (l1+l2+2)!; it does not depend
     on the first shift entry.
     """
+    s = l1 + l2 + 2
+    den, (num,) = shift_ratios(a2, s, s)
     sign = -1 if l1 % 2 else 1
-    num = factorial(l1) * factorial(l2) * bernoulli_poly_at(l1 + l2 + 2, a2)
-    return sign * num / factorial(l1 + l2 + 2)
+    return Fraction(sign * factorial(l1) * factorial(l2) * num, den)
+
+
+def _peel(sign: int, subs: List[Fraction], l: int, a: Fraction) -> Fraction:
+    """sign * sum_k C(l+1, k) B_{l+1-k}(a) subs[k] / (l+1), reduced once.
+
+    C(l+1, k) B_m(a) = (l+1)!/k! * B_m(a)/m! with m = l+1-k, an integer times
+    a table numerator; the sub-values go over the lcm of their denominators.
+    """
+    den, bern = shift_ratios(a, 0, l + 1)
+    common = lcm(*(v.denominator for v in subs))
+    total = sum(
+        perm(l + 1, l + 1 - k) * bern[l + 1 - k] * v.numerator * (common // v.denominator)
+        for k, v in enumerate(subs)
+    )
+    return Fraction(sign * total, common * den * (l + 1))
 
 
 def _c_rec(i: int, r: int, l: IndexTuple, a: Shift, memo: dict) -> Fraction:
@@ -241,20 +269,15 @@ def _c_rec(i: int, r: int, l: IndexTuple, a: Shift, memo: dict) -> Fraction:
     if key in memo:
         return memo[key]
     if r == 1:
-        value = -bernoulli_poly_at(l[0] + 1, a[0]) / (l[0] + 1)
+        # -B_{l+1}(a)/(l+1) = -l! * B_{l+1}(a)/(l+1)!
+        den, (num,) = shift_ratios(a[0], l[0] + 1, l[0] + 1)
+        value = Fraction(-factorial(l[0]) * num, den)
     elif i < r:
         # Peel the last slot: the tail exponent is confined to a window of
         # width l_r + 2, and each choice shifts the next-to-last index.
         lr = l[-1]
-        total = Fraction(0)
-        for k in range(lr + 2):
-            sub_l = l[:-2] + (l[-2] + k,)
-            total += (
-                comb(lr + 1, k)
-                * _c_rec(i, r - 1, sub_l, a[:-1], memo)
-                * bernoulli_poly_at(lr + 1 - k, a[-1])
-            )
-        value = -total / (lr + 1)
+        subs = [_c_rec(i, r - 1, l[:-2] + (l[-2] + k,), a[:-1], memo) for k in range(lr + 2)]
+        value = _peel(-1, subs, lr, a[-1])
     elif r == 2:
         # i == r: all-ones staircase.
         value = _c22_closed(l[0], l[1], a[1])
@@ -265,15 +288,8 @@ def _c_rec(i: int, r: int, l: IndexTuple, a: Shift, memo: dict) -> Fraction:
         # leading shift entry of the sub-call is irrelevant (its exponent is
         # again forced to zero), so the shift tail is passed unchanged.
         l1 = l[0]
-        total = Fraction(0)
-        for k in range(l1 + 2):
-            sub_l = (l[1] + k,) + l[2:]
-            total += (
-                comb(l1 + 1, k)
-                * bernoulli_poly_at(l1 + 1 - k, 1 - a[1])
-                * _c_rec(r - 1, r - 1, sub_l, a[1:], memo)
-            )
-        value = total / (l1 + 1)
+        subs = [_c_rec(r - 1, r - 1, (l[1] + k,) + l[2:], a[1:], memo) for k in range(l1 + 2)]
+        value = _peel(1, subs, l1, 1 - a[1])
     memo[key] = value
     return value
 
@@ -286,6 +302,81 @@ def c_ir_recurrence(
     return _c_rec(i, r, lt, at, {})
 
 
+def _chain(
+    weights: "dict[int, int]", lj: int, aj: Fraction
+) -> "Tuple[dict[int, int], int]":
+    """One link of a c_ir_explicit chain, in integers over a new denominator.
+
+    With weights[k'] = k'! w(k') (w the summed weight product so far) and
+    top = k' + l_j + 1, the link adds w(k') comb(top, k) B_{top-k}(a_j) / top
+    at each k.  That is (top-1)!/k! B_{top-k}(a_j)/(top-k)!, so, rescaled by
+    k!, it is the integer weights[k'] (k' + l_j)!/k'! N_{top-k} over the
+    denominator of the B_n(a_j)/n! table, which is returned alongside.
+    """
+    den, bern = shift_ratios(aj, 0, max(weights) + lj + 1)
+    bucket: "dict[int, int]" = {}
+    for k_next, w in weights.items():
+        if not w:
+            continue
+        top = k_next + lj + 1
+        w *= perm(k_next + lj, lj)
+        for k in range(top + 1):
+            b = bern[top - k]
+            if b:
+                bucket[k] = bucket.get(k, 0) + w * b
+    return bucket, den
+
+
+def _c_explicit(i: int, r: int, lt: IndexTuple, at: Shift) -> Fraction:
+    """:func:`c_ir_explicit` on validated inputs."""
+    if r < 3 or i == r:
+        return _c_rec(i, r, lt, at, {})
+
+    # Right chain: variables k_r, ..., k_{i+1}; k_{r+1} = 0.  After the loop,
+    # right[k] is k! times the summed product of the weights
+    # comb(k_{j+1}+l_j+1, k_j) * B_{k_{j+1}+l_j+1-k_j}(a_j) / (k_{j+1}+l_j+1)
+    # over j = r, ..., i+1 with k_{i+1} = k, as an integer over den.
+    right: "dict[int, int]" = {0: 1}
+    den = 1
+    for j in range(r, i, -1):
+        right, link_den = _chain(right, lt[j - 1], at[j - 1])
+        den *= link_den
+
+    sign = -1 if (r - i) % 2 else 1
+
+    if i == 1:
+        # w(k_2) * (-B_{l_1+k_2+1}(a_1) / (l_1+k_2+1)), with
+        # B_{L+1}(a)/(L+1) = L! B_{L+1}(a)/(L+1)!.
+        l1 = lt[0]
+        lo = l1 + 1 + min(right)
+        core_den, bern = shift_ratios(at[0], lo, l1 + 1 + max(right))
+        total = sum(w * perm(l1 + k2, l1) * bern[l1 + k2 + 1 - lo] for k2, w in right.items())
+        return Fraction(-sign * total, den * core_den)
+
+    # Left chain: variables k_1, ..., k_{i-2}; k_0 = 0; weights use the
+    # complement shifts 1 - a_{j+1}.  For i == 2 the chain is empty.
+    left: "dict[int, int]" = {0: 1}
+    for j in range(1, i - 1):
+        left, link_den = _chain(left, lt[j - 1], 1 - at[j])
+        den *= link_den
+
+    # Depth-2 core on slots (i-1, i): with L1 = l_{i-1} + k_left and
+    # L2 = l_i + k_right, (-1)^L1 L1! L2! B_s(a_i)/s!, s = L1 + L2 + 2; the
+    # chain rescalings leave the integer (L1!/k_left!)(L2!/k_right!) N_s.
+    la, lb = lt[i - 2], lt[i - 1]
+    lo = la + lb + 2 + min(left) + min(right)
+    core_den, bern = shift_ratios(at[i - 1], lo, la + lb + 2 + max(left) + max(right))
+    total = 0
+    for k_right, w_right in right.items():
+        w_right *= perm(lb + k_right, lb)
+        for k_left, w_left in left.items():
+            core = perm(la + k_left, la) * bern[la + lb + 2 + k_left + k_right - lo]
+            if (la + k_left) % 2:
+                core = -core
+            total += w_right * w_left * core
+    return Fraction(sign * total, den * core_den)
+
+
 def c_ir_explicit(
     i: int, r: int, l: Sequence[int], a: Sequence[RationalLike]
 ) -> Fraction:
@@ -295,66 +386,18 @@ def c_ir_explicit(
     range it falls back to :func:`c_ir_recurrence`.  The expansion carries a
     chain of binomially weighted Bernoulli factors from the right end down to
     slot i+1, a complement-shift chain from the left end up to slot i-2, and
-    a closed depth-2 core on slots (i-1, i).
+    a closed depth-2 core on slots (i-1, i).  Each chain bucket is kept
+    rescaled by k!, so every piece is an integer over the product of the
+    per-link table denominators and the sum is reduced once at the end.
     """
     lt, at = _validated_staircase_args(i, r, l, a)
-    if r < 3 or i == r:
-        return _c_rec(i, r, lt, at, {})
-
-    # Right chain: variables k_r, ..., k_{i+1}; k_{r+1} = 0.  After the loop,
-    # `right` maps each value of k_{i+1} to the summed product of the weights
-    # comb(k_{j+1}+l_j+1, k_j) * B_{k_{j+1}+l_j+1-k_j}(a_j) / (k_{j+1}+l_j+1)
-    # over j = r, ..., i+1.
-    right: "dict[int, Fraction]" = {0: Fraction(1)}
-    for j in range(r, i, -1):
-        lj, aj = lt[j - 1], at[j - 1]
-        bucket: "dict[int, Fraction]" = {}
-        for k_next, w in right.items():
-            top = k_next + lj + 1
-            for k in range(top + 1):
-                piece = w * comb(top, k) * bernoulli_poly_at(top - k, aj) / top
-                if piece:
-                    bucket[k] = bucket.get(k, Fraction(0)) + piece
-        right = bucket
-
-    sign = -1 if (r - i) % 2 else 1
-
-    if i == 1:
-        total = Fraction(0)
-        for k2, w in right.items():
-            total += w * (-bernoulli_poly_at(lt[0] + k2 + 1, at[0]) / (lt[0] + k2 + 1))
-        return sign * total
-
-    # Left chain: variables k_1, ..., k_{i-2}; k_0 = 0; weights use the
-    # complement shifts 1 - a_{j+1}.  For i == 2 the chain is empty.
-    left: "dict[int, Fraction]" = {0: Fraction(1)}
-    for j in range(1, i - 1):
-        lj = lt[j - 1]
-        a_next = at[j]
-        bucket = {}
-        for k_prev, w in left.items():
-            top = k_prev + lj + 1
-            for k in range(top + 1):
-                piece = (
-                    w * comb(top, k) * bernoulli_poly_at(top - k, 1 - a_next) / top
-                )
-                if piece:
-                    bucket[k] = bucket.get(k, Fraction(0)) + piece
-        left = bucket
-
-    total = Fraction(0)
-    for k_right, w_right in right.items():
-        for k_left, w_left in left.items():
-            core = _c22_closed(lt[i - 2] + k_left, lt[i - 1] + k_right, at[i - 1])
-            total += w_right * w_left * core
-    return sign * total
+    return _c_explicit(i, r, lt, at)
 
 
 # ---------------------------------------------------------------------------
 # Generalized Gregory coefficients
 # ---------------------------------------------------------------------------
 
-_GREGORY_LOCK = threading.Lock()
 _GREGORY_SERIES: "list[BivariateSeries | None]" = [None]
 
 
@@ -364,21 +407,20 @@ def _gregory_series(build_order: int) -> BivariateSeries:
     Cached and grown monotonically: the series division dominates the cost
     and every smaller request reads from the same table.
     """
-    with _GREGORY_LOCK:
-        cached = _GREGORY_SERIES[0]
-        if cached is not None and cached.order >= build_order - 1:
-            return cached
-        lx = series_log_one_plus("x", build_order)
-        ly = series_log_one_plus("y", build_order)
-        x = BivariateSeries.monomial(1, 0, build_order)
-        y = BivariateSeries.monomial(0, 1, build_order)
-        num = series_mul(y, series_mul(lx, lx)) - series_mul(x, series_mul(ly, ly))
-        den = lx - ly
-        quotient = series_div_unit(
-            series_div_xy_difference(num), series_div_xy_difference(den)
-        )
-        _GREGORY_SERIES[0] = quotient
-        return quotient
+    cached = _GREGORY_SERIES[0]
+    if cached is not None and cached.order >= build_order - 1:
+        return cached
+    lx = series_log_one_plus("x", build_order)
+    ly = series_log_one_plus("y", build_order)
+    x = BivariateSeries.monomial(1, 0, build_order)
+    y = BivariateSeries.monomial(0, 1, build_order)
+    num = series_mul(y, series_mul(lx, lx)) - series_mul(x, series_mul(ly, ly))
+    den = lx - ly
+    quotient = series_div_unit(
+        series_div_xy_difference(num), series_div_xy_difference(den)
+    )
+    _GREGORY_SERIES[0] = quotient
+    return quotient
 
 
 def gregory(m: int, n: int) -> Fraction:
@@ -563,30 +605,50 @@ def gregory_bundling_check(r: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _origin_rev_table(top: int) -> List[Fraction]:
+    """F[0..top], F[s] the depth-s reverse value at the origin (F[0] = 0).
+
+    Summed over every (j, k), the composition pairs of J(j, k) are all
+    compositions n of s into blocks, each block carrying one m_p <= n_p with
+    m_1 >= 1 and m_p >= 2 after the first.  The sum over m_p factors per
+    block, so with w1(n) = sum_{m>=1} G(m, n-m+2) for the first block and
+    w2(n) = sum_{m>=2} G(m, n-m+2) for later ones, the last block splits off:
+    F[s] = w1(s) + sum_{1 <= t < s} F[t] w2(s-t).  O(top^2) Gregory reads.
+    """
+    # Every read below has m + (n - m + 2) + 2 <= top + 4: build the series
+    # once at that order instead of once per n.
+    _gregory_series(top + 4)
+    w1 = [Fraction(0)] * (top + 1)
+    w2 = [Fraction(0)] * (top + 1)
+    for n in range(1, top + 1):
+        w2[n] = sum((gregory(m, n - m + 2) for m in range(2, n + 1)), Fraction(0))
+        w1[n] = gregory(1, n + 1) + w2[n]
+    table = [Fraction(0)] * (top + 1)
+    for s in range(1, top + 1):
+        table[s] = w1[s] + sum((table[t] * w2[s - t] for t in range(1, s)), Fraction(0))
+    return table
+
+
 def origin_rev_gregory(r: int) -> Fraction:
     """Depth-r reverse value at the origin, assembled purely from Gregory
     coefficients: the sum over all block statistics (j, k) of the block
-    products G_{m_1, n_1-m_1+2} ... over J(j, k)."""
+    products G_{m_1, n_1-m_1+2} ... over J(j, k), computed by a prefix sum
+    over the block sizes in O(r^2) Gregory reads rather than by listing the
+    2^(r-1) pairs."""
     if r < 1:
         raise ValueError(f"depth must be >= 1, got {r}")
-    total = Fraction(0)
-    for j in range((r - 1) // 2 + 1):
-        for k in range(r - 1 - 2 * j + 1):
-            for pair in enumerate_J(j, k, r):
-                total += _gregory_block_product(pair)
-    return total
+    return _origin_rev_table(r)[r]
 
 
 def rev_via_gregory(l: Sequence[int]) -> Fraction:
     """Reverse value at (-l_1, ..., -l_r) computed without any zeta
     recurrence: Stirling-polynomial weights move the point to the origin, and
     each origin value (at its padded depth r + k_1 + ... + k_r) is expanded
-    into Gregory coefficients."""
+    into Gregory coefficients, all from one origin table."""
     lt = as_index_tuple(l)
     boxed = stirling_kernel_box(lt, 0)
-    return sum(
-        (w * origin_rev_gregory(len(lt) + k) for k, w in boxed.items()), Fraction(0)
-    )
+    origin = _origin_rev_table(len(lt) + max(boxed, default=0))
+    return sum((w * origin[len(lt) + k] for k, w in boxed.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ values at non-positive integers are read from a second list,
 zeta(-l) = -B_{l+1} / (l+1) with zeta(0) = -1/2 (the bare number would give
 +1/2 there, as B_1 = -1/2).
 
+Bernoulli polynomial values are kept per shift a = p/q as integer
+numerators of B_n(a)/n! over one common denominator (:func:`shift_ratios`),
+each numerator filled only when first read: with L a multiple of the
+denominators of B_0..B_n, q^n L B_n(a) = sum_k C(n,k) (L B_k) p^(n-k) q^k is
+an integer, so a whole row of a sum can be added up as integers.
+
 The iterated Hurwitz-type sum of depth r at argument -l with shift z > 0 has
 the exact value
 
@@ -29,8 +35,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import List
+from math import comb, factorial, lcm
+from typing import Dict, List, Tuple
 
 from .kernel import RationalLike, RationalPolynomial, rat
 
@@ -39,6 +45,12 @@ from .kernel import RationalLike, RationalPolynomial, rat
 # ever shrinks, and two threads growing one at once write equal values.
 _BERNOULLI: List[Fraction] = []
 _ZETA_NEG: List[Fraction] = []
+# Per shift a = p/q, keyed by (p, q): (top, den, nums) with
+# B_n(a)/n! = nums[n] / den for every n <= top whose nums[n] is not None;
+# den = top! q^top L(top), L(n) the lcm of the denominators of B_0..B_n.
+# Raising top replaces the whole tuple, with the filled numerators rescaled,
+# so den and nums always belong together.
+_SHIFT_RATIOS: Dict[Tuple[int, int], tuple] = {}
 
 
 def _tangent_numbers(k: int) -> List[int]:
@@ -110,14 +122,61 @@ def bernoulli_poly(n: int) -> RationalPolynomial:
     return RationalPolynomial(coeffs)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_poly_at(n: int, z: Fraction) -> Fraction:
-    return bernoulli_poly(n).evaluate(z)
+def _raised(entry: "tuple | None", a: Fraction, top: int) -> tuple:
+    """The entry of shift a at a new top, its filled numerators rescaled."""
+    old_top, old_den, nums = entry or (-1, 1, [])
+    _grow(top)
+    den = factorial(top) * a.denominator**top * lcm(*(b.denominator for b in _BERNOULLI[: top + 1]))
+    scale = den // old_den
+    return top, den, [x if x is None else x * scale for x in nums] + [None] * (top - old_top)
+
+
+def _scaled_bernoulli_poly(a: Fraction, n: int, big_l: int) -> int:
+    """q^n L B_n(a) for a = p/q, L a multiple of the denominators of B_0..B_n."""
+    p, q = a.numerator, a.denominator
+    # Horner in p over the terms C(n,k) (L B_k) q^k p^(n-k).
+    acc, c, qk = 0, 1, 1
+    for k in range(n + 1):
+        b = _BERNOULLI[k]
+        acc = acc * p + (c * qk * (big_l // b.denominator) * b.numerator if b else 0)
+        c = c * (n - k) // (k + 1)
+        qk *= q
+    return acc
+
+
+def shift_ratios(a: Fraction, lo: int, hi: int) -> Tuple[int, List[int]]:
+    """(den, [N_lo, ..., N_hi]) with B_n(a)/n! = N_n / den for lo <= n <= hi.
+
+    ``a`` must be a Fraction.  Every window of one shift shares the current
+    denominator of that shift, so sums over a window are sums of integers.
+    Only the numerators of the indices asked for are computed; each costs
+    O(n) integer products and is kept for later reads.
+    """
+    if lo < 0 or hi < lo:
+        raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
+    key = (a.numerator, a.denominator)  # hashes and compares faster than a
+    entry = _SHIFT_RATIOS.get(key)
+    if entry is None or hi > entry[0]:
+        entry = _SHIFT_RATIOS[key] = _raised(entry, a, hi)
+    top, den, nums = entry
+    window = nums[lo : hi + 1]
+    if None in window:
+        q, top_fact = a.denominator, factorial(top)
+        big_l = den // (top_fact * q**top)
+        for n in range(lo, hi + 1):
+            if nums[n] is None:
+                scale = top_fact // factorial(n) * q ** (top - n)
+                nums[n] = _scaled_bernoulli_poly(a, n, big_l) * scale
+        window = nums[lo : hi + 1]
+    return den, window
 
 
 def bernoulli_poly_at(n: int, z: RationalLike) -> Fraction:
-    """B_n(z) at a rational point, memoized."""
-    return _bernoulli_poly_at(n, rat(z))
+    """B_n(z) at a rational point, read from the per-shift table."""
+    if n < 0:
+        raise ValueError(f"Bernoulli index must be >= 0, got {n}")
+    den, (num,) = shift_ratios(rat(z), n, n)
+    return Fraction(num * factorial(n), den)
 
 
 @lru_cache(maxsize=None)

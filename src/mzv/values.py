@@ -116,10 +116,13 @@ def _rev_step(a: int, prev: Sequence[Fraction], star: bool) -> Fraction:
     # l = (a, b) + rest; prev[i] is the value at (b + i,) + rest.  The
     # star-composition split on the first slot cancels the stray
     # depth-(r-1) term, so the star recurrence keeps plain zeta weights and
-    # lacks only the final -V((a + b,) + rest).
-    total = prev[a + 1] / (a + 1) + zeta_neg(a) * prev[0]
+    # lacks only the final -V((a + b,) + rest).  The recurrence's
+    # + zeta(-a) V((b,) + rest) cancels the k = a weight pair (0, zeta(-a)),
+    # so both are left out.
+    total = prev[a + 1] / (a + 1)
     for i, w in _weights(a, False):
-        total -= w * prev[i]
+        if i:
+            total -= w * prev[i]
     if not star:
         total -= prev[a]
     return total

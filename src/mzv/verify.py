@@ -40,10 +40,11 @@ from math import comb, factorial
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .asymptotic import (
+    _asym_sum,
+    _c_explicit,
+    _c_rec,
+    as_shift,
     asym_coeff,
-    c_ir,
-    c_ir_explicit,
-    c_ir_recurrence,
     direction_partition_check,
     gregory,
     gregory_bundling_check,
@@ -52,6 +53,7 @@ from .asymptotic import (
     origin_rev_gregory,
     parity_check,
     rev_via_gregory,
+    staircase_direction,
     star_coeff_relation_check,
 )
 from .bernoulli import (
@@ -460,18 +462,22 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
     for r in range(1, max_r + 1):
         shifts = [(Fraction(1),) * r, (Fraction(1),) + (Fraction(0),) * (r - 1)]
         shifts.append(_positive_shift(rng, r))
+        # Validated once here; the grid tuples are valid by construction, so
+        # the three paths are called on their validated entry points.
+        shifts = [as_shift(a, r) for a in shifts]
         for l in iter_index_tuples(r, bounds.max_weight, min_depth=r):
             for i in range(1, r + 1):
+                d = staircase_direction(i, r)
                 for a in shifts:
-                    reference = c_ir(i, r, l, a)
+                    reference = _asym_sum(l, d, a)
                     rec.equal(
                         f"recurrence path i={i}, r={r}, l={l}, a={a}",
-                        c_ir_recurrence(i, r, l, a),
+                        _c_rec(i, r, l, a, {}),
                         reference,
                     )
                     rec.equal(
                         f"explicit path i={i}, r={r}, l={l}, a={a}",
-                        c_ir_explicit(i, r, l, a),
+                        _c_explicit(i, r, l, a),
                         reference,
                     )
     star_r = min(4, max_r)

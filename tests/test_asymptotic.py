@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzv import asymptotic
 from mzv.asymptotic import (
     CompositionPair,
     _asym_sum,
+    _gregory_block_product,
     admissible_n_set,
     as_direction,
     as_shift,
@@ -34,7 +36,7 @@ from mzv.asymptotic import (
     star_coeff_relation_check,
     staircase_direction,
 )
-from mzv.bernoulli import bernoulli_poly_at
+from mzv.bernoulli import bernoulli_poly, bernoulli_poly_at
 from mzv.values import iter_index_tuples, mzf_reg, mzf_rev, mzsf_reg
 
 
@@ -164,6 +166,48 @@ def test_pinned_coefficients():
                 ):
                     digest.update(f"{name} {i} {l} {a}={path(i, r, l, a)}\n".encode())
     assert digest.hexdigest() == PINNED_COEFFICIENT_DIGEST
+
+
+# asym_coeff((100, 100, 100), (0, 0), (3/7, 1, 2)), recorded before the
+# definition sum moved to integer numerators over per-shift denominators.
+WEIGHT_300_COEFFICIENT = Fraction(
+    int(
+        "-95238198825826031307644077864143192384430961916821464611741579536086882"
+        "932999101654128559348381528039706957800716431505985773276273081875540916"
+        "694684242900010006508928769920846418722786126312537982852145197711884226"
+        "063478708581432663532766670677664566991907041677463121388587682616986043"
+        "725661447698199163206562473764637112898096328228538196346309489150831169"
+        "274050264309930122777598160096717813392855623588668926711268600975364370"
+        "420380341450954092716553209384656247952272596940403824505373987152560305"
+        "555233340423123171691801271429235830216843380273906575154800353235874014"
+        "793469682740004742839289283097689945640207975137456727435581256538730568"
+        "965552983219347687389128086359928098792398974824716459969676983460717446"
+        "751231736828654939651257141375023"
+    ),
+    int(
+        "806903265941095621091917518143563464502388587751075626431179478717018254"
+        "363778680810071625211927001933200481673200752673714256282572818974854822"
+        "084176830014058508852247174433363280662087369002371231492356341563373826"
+        "331006802960857516236887575018212825776453683485090790710435564651115068"
+        "631541133310005256744973959927940377362754201329184843252304915670772947"
+        "368108628180905680"
+    ),
+)
+
+
+def test_weight_300_coefficient_is_pinned():
+    shift = (Fraction(3, 7), 1, 2)
+    assert asym_coeff((100, 100, 100), (0, 0), shift) == WEIGHT_300_COEFFICIENT
+
+
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(1, 2), Fraction(3, 7)])
+def test_depth_one_coefficients_at_high_index(a):
+    # Depth one reads a single high Bernoulli index per call, so every l
+    # opens a new window at the top of the shift's table.
+    for l in range(301):
+        assert asym_coeff((l,), (), (a,)) == -bernoulli_poly_at(l + 1, a) / (l + 1), l
+    for n in (1, 2, 3, 58, 151, 300, 301):
+        assert bernoulli_poly_at(n, a) == bernoulli_poly(n).evaluate(a), n
 
 
 def test_asym_coeff_worked_examples():
@@ -337,6 +381,38 @@ def test_origin_reverse_values_from_gregory():
     assert origin_rev_gregory(2) == Fraction(5, 12)
     for r in range(1, 7):
         assert origin_rev_gregory(r) == mzf_rev((0,) * r)
+
+
+def test_origin_rev_gregory_matches_enumeration():
+    # The prefix sum over block sizes against the block products listed
+    # pair by pair over every J(j, k): 2^(r-1) pairs at depth r.
+    for r in range(1, 15):
+        enumerated = sum(
+            (
+                _gregory_block_product(pair)
+                for j in range((r - 1) // 2 + 1)
+                for k in range(r - 2 * j)
+                for pair in enumerate_J(j, k, r)
+            ),
+            Fraction(0),
+        )
+        assert origin_rev_gregory(r) == enumerated, r
+
+
+def test_rev_via_gregory_builds_the_series_once(monkeypatch):
+    # Reading the Gregory table in increasing order must not rebuild the
+    # series at every new order.
+    builds = []
+    divide = asymptotic.series_div_unit
+
+    def counted(*args):
+        builds.append(args)
+        return divide(*args)
+
+    monkeypatch.setattr(asymptotic, "series_div_unit", counted)
+    monkeypatch.setattr(asymptotic, "_GREGORY_SERIES", [None])
+    assert rev_via_gregory((2, 2)) == mzf_rev((2, 2))
+    assert len(builds) == 1
 
 
 def test_rev_via_gregory_examples():

@@ -2,7 +2,7 @@
 depth-one zeta values built from them."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -17,6 +17,7 @@ from mzv.bernoulli import (
     choi_identity_check,
     choi_value,
     hurwitz_zeta_neg,
+    shift_ratios,
     zeta_neg,
     zeta_star_neg,
 )
@@ -163,3 +164,17 @@ def test_choi_identity_examples():
 def test_choi_identity_random(r, l, z):
     for m in range(1, r):
         assert choi_identity_check(r, l, z, m)
+
+
+def test_shift_ratios_windows_in_any_order():
+    # A shift that no other test reads, so its table starts empty: windows
+    # above the top rescale what is filled, windows below fill gaps.
+    a = Fraction(-17, 19)
+    for lo, hi in ((5, 9), (0, 2), (30, 30), (3, 40), (12, 12), (41, 41)):
+        den, nums = shift_ratios(a, lo, hi)
+        expected = [bernoulli_poly(n).evaluate(a) / factorial(n) for n in range(lo, hi + 1)]
+        assert [Fraction(x, den) for x in nums] == expected, (lo, hi)
+    with pytest.raises(ValueError):
+        shift_ratios(a, 3, 2)
+    with pytest.raises(ValueError):
+        bernoulli_poly_at(-1, a)
