@@ -25,12 +25,15 @@ one Fraction per sum.
 The module also computes generalized Gregory coefficients G_{m,n} as
 coefficients of the bivariate series
 (y log^2(1+x) - x log^2(1+y)) / (log(1+x) - log(1+y)),
-classifies direction vectors into blocks (:func:`classify_direction`,
-:func:`enumerate_I`, :func:`enumerate_J`), and assembles reverse values of
-multiple zeta functions from Gregory coefficients alone
-(:func:`origin_rev_gregory`, :func:`rev_via_gregory`): a prefix sum over
-block sizes gives the origin values in O(r^2) Gregory reads, while
-:func:`gregory_bundling_check` still lists the composition pairs one by one.
+read from one dense table of diagonals that grows in place
+(:class:`mzv.kernel.BivariateSeries`, fed from 1-D log and log^2
+coefficients); it classifies direction vectors into blocks
+(:func:`classify_direction`, :func:`enumerate_I`, :func:`enumerate_J`); and
+it assembles reverse values of multiple zeta functions from Gregory
+coefficients alone (:func:`origin_rev_gregory`, :func:`rev_via_gregory`): a
+prefix sum over block sizes gives the origin values in O(r^2) Gregory reads,
+while :func:`gregory_bundling_check` still lists the composition pairs one by
+one.
 """
 
 from __future__ import annotations
@@ -41,15 +44,7 @@ from math import factorial, lcm, perm, prod
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .bernoulli import shift_ratios
-from .kernel import (
-    BivariateSeries,
-    RationalLike,
-    rat,
-    series_div_unit,
-    series_div_xy_difference,
-    series_log_one_plus,
-    series_mul,
-)
+from .kernel import BivariateSeries, RationalLike, div_xy_difference, rat
 from .stirling import stirling_kernel_box
 from .values import IndexTuple, as_index_tuple
 
@@ -401,40 +396,43 @@ def c_ir_explicit(
 _GREGORY_SERIES: "list[BivariateSeries | None]" = [None]
 
 
-def _gregory_series(build_order: int) -> BivariateSeries:
-    """The quotient series, built at total degree >= build_order - 1.
+def _gregory_diagonals(t: int) -> Tuple[List[Fraction], List[Fraction]]:
+    """Diagonal t of the Gregory numerator and denominator, each divided by
+    (x - y).
 
-    Cached and grown monotonically: the series division dominates the cost
-    and every smaller request reads from the same table.
+    On total degree t + 1, y log^2(1+x) - x log^2(1+y) is L2_t (x^t y - x y^t)
+    and log(1+x) - log(1+y) is L_{t+1} (x^(t+1) - y^(t+1)), with L_k and L2_k
+    the coefficients of u^k in log(1+u) and log^2(1+u).  Every entry of the
+    divided denominator is L_{t+1} = (-1)^t / (t + 1).
     """
-    cached = _GREGORY_SERIES[0]
-    if cached is not None and cached.order >= build_order - 1:
-        return cached
-    lx = series_log_one_plus("x", build_order)
-    ly = series_log_one_plus("y", build_order)
-    x = BivariateSeries.monomial(1, 0, build_order)
-    y = BivariateSeries.monomial(0, 1, build_order)
-    num = series_mul(y, series_mul(lx, lx)) - series_mul(x, series_mul(ly, ly))
-    den = lx - ly
-    quotient = series_div_unit(
-        series_div_xy_difference(num), series_div_xy_difference(den)
-    )
-    _GREGORY_SERIES[0] = quotient
-    return quotient
+    log = [Fraction(0)] + [Fraction(1 if k % 2 else -1, k) for k in range(1, t + 2)]
+    log2 = sum((log[a] * log[t - a] for a in range(1, t)), Fraction(0))
+    num = [Fraction(0)] * (t + 2)
+    den = [Fraction(0)] * (t + 2)
+    num[t] += log2
+    num[1] -= log2
+    den[t + 1] += log[t + 1]
+    den[0] -= log[t + 1]
+    return div_xy_difference(num), div_xy_difference(den)
 
 
 def gregory(m: int, n: int) -> Fraction:
     """Generalized Gregory coefficient G_{m,n}: the coefficient of x^m y^n in
     (y log^2(1+x) - x log^2(1+y)) / (log(1+x) - log(1+y)).
 
-    Numerator and denominator are expanded to total degree m+n+2, both are
-    divided by (x - y) (each is exactly divisible), and the remaining unit
-    division produces the series whose coefficient is returned.
+    Each diagonal of numerator and denominator is divided by (x - y), which
+    certifies that it divides exactly; the divided denominator is constant on
+    each diagonal, so the last division runs diagonal by diagonal in one dense
+    table.  Every call reads the same table, grown in place to total degree
+    m+n: a higher order appends diagonals and never recomputes old ones.
     """
     if m < 0 or n < 0:
         raise ValueError(f"Gregory indices must be non-negative, got ({m}, {n})")
-    series = _gregory_series(m + n + 2)
-    return series.coefficient(m, n)
+    table = _GREGORY_SERIES[0]
+    if table is None:
+        table = _GREGORY_SERIES[0] = BivariateSeries(_gregory_diagonals)
+    table.grow(m + n)
+    return table.coefficient(m, n)
 
 
 def gregory_origin_check(r: int) -> bool:
@@ -615,9 +613,6 @@ def _origin_rev_table(top: int) -> List[Fraction]:
     w2(n) = sum_{m>=2} G(m, n-m+2) for later ones, the last block splits off:
     F[s] = w1(s) + sum_{1 <= t < s} F[t] w2(s-t).  O(top^2) Gregory reads.
     """
-    # Every read below has m + (n - m + 2) + 2 <= top + 4: build the series
-    # once at that order instead of once per n.
-    _gregory_series(top + 4)
     w1 = [Fraction(0)] * (top + 1)
     w2 = [Fraction(0)] * (top + 1)
     for n in range(1, top + 1):

@@ -30,7 +30,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .asymptotic import asym_coeff, gregory, rev_via_gregory
 from .stirling import (
@@ -170,47 +170,49 @@ def _emit_records(
 # ---------------------------------------------------------------------------
 
 
-def _value_paths(kind: ValueKind, l: Tuple[int, ...]) -> Dict[str, Fraction]:
-    """Every computation path available for the requested family."""
-    paths: Dict[str, Fraction] = {"recurrence": value(kind, l)}
+def _value_routes(kind: ValueKind) -> Dict[str, Callable[[Tuple[int, ...]], Fraction]]:
+    """Every computation route available for the requested family, by name."""
+    routes: Dict[str, Callable[[Tuple[int, ...]], Fraction]] = {
+        "recurrence": lambda l: value(kind, l)
+    }
     if kind is ValueKind.MZF_REV:
-        paths["stirling"] = mzf_rev_stirling(l)
-        paths["gregory"] = rev_via_gregory(l)
+        routes["stirling"] = mzf_rev_stirling
+        routes["gregory"] = rev_via_gregory
     elif kind is ValueKind.MZSF_REV:
-        paths["stirling"] = mzsf_rev_stirling(l)
-    return paths
+        routes["stirling"] = mzsf_rev_stirling
+    return routes
 
 
 def _cmd_value(args: argparse.Namespace) -> int:
     _check_formats(args)
     l = _parse_index(args.index)
     kind = ValueKind(args.kind)
-    available = _value_paths(kind, l)
-    index_text = ",".join(map(str, l))
-    if args.path == "all":
-        records = [
-            {
-                "query": f"{kind.value}({index_text})",
-                "value": str(available[name]),
-                "provenance": name,
-            }
-            for name in sorted(available)
-        ]
-        agree = len({record["value"] for record in records}) == 1
-        _emit_records(args, records, verdict="AGREE" if agree else "DISAGREE")
-        return EXIT_OK if agree else EXIT_IDENTITY_FAILURE
-    if args.path not in available:
+    routes = _value_routes(kind)
+    if args.path != "all" and args.path not in routes:
         raise _UsageError(
             f"path {args.path!r} is not available for kind {kind.value!r} "
-            f"(available: {', '.join(sorted(available))})"
+            f"(available: {', '.join(sorted(routes))})"
         )
-    record = {
-        "query": f"{kind.value}({index_text})",
-        "value": str(available[args.path]),
-        "provenance": args.path,
+    computed = {
+        name: route(l)
+        for name, route in routes.items()
+        if args.path in ("all", name)
     }
-    _emit_records(args, [record])
-    return EXIT_OK
+    index_text = ",".join(map(str, l))
+    records = [
+        {
+            "query": f"{kind.value}({index_text})",
+            "value": str(computed[name]),
+            "provenance": name,
+        }
+        for name in sorted(computed)
+    ]
+    if args.path != "all":
+        _emit_records(args, records)
+        return EXIT_OK
+    agree = len({record["value"] for record in records}) == 1
+    _emit_records(args, records, verdict="AGREE" if agree else "DISAGREE")
+    return EXIT_OK if agree else EXIT_IDENTITY_FAILURE
 
 
 def _cmd_coeff(args: argparse.Namespace) -> int:

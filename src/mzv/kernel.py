@@ -1,5 +1,5 @@
 """Exact-arithmetic kernel: rational scalars, rational-coefficient
-polynomials, and truncated bivariate power series.
+polynomials, and a dense quotient table of bivariate power series.
 
 Every coefficient in this module is a `fractions.Fraction`, so results are
 exact by construction (lowest terms, positive denominator); nothing here ever
@@ -7,21 +7,23 @@ touches floating point.  The two container types are deliberately small:
 
 * :class:`RationalPolynomial` — dense univariate polynomial with trimmed
   coefficients, used for Bernoulli-type and Stirling-type polynomials.
-* :class:`BivariateSeries` — power series in two variables truncated at a
-  total degree, used for the two-variable generating function whose
-  coefficients are the Gregory-type constants.
+* :class:`BivariateSeries` — the quotient of two power series in two
+  variables, stored as one list per total degree and grown in place, used
+  for the two-variable generating function whose coefficients are the
+  Gregory-type constants.
 
-The series division helpers are the only non-obvious algorithms: division by
-a unit (nonzero constant term) runs a graded coefficient recursion, and
-division by the antisymmetric factor (x - y) runs a diagonal recursion that
-also certifies divisibility, refusing loudly when any diagonal sum fails to
-vanish.
+The two divisions are the only non-obvious algorithms.
+:func:`div_xy_difference` divides one diagonal by the antisymmetric factor
+(x - y) and certifies divisibility, refusing loudly when the diagonal sum
+fails to vanish.  :class:`BivariateSeries` divides by a graded unit (one
+constant per diagonal) with a prefix sum per diagonal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Tuple, Union
+from itertools import accumulate
+from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
@@ -228,213 +230,97 @@ def _as_poly(value):
 
 
 # ---------------------------------------------------------------------------
-# Truncated bivariate power series
+# Dense graded quotient of bivariate power series
 # ---------------------------------------------------------------------------
 
-_Key = Tuple[int, int]
+
+def div_xy_difference(diagonal: Sequence[Fraction]) -> List[Fraction]:
+    """Divide one homogeneous diagonal by (x - y), certifying divisibility.
+
+    Entry i of a total-degree-D diagonal is the coefficient of x^i y^(D-i).
+    It is divisible by (x - y) exactly when its entries sum to zero (it
+    vanishes on x = y); the quotient is the total-degree-(D-1) diagonal.
+    Otherwise a ValueError reports the total degree and the residue.
+    """
+    degree = len(diagonal) - 1
+    quotient = [Fraction(0)] * degree
+    # c_i = q_{i-1} - q_i: walk down from the pure-x end, then the leftover
+    # c_0 + q_0 certifies divisibility.
+    carry = Fraction(0)
+    for i in range(degree, 0, -1):
+        carry = quotient[i - 1] = diagonal[i] + carry
+    residue = diagonal[0] + carry
+    if residue != 0:
+        raise ValueError(
+            "series is not divisible by (x - y): diagonal sum at total degree "
+            f"{degree} leaves residue {residue}"
+        )
+    return quotient
 
 
 class BivariateSeries:
-    """Power series in two variables, truncated at a total degree.
+    """The quotient of two power series in x and y, as a dense table of
+    diagonals that grows in place.
 
-    A series of order N knows exactly the coefficients of the monomials
-    x^i y^j with i + j <= N.  Coefficients beyond the order are *unknown*,
-    not zero, which is why binary operations insist on equal orders instead
-    of silently mixing precisions.  Storage is sparse: only nonzero
-    coefficients are kept.
+    ``diagonals(t)`` returns the total-degree-t diagonals of the numerator
+    and of the denominator, entry i the coefficient of x^i y^(t-i).  The
+    denominator must be a graded unit: a nonzero constant d_0, and on each
+    diagonal s one constant d_s.  Then the quotient q satisfies
+    q_{i,j} = (n_{i,j} - sum_{s>=1} d_s sum_{a+b=s} q_{i-a,j-b}) / d_0, and the
+    inner sum is a contiguous segment of diagonal t - s, read from its prefix
+    sums.  Diagonal t needs only lower diagonals and costs O(t^2), so growing
+    to order N costs O(N^3) and never recomputes a diagonal.
+
+    The table knows exactly the coefficients of x^i y^j with i + j <= order;
+    reading beyond the order raises.
     """
 
-    __slots__ = ("_order", "_coeffs")
+    __slots__ = ("_source", "_units", "_diagonals", "_prefix")
 
-    def __init__(self, order: int, coeffs: Dict[_Key, RationalLike] | None = None):
-        if order < 0:
-            raise ValueError(f"truncation order must be >= 0, got {order}")
-        self._order = order
-        table: Dict[_Key, Fraction] = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent pair {(i, j)}")
-                if i + j > order:
-                    continue
-                c = rat(c)
-                if c != 0:
-                    table[(i, j)] = c
-        self._coeffs = table
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "BivariateSeries":
-        return cls(order)
-
-    @classmethod
-    def constant(cls, value: RationalLike, order: int) -> "BivariateSeries":
-        return cls(order, {(0, 0): value})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, order: int, coeff: RationalLike = 1) -> "BivariateSeries":
-        return cls(order, {(i, j): coeff})
-
-    # -- inspection ----------------------------------------------------------
+    def __init__(
+        self,
+        diagonals: Callable[[int], Tuple[List[Fraction], List[Fraction]]],
+        order: int = 0,
+    ):
+        self._source = diagonals
+        self._units: List[Fraction] = []  # d_0, d_1, ...
+        self._diagonals: List[List[Fraction]] = []
+        # _prefix[t][k]: sum of the first k entries of diagonal t
+        self._prefix: List[List[Fraction]] = []
+        self.grow(order)
 
     @property
     def order(self) -> int:
         """Total-degree truncation order."""
-        return self._order
+        return len(self._diagonals) - 1
+
+    def grow(self, order: int) -> None:
+        """Append diagonals until the table reaches total degree ``order``."""
+        if order < 0:
+            raise ValueError(f"truncation order must be >= 0, got {order}")
+        units, prefix = self._units, self._prefix
+        for t in range(len(self._diagonals), order + 1):
+            num, den = self._source(t)
+            if any(c != den[0] for c in den):
+                raise ValueError(f"divisor diagonal at total degree {t} is not constant")
+            if t == 0 and den[0] == 0:
+                raise ValueError("division needs a unit divisor (nonzero constant term)")
+            units.append(den[0])
+            row = []
+            for i, acc in enumerate(num):
+                for s in range(1, t + 1):
+                    p = prefix[t - s]
+                    acc -= units[s] * (p[min(i, t - s) + 1] - p[max(0, i - s)])
+                row.append(acc / units[0])
+            self._diagonals.append(row)
+            prefix.append(list(accumulate(row, initial=Fraction(0))))
 
     def coefficient(self, i: int, j: int) -> Fraction:
         """Coefficient of x^i y^j; raises if the pair is beyond the order."""
         if i < 0 or j < 0:
             raise ValueError(f"negative exponent pair {(i, j)}")
-        if i + j > self._order:
+        if i + j >= len(self._diagonals):
             raise ValueError(
-                f"coefficient ({i},{j}) lies beyond truncation order {self._order}"
+                f"coefficient ({i},{j}) lies beyond truncation order {self.order}"
             )
-        return self._coeffs.get((i, j), Fraction(0))
-
-    def terms(self) -> Iterator[Tuple[int, int, Fraction]]:
-        """Iterate (i, j, coefficient) over nonzero terms, graded order."""
-        for (i, j) in sorted(self._coeffs, key=lambda k: (k[0] + k[1], k[0])):
-            yield i, j, self._coeffs[(i, j)]
-
-    def truncate(self, order: int) -> "BivariateSeries":
-        """Forget coefficients above a (smaller or equal) order."""
-        if order > self._order:
-            raise ValueError(
-                f"cannot extend a series of order {self._order} to order {order}"
-            )
-        return BivariateSeries(order, self._coeffs)
-
-    # -- linear arithmetic ------------------------------------------------------
-
-    def _check_order(self, other: "BivariateSeries", opname: str) -> None:
-        if self._order != other._order:
-            raise ValueError(
-                f"{opname} needs equal truncation orders, got {self._order} and {other._order}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        self._check_order(other, "series addition")
-        out = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BivariateSeries(self._order, out)
-
-    def __neg__(self):
-        return BivariateSeries(self._order, {k: -c for k, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BivariateSeries(
-                self._order, {k: c * other for k, c in self._coeffs.items()}
-            )
-        if isinstance(other, BivariateSeries):
-            return series_mul(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash((self._order, frozenset(self._coeffs.items())))
-
-    def __repr__(self):
-        inside = ", ".join(f"({i},{j}): {c}" for i, j, c in self.terms())
-        return f"BivariateSeries(order={self._order}, {{{inside}}})"
-
-
-def series_log_one_plus(var: str, order: int) -> BivariateSeries:
-    """log(1 + t) as a series in one of the two variables ('x' or 'y')."""
-    if var not in ("x", "y"):
-        raise ValueError(f"variable must be 'x' or 'y', got {var!r}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1 for a log series, got {order}")
-    coeffs: Dict[_Key, Fraction] = {}
-    for k in range(1, order + 1):
-        c = Fraction((-1) ** (k + 1), k)
-        coeffs[(k, 0) if var == "x" else (0, k)] = c
-    return BivariateSeries(order, coeffs)
-
-
-def series_mul(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
-    """Cauchy product of two series of equal truncation orders."""
-    a._check_order(b, "series multiplication")
-    order = a.order
-    out: Dict[_Key, Fraction] = {}
-    for (i, j), ca in a._coeffs.items():
-        for (k, m), cb in b._coeffs.items():
-            if i + k + j + m > order:
-                continue
-            key = (i + k, j + m)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return BivariateSeries(order, out)
-
-
-def series_div_unit(num: BivariateSeries, den: BivariateSeries) -> BivariateSeries:
-    """Divide by a series with a nonzero constant term.
-
-    The quotient q satisfies q * den == num up to the common truncation
-    order; coefficients are found by a graded recursion (total degree, then
-    lexicographic within a degree).
-    """
-    num._check_order(den, "series division")
-    d0 = den.coefficient(0, 0)
-    if d0 == 0:
-        raise ValueError("series division needs a unit denominator (nonzero constant term)")
-    order = num.order
-    q: Dict[_Key, Fraction] = {}
-    for total in range(order + 1):
-        for i in range(total, -1, -1):
-            j = total - i
-            acc = num.coefficient(i, j)
-            # subtract the already-known part of the product q * den
-            for (a, b), qc in q.items():
-                if a <= i and b <= j and (a, b) != (i, j):
-                    dc = den._coeffs.get((i - a, j - b))
-                    if dc is not None:
-                        acc -= qc * dc
-            if acc != 0:
-                q[(i, j)] = acc / d0
-    return BivariateSeries(order, q)
-
-
-def series_div_xy_difference(s: BivariateSeries) -> BivariateSeries:
-    """Divide a series by (x - y), certifying divisibility.
-
-    A series is divisible by (x - y) exactly when each of its diagonal sums
-    sum_{i+j=D} c_{i,j} vanishes (equivalently, it vanishes on the diagonal
-    x = y).  The quotient has truncation order one less than the input.  If
-    some diagonal sum is nonzero, a ValueError reports the first offending
-    total degree and the residue.
-    """
-    if s.order < 1:
-        raise ValueError(f"division by (x - y) needs order >= 1, got {s.order}")
-    out: Dict[_Key, Fraction] = {}
-    for total in range(s.order):  # quotient diagonal degree
-        # Relation: c_{i,j} = q_{i-1,j} - q_{i,j-1}; walk the diagonal from
-        # the pure-x end, then the leftover certifies divisibility.
-        prev = Fraction(0)  # q_{total+1-t, t-1} from the previous step
-        for t in range(total + 1):
-            qc = s.coefficient(total + 1 - t, t) + prev
-            if qc != 0:
-                out[(total - t, t)] = qc
-            prev = qc
-        residue = s.coefficient(0, total + 1) + prev
-        if residue != 0:
-            raise ValueError(
-                "series is not divisible by (x - y): diagonal sum at total degree "
-                f"{total + 1} leaves residue {residue}"
-            )
-    return BivariateSeries(s.order - 1, out)
+        return self._diagonals[i + j][i]

@@ -321,6 +321,15 @@ def test_gregory_values():
         gregory(-1, 1)
 
 
+def test_gregory_table_pinned():
+    # SHA-256 of the lines "m,n=G(m,n)" for m + n <= 40, recorded from the
+    # sparse bivariate-series build that the dense table replaced.
+    text = "".join(f"{m},{n}={gregory(m, n)}\n" for m in range(41) for n in range(41 - m))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "82905204b0b87efcbc81bd26e80e2f8d413397e44483bcdb83f83d99b4f21cea"
+    )
+
+
 def test_gregory_symmetry():
     for m in range(1, 7):
         for n in range(1, 7):
@@ -400,19 +409,22 @@ def test_origin_rev_gregory_matches_enumeration():
 
 
 def test_rev_via_gregory_builds_the_series_once(monkeypatch):
-    # Reading the Gregory table in increasing order must not rebuild the
-    # series at every new order.
-    builds = []
-    divide = asymptotic.series_div_unit
+    # Reading the Gregory table in increasing order computes each diagonal
+    # exactly once: a higher order appends diagonals to the same table.
+    built = []
+    diagonals = asymptotic._gregory_diagonals
 
-    def counted(*args):
-        builds.append(args)
-        return divide(*args)
+    def counted(t):
+        built.append(t)
+        return diagonals(t)
 
-    monkeypatch.setattr(asymptotic, "series_div_unit", counted)
+    monkeypatch.setattr(asymptotic, "_gregory_diagonals", counted)
     monkeypatch.setattr(asymptotic, "_GREGORY_SERIES", [None])
+    for total in range(27):
+        for m in range(total + 1):
+            gregory(m, total - m)
+    assert built == list(range(27))
     assert rev_via_gregory((2, 2)) == mzf_rev((2, 2))
-    assert len(builds) == 1
 
 
 def test_rev_via_gregory_examples():

@@ -65,6 +65,32 @@ def test_value_unavailable_path_is_usage_error(capsys):
     assert "not available" in err
 
 
+def _refuse(*args):
+    raise AssertionError("route must not run")
+
+
+def test_value_single_path_computes_only_that_route(capsys, monkeypatch):
+    monkeypatch.setattr(mzv.cli, "rev_via_gregory", _refuse)
+    monkeypatch.setattr(mzv.cli, "mzf_rev_stirling", _refuse)
+    code, out, _ = run(
+        capsys,
+        "value", "--kind", "mzf-rev", "--index", "1,1", "--path", "recurrence",
+    )
+    assert code == 0
+    assert "mzf-rev(1,1) = 1/240" in out
+
+
+def test_value_unavailable_path_computes_nothing(capsys, monkeypatch):
+    for name in ("value", "rev_via_gregory", "mzf_rev_stirling"):
+        monkeypatch.setattr(mzv.cli, name, _refuse)
+    code, _, err = run(
+        capsys,
+        "value", "--kind", "mzf-reg", "--index", "1,1", "--path", "gregory",
+    )
+    assert code == 2
+    assert "not available" in err
+
+
 def test_value_bad_index_is_usage_error(capsys):
     code, _, err = run(capsys, "value", "--kind", "mzf-reg", "--index", "1,x")
     assert code == 2

@@ -1,6 +1,7 @@
-"""Tests for the exact-arithmetic kernel: polynomials and bivariate series."""
+"""Tests for the exact-arithmetic kernel: polynomials and the bivariate quotient table."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -10,31 +11,44 @@ from mzv.kernel import (
     NEG_INFINITY,
     BivariateSeries,
     RationalPolynomial,
+    div_xy_difference,
     falling_factorial,
     rat,
-    series_div_unit,
-    series_div_xy_difference,
-    series_log_one_plus,
-    series_mul,
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 polynomials = st.lists(rationals, min_size=0, max_size=6).map(RationalPolynomial)
 
 
+def diagonals(coeffs):
+    """The diagonal reader of a polynomial given as {(i, j): c}."""
+    return lambda t: [Fraction(coeffs.get((i, t - i), 0)) for i in range(t + 1)]
+
+
+ONE = diagonals({(0, 0): 1})
+
+
+def quotient(num, den, order=0):
+    """The table of num / den, both given as diagonal readers."""
+    return BivariateSeries(lambda t: (num(t), den(t)), order)
+
+
 @st.composite
-def series_with_order(draw, min_order=0, max_order=5, unit=False):
-    order = draw(st.integers(min_value=min_order, max_value=max_order))
+def polynomials_2d(draw, max_degree=4):
     coeffs = {}
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
-        i = draw(st.integers(min_value=0, max_value=order))
-        j = draw(st.integers(min_value=0, max_value=order - i))
+        i = draw(st.integers(min_value=0, max_value=max_degree))
+        j = draw(st.integers(min_value=0, max_value=max_degree - i))
         coeffs[(i, j)] = draw(rationals)
-    if unit:
-        coeffs[(0, 0)] = draw(
-            rationals.filter(lambda c: c != 0)
-        )
-    return BivariateSeries(order, coeffs)
+    return coeffs
+
+
+@st.composite
+def graded_units(draw, max_degree=4):
+    """A divisor with a nonzero constant and one constant d_s per diagonal s."""
+    units = [draw(rationals.filter(lambda c: c != 0))]
+    units += [draw(rationals) for _ in range(max_degree)]
+    return {(i, s - i): d for s, d in enumerate(units) for i in range(s + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -144,129 +158,96 @@ def test_polynomial_product_degree(a, b):
 
 
 # ---------------------------------------------------------------------------
-# BivariateSeries
+# BivariateSeries and the (x - y) division
 # ---------------------------------------------------------------------------
 
 
 def test_series_constructors_and_coefficients():
-    s = BivariateSeries(3, {(1, 0): 2, (0, 2): Fraction(1, 3), (2, 2): 9})
+    s = quotient(diagonals({(1, 0): 2, (0, 2): Fraction(1, 3), (2, 2): 9}), ONE, 3)
     assert s.order == 3
     assert s.coefficient(1, 0) == 2
     assert s.coefficient(0, 2) == Fraction(1, 3)
     assert s.coefficient(0, 0) == 0
-    # (2, 2) exceeds the truncation order and is discarded on input
-    assert list(s.terms()) == [(1, 0, Fraction(2)), (0, 2, Fraction(1, 3))]
-    assert BivariateSeries.zero(2) == BivariateSeries(2)
-    assert BivariateSeries.constant(5, 2).coefficient(0, 0) == 5
-    assert BivariateSeries.monomial(1, 1, 4, -3).coefficient(1, 1) == -3
+    assert quotient(ONE, ONE).order == 0
+    # growing appends diagonals; a lower order leaves the table as it is
+    s.grow(4)
+    assert s.order == 4
+    assert s.coefficient(2, 2) == 9
+    s.grow(1)
+    assert s.order == 4
 
 
 def test_series_bounds_checks():
-    s = BivariateSeries(2, {(1, 1): 1})
+    s = quotient(diagonals({(1, 1): 1}), ONE, 2)
     with pytest.raises(ValueError):
         s.coefficient(2, 1)
     with pytest.raises(ValueError):
         s.coefficient(-1, 0)
     with pytest.raises(ValueError):
-        BivariateSeries(-1)
+        quotient(ONE, ONE, -1)
     with pytest.raises(ValueError):
-        s.truncate(3)
-    assert s.truncate(1) == BivariateSeries(1)
-
-
-def test_series_equal_order_enforcement():
-    a = BivariateSeries.constant(1, 2)
-    b = BivariateSeries.constant(1, 3)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        series_mul(a, b)
-    with pytest.raises(ValueError):
-        series_div_unit(a, b)
-
-
-def test_series_log_prefixes():
-    s = series_log_one_plus("x", 4)
-    assert s.coefficient(1, 0) == 1
-    assert s.coefficient(2, 0) == Fraction(-1, 2)
-    assert s.coefficient(3, 0) == Fraction(1, 3)
-    assert s.coefficient(4, 0) == Fraction(-1, 4)
-    assert s.coefficient(0, 1) == 0
-    t = series_log_one_plus("y", 2)
-    assert t.coefficient(0, 2) == Fraction(-1, 2)
-    with pytest.raises(ValueError):
-        series_log_one_plus("z", 3)
-    with pytest.raises(ValueError):
-        series_log_one_plus("x", 0)
+        s.grow(-1)
+    s.grow(3)
+    assert s.coefficient(2, 1) == 0
 
 
 def test_series_geometric_division():
+    # 1 / (1 - x - y) is the sum of (x + y)^k
     order = 6
-    one = BivariateSeries.constant(1, order)
-    den = one - BivariateSeries.monomial(1, 0, order)
-    geo = series_div_unit(one, den)
-    for k in range(order + 1):
-        assert geo.coefficient(k, 0) == 1
-    assert geo.coefficient(0, 1) == 0
+    geo = quotient(ONE, diagonals({(0, 0): 1, (1, 0): -1, (0, 1): -1}), order)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            assert geo.coefficient(i, j) == comb(i + j, i)
 
 
 def test_series_division_requires_unit():
-    num = BivariateSeries.constant(1, 3)
-    den = BivariateSeries.monomial(1, 0, 3)
-    with pytest.raises(ValueError):
-        series_div_unit(num, den)
+    with pytest.raises(ValueError, match="unit"):
+        quotient(ONE, diagonals({(1, 0): 1, (0, 1): 1}))
+    # 1 - x is a unit, but not constant on the total-degree-1 diagonal
+    table = quotient(ONE, diagonals({(0, 0): 1, (1, 0): -1}))
+    with pytest.raises(ValueError, match="total degree 1 is not constant"):
+        table.grow(2)
+    assert table.order == 0
 
 
 def test_series_xy_difference_example():
-    # (x^2 - y^2) / (x - y) == x + y, with the order dropping by one
-    s = BivariateSeries(2, {(2, 0): 1, (0, 2): -1})
-    q = series_div_xy_difference(s)
-    assert q.order == 1
-    assert q == BivariateSeries(1, {(1, 0): 1, (0, 1): 1})
+    # (x^2 - y^2) / (x - y) == x + y, one total degree lower
+    assert div_xy_difference([Fraction(-1), Fraction(0), Fraction(1)]) == [1, 1]
+    s = diagonals({(2, 0): 1, (0, 2): -1})
+    q = quotient(lambda t: div_xy_difference(s(t + 1)), ONE, 3)
+    assert [q.coefficient(i, t - i) for t in range(4) for i in range(t + 1)] == [
+        0, 1, 1, 0, 0, 0, 0, 0, 0, 0,
+    ]
 
 
 def test_series_xy_difference_reports_first_bad_diagonal():
-    s = BivariateSeries(3, {(2, 0): 1, (0, 2): 1})
+    s = diagonals({(2, 0): 1, (0, 2): 1})
+    table = quotient(lambda t: div_xy_difference(s(t + 1)), ONE)
     with pytest.raises(ValueError, match="total degree 2"):
-        series_div_xy_difference(s)
-    with pytest.raises(ValueError):
-        series_div_xy_difference(BivariateSeries.constant(1, 0))
+        table.grow(3)
+    assert table.order == 0
+    with pytest.raises(ValueError, match="total degree 0"):
+        div_xy_difference([Fraction(1)])
 
 
-@given(series_with_order(), series_with_order())
-def test_series_addition_commutes_on_matching_orders(a, b):
-    if a.order != b.order:
-        with pytest.raises(ValueError):
-            a + b
-    else:
-        assert a + b == b + a
-        assert a - a == BivariateSeries.zero(a.order)
-
-
-@given(series_with_order(max_order=4), series_with_order(max_order=4))
-def test_series_multiplication_commutes_on_matching_orders(a, b):
-    if a.order == b.order:
-        assert series_mul(a, b) == series_mul(b, a)
-
-
-@given(series_with_order(max_order=4), series_with_order(max_order=4, unit=True))
+@given(polynomials_2d(), graded_units())
 def test_series_division_round_trip(a, d):
-    if a.order != d.order:
-        return
-    q = series_div_unit(a, d)
-    assert series_mul(q, d) == a
+    # quotient times divisor gives the numerator back, term by term
+    order = 4
+    q = quotient(diagonals(a), diagonals(d), order)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            product = sum(
+                q.coefficient(i - u, j - v) * d[(u, v)]
+                for u in range(i + 1)
+                for v in range(j + 1)
+            )
+            assert product == a.get((i, j), 0)
 
 
-@given(series_with_order(min_order=1, max_order=4))
+@given(st.lists(rationals, min_size=0, max_size=6))
 def test_series_xy_difference_round_trip(q):
-    order = q.order
-    xy = BivariateSeries(order, {(1, 0): 1, (0, 1): -1})
-    product = series_mul(q, xy)
-    assert series_div_xy_difference(product) == q.truncate(order - 1)
-
-
-@given(series_with_order(max_order=4), st.integers(min_value=-5, max_value=5))
-def test_series_scalar_multiplication(a, n):
-    assert n * a == a * n
-    assert 1 * a == a
-    assert 0 * a == BivariateSeries.zero(a.order)
+    # c_i = q_{i-1} - q_i is the diagonal of (x - y) q
+    padded = [Fraction(0)] + q + [Fraction(0)]
+    product = [padded[i] - padded[i + 1] for i in range(len(q) + 1)]
+    assert div_xy_difference(product) == q
