@@ -6,6 +6,9 @@ A depth-r point is indexed by a tuple l of non-negative integers (the point is
 of rationals.  The coefficient C^(d)(-l; a) is a finite sum of products of
 Bernoulli polynomial values B_n(a_j)/n! and falling factorials, taken over an
 admissible set of exponent tuples n cut out by d (:func:`admissible_n_set`).
+Each d_j only picks one of two disjoint windows for one tail sum of n, so
+the sum over all 2^(r-1) directions, which gives the reverse values at the
+all-ones shift, is one definition-sum pass over the union of the windows.
 
 Three independent computation paths are provided for the staircase directions
 d = (1,...,1,0,...,0):
@@ -136,7 +139,7 @@ def admissible_n_set(l: Sequence[int], d: Sequence[int]) -> Tuple[Tuple[int, ...
         if j == r:
             found.append(head + (t_prev,))
             return
-        lo, hi = _tail_window(lt, dt, j)
+        lo, hi = _tail_window(lt, dt[j - 1], j)
         for t in range(lo, min(hi, t_prev) + 1):
             walk(j + 1, t, head + (t_prev - t,))
 
@@ -144,16 +147,18 @@ def admissible_n_set(l: Sequence[int], d: Sequence[int]) -> Tuple[Tuple[int, ...
     return tuple(sorted(found))
 
 
-def _tail_window(l: IndexTuple, d: Direction, j: int) -> Tuple[int, int]:
-    """Bounds (lo, hi) of the tail sum t_j = n_{j+1} + ... + n_r, 1-based j < r."""
+def _tail_window(l: IndexTuple, bit: int, j: int) -> Tuple[int, int]:
+    """Bounds (lo, hi) of the tail sum t_j = n_{j+1} + ... + n_r when d_j = bit,
+    1-based j < r."""
     r = len(l)
-    if d[j - 1] == 0:
+    if bit == 0:
         return 0, r - j + sum(l[j:])
     return r - j + 1 + sum(l[j - 1 :]), r + sum(l)
 
 
-def _asym_sum(l: IndexTuple, d: Direction, a: Shift) -> Fraction:
-    """Definition sum, assuming validated inputs.
+def _asym_sum(l: IndexTuple, d: "Direction | None", a: Shift) -> Fraction:
+    """Definition sum, assuming validated inputs; ``d=None`` sums C^(d)(-l; a)
+    over all 2^(r-1) directions d in the same single pass.
 
     The coefficient is (-1)^(r+|l|) times the sum over the admissible n of
     prod_j B_{n_j}(a_j)/n_j! * (prefix_j + j - 1)_{l_j}, with (x)_k the falling
@@ -162,6 +167,8 @@ def _asym_sum(l: IndexTuple, d: Direction, a: Shift) -> Fraction:
     depends on n_j = t_{j-1} - t_j, its falling factorial on t_j alone, and
     admissibility is one window per t_j.  So the sum runs slot by slot over
     {t_j: summed product over slots 1..j}: same admissible set, same terms.
+    The windows of d_j = 0 and d_j = 1 are disjoint (a gap of l_j + 1) and the
+    later slots see t_j only, so the sum over all d lets t_j range over both.
     The weights are integers over den, which takes one factor per slot: the
     common denominator of that slot's B_n(a_j)/n!.
     """
@@ -171,14 +178,19 @@ def _asym_sum(l: IndexTuple, d: Direction, a: Shift) -> Fraction:
     head = 0  # l_1 + ... + l_j
     for j, (lj, aj) in enumerate(zip(l, a), start=1):
         head += lj
-        lo, hi = _tail_window(l, d, j) if j < r else (0, 0)
-        hi = min(hi, max(row))
-        if hi < lo:
+        top = max(row)
+        if j == r:
+            ts = [0]
+        else:
+            bits = (0, 1) if d is None else (d[j - 1],)
+            windows = (_tail_window(l, b, j) for b in bits)
+            ts = [t for lo, hi in windows for t in range(lo, min(hi, top) + 1)]
+        if not ts:
             return Fraction(0)
-        n0 = max(0, min(row) - hi)
-        slot_den, bern = shift_ratios(aj, n0, max(row) - lo)
+        n0 = max(0, min(row) - ts[-1])
+        slot_den, bern = shift_ratios(aj, n0, top - ts[0])
         nxt = {}
-        for t in range(lo, hi + 1):
+        for t in ts:
             x = head - total + t + j - 1  # prefix_j + j - 1
             ff = prod(range(x, x - lj, -1))
             if ff:
@@ -255,10 +267,14 @@ def _peel(sign: int, subs: List[Fraction], l: int, a: Fraction) -> Fraction:
 
 
 def _c_rec(i: int, r: int, l: IndexTuple, a: Shift, memo: dict) -> Fraction:
-    """Depth reduction; memo maps (i, r, l) to the value within one top-level call.
+    """Depth reduction; memo maps (i, r, l) to the value.
 
-    The key is sound: the top-level call fixes the shift at each (i, r), its a[:r]
-    while i < r and the last r entries of its a[:i] once i == r.
+    The key leaves out the shift, which the top-level (i, r, a) fixes at each
+    level: a[:r'] at (i, r') while i < r', the last r' entries of a[:i] at
+    (r', r') once the first slot is peeled.  So a memo may be shared by
+    top-level calls with the same i, r and a, whatever their l, and by no
+    others: top-level calls with different i reach one (r', r') with
+    different shifts.  :func:`_c_explicit` never takes a shared memo.
     """
     key = (i, r, l)
     if key in memo:

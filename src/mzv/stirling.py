@@ -112,7 +112,12 @@ def stirling_poly_second_at(n: int, m: int, y: RationalLike) -> Fraction:
     return _poly_second_at(n, m, rat(y))
 
 
-def stirling_kernel_box(l: Sequence[int], shift: int) -> Dict[int, Fraction]:
+def _poly_second_int(n: int, m: int, y: int) -> int:
+    """S(n, m, y) at an integer y, by the closed form in integers."""
+    return sum(comb(n, k) * stirling_second(n - k, m) * y**k for k in range(n - m + 1))
+
+
+def stirling_kernel_box(l: Sequence[int], shift: int) -> Dict[int, int]:
     """The second-kind Stirling kernel summed over the box 0 <= k_j <= l_j.
 
     A box point k = (k_1, ..., k_r) carries the weight
@@ -123,15 +128,16 @@ def stirling_kernel_box(l: Sequence[int], shift: int) -> Dict[int, Fraction]:
     with K_j = k_1 + ... + k_j: shift 0 is the kernel of the plain reverse
     values, shift 1 the signed kernel of the star ones.  The weight depends
     on k only through the running sums, so the box is summed one slot at a
-    time.  Returns {K_r: total weight of the box points with that sum},
-    leaving out zero totals.
+    time.  Every parameter K_{j-1} + j - shift is an integer, so every factor
+    and total is an integer.  Returns {K_r: total weight of the box points
+    with that sum}, as ints, leaving out zero totals.
     """
-    totals: Dict[int, Fraction] = {0: Fraction(1)}
+    totals: Dict[int, int] = {0: 1}
     for j, lj in enumerate(l, start=1):
-        grown: Dict[int, Fraction] = {}
+        grown: Dict[int, int] = {}
         for prev, weight in totals.items():
             for kj in range(lj + 1):
-                factor = stirling_poly_second_at(lj, kj, prev + j - shift)
+                factor = _poly_second_int(lj, kj, prev + j - shift)
                 if shift and (lj - kj) % 2:
                     factor = -factor
                 term = weight * factor * perm(prev + kj + j - 1, kj)

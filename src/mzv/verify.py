@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
@@ -465,14 +464,17 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
         # Validated once here; the grid tuples are valid by construction, so
         # the three paths are called on their validated entry points.
         shifts = [as_shift(a, r) for a in shifts]
+        # One recurrence memo per (i, shift), shared across the grid of l;
+        # sharing one across i would be unsound (see _c_rec).
+        memos = {(i, s): {} for i in range(1, r + 1) for s in range(len(shifts))}
         for l in iter_index_tuples(r, bounds.max_weight, min_depth=r):
             for i in range(1, r + 1):
                 d = staircase_direction(i, r)
-                for a in shifts:
+                for s, a in enumerate(shifts):
                     reference = _asym_sum(l, d, a)
                     rec.equal(
                         f"recurrence path i={i}, r={r}, l={l}, a={a}",
-                        _c_rec(i, r, l, a, {}),
+                        _c_rec(i, r, l, a, memos[i, s]),
                         reference,
                     )
                     rec.equal(
@@ -500,10 +502,8 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
     for l in iter_index_tuples(bounds.max_depth, bounds.max_weight):
         r = len(l)
         ones = (Fraction(1),) * r
-        total = Fraction(0)
-        for bits in product((0, 1), repeat=r - 1):
-            total += asym_coeff(l, bits, ones)
-        rec.equal(f"reverse bridge l={l}", total, mzf_rev(l))
+        # All 2^(r-1) directions in one definition-sum pass.
+        rec.equal(f"reverse bridge l={l}", _asym_sum(l, None, ones), mzf_rev(l))
         rec.equal(
             f"regular bridge l={l}", asym_coeff(l, (0,) * (r - 1), ones), mzf_reg(l)
         )

@@ -138,6 +138,78 @@ def test_definition_sum_matches_term_by_term_oracle(point):
         assert asym_coeff(l, d, a) == expected
 
 
+# A non-unit positive shift; its prefixes serve every depth up to 5.
+_UNIT_FREE_SHIFT = (Fraction(3, 7), Fraction(5, 2), Fraction(2), Fraction(1, 3), Fraction(4, 5))
+# The three kinds of shift the asym suite uses: all ones, (1, 0, ..., 0), other.
+_SUITE_SHIFTS = (
+    lambda r: (Fraction(1),) * r,
+    lambda r: (Fraction(1),) + (Fraction(0),) * (r - 1),
+    lambda r: _UNIT_FREE_SHIFT[:r],
+)
+
+
+def _per_direction_sum(l, a):
+    r = len(l)
+    return sum((_asym_sum(l, d, a) for d in product((0, 1), repeat=r - 1)), Fraction(0))
+
+
+def test_all_directions_pass_matches_per_direction_sums():
+    # d=None lets each tail sum range over the union of its two disjoint
+    # windows; that must equal the sum of the 2^(r-1) single-direction sums.
+    # Placed before the high-index tests below: a B_n(1) read at n ~ 300
+    # widens the shared table denominator of the shift 1, and every later
+    # sum at that shift carries the wider integers (about 4x slower here).
+    for l in iter_index_tuples(5, 7):
+        for make_shift in _SUITE_SHIFTS:
+            a = make_shift(len(l))
+            assert _asym_sum(l, None, a) == _per_direction_sum(l, a), (l, a)
+        assert _asym_sum(l, None, (Fraction(1),) * len(l)) == mzf_rev(l), l
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_all_directions_pass_property(data):
+    l = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=5), label="l"))
+    positive = st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
+    a = tuple(data.draw(st.lists(positive, min_size=len(l), max_size=len(l)), label="a"))
+    assert _asym_sum(l, None, a) == _per_direction_sum(l, a)
+    assert _asym_sum(l, None, (Fraction(1),) * len(l)) == mzf_rev(l)
+
+
+def test_recurrence_memo_shared_across_the_grid_is_sound():
+    # One memo per (i, r, shift), shared by every l as in the asym suite,
+    # gives exactly the fresh-memo values.
+    for r in range(1, 5):
+        for i in range(1, r + 1):
+            for make_shift in _SUITE_SHIFTS:
+                a = as_shift(make_shift(r), r)
+                shared = {}
+                for l in iter_index_tuples(r, 6, min_depth=r):
+                    assert asymptotic._c_rec(i, r, l, a, shared) == asymptotic._c_rec(
+                        i, r, l, a, {}
+                    ), (i, r, l, a)
+
+
+def test_explicit_path_never_reads_the_suite_memo(monkeypatch):
+    # Corrupt every shared memo after each recurrence check: later recurrence
+    # checks then fail, while every explicit-path check, whose r < 3 and
+    # i == r fallback runs the recurrence on a memo of its own, still passes.
+    from mzv import verify
+
+    c_rec = verify._c_rec
+
+    def corrupting(i, r, l, a, memo):
+        value = c_rec(i, r, l, a, memo)
+        for key in memo:
+            memo[key] += 1
+        return value
+
+    monkeypatch.setattr(verify, "_c_rec", corrupting)
+    result = verify.run_suite("asym", verify.Bounds(max_depth=3, max_weight=4, max_r=4))
+    assert result.failures
+    assert all(f.startswith("recurrence path") for f in result.failures)
+
+
 # A signed shift with positive partial sums; its prefixes serve every depth.
 _PINNED_SIGNED_SHIFT = (Fraction(3, 2), Fraction(-1, 3), Fraction(5, 4), Fraction(-2, 5))
 # SHA-256 of the lines written by test_pinned_coefficients, recorded before the
@@ -439,3 +511,17 @@ def test_rev_via_gregory_examples():
 )
 def test_rev_via_gregory_matches_recurrence(l):
     assert rev_via_gregory(tuple(l)) == mzf_rev(tuple(l))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_rev_via_gregory_matches_recurrence_beyond_depth_three(data):
+    r = data.draw(st.integers(min_value=1, max_value=5), label="r")
+    l, budget = [], 12
+    for t in range(r):
+        l.append(data.draw(st.integers(min_value=0, max_value=budget), label=f"l{t}"))
+        budget -= l[-1]
+    l = tuple(data.draw(st.permutations(l), label="order"))
+    value = rev_via_gregory(l)
+    assert type(value) is Fraction
+    assert value == mzf_rev(l)

@@ -1,7 +1,8 @@
 """Tests for Stirling numbers and their polynomial deformations."""
 
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from mzv.kernel import RationalPolynomial
 from mzv.stirling import (
+    _poly_second_int,
     stirling_first,
+    stirling_kernel_box,
     stirling_poly_first,
     stirling_poly_first_at,
     stirling_poly_second,
@@ -174,3 +177,29 @@ def test_convolution(n, m, k, x):
         for i in range(min(m, k) + 1)
     )
     assert total == stirling_poly_second_at(n, k, x)
+
+
+def test_integer_parameter_polynomial_values():
+    for n in range(11):
+        for m in range(n + 2):
+            for y in range(-3, 6):
+                value = _poly_second_int(n, m, y)
+                assert type(value) is int
+                assert value == stirling_poly_second_at(n, m, y), (n, m, y)
+
+
+@pytest.mark.parametrize("l", [(0,), (3,), (2, 1), (1, 0, 2), (2, 2, 1), (0, 3, 1, 1)])
+@pytest.mark.parametrize("shift", [0, 1])
+def test_kernel_box_int_weights_match_the_box_points(l, shift):
+    # The box summed point by point, with the Fraction-valued kernel.
+    expected = {}
+    for k in product(*(range(lj + 1) for lj in l)):
+        weight, K = Fraction(1), 0
+        for j, (lj, kj) in enumerate(zip(l, k), start=1):
+            weight *= (-1) ** (shift * (lj - kj)) * stirling_poly_second_at(lj, kj, K + j - shift)
+            weight *= Fraction(factorial(K + kj + j - 1), factorial(K + j - 1))
+            K += kj
+        expected[K] = expected.get(K, 0) + weight
+    boxed = stirling_kernel_box(l, shift)
+    assert all(type(w) is int for w in boxed.values())
+    assert boxed == {K: w for K, w in expected.items() if w}

@@ -106,6 +106,25 @@ def test_stirling_closed_forms_agree_with_recurrences(l):
     assert mzsf_rev_stirling(l) == mzsf_rev(l)
 
 
+@st.composite
+def _deep_index_tuples(draw, max_depth=5, max_weight=12):
+    r = draw(st.integers(min_value=1, max_value=max_depth))
+    l, budget = [], max_weight
+    for _ in range(r):
+        l.append(draw(st.integers(min_value=0, max_value=budget)))
+        budget -= l[-1]
+    return tuple(draw(st.permutations(l)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_deep_index_tuples())
+def test_stirling_closed_forms_agree_beyond_depth_three(l):
+    plain, star = mzf_rev_stirling(l), mzsf_rev_stirling(l)
+    assert type(plain) is Fraction and type(star) is Fraction
+    assert plain == mzf_rev(l)
+    assert star == mzsf_rev(l)
+
+
 def test_akiyama_tanigawa_examples():
     assert akiyama_tanigawa_reg(1, 0) == Fraction(-1, 2)
     assert akiyama_tanigawa_reg(2, 1) == mzf_reg((1, 0))

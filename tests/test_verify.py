@@ -70,3 +70,35 @@ def test_seed_changes_random_spot_checks_but_not_verdicts():
     b = run_suite("bernoulli", Bounds(seed=2))
     assert a.ok and b.ok
     assert a.checked == b.checked
+
+
+DEFAULT_COUNTS = {
+    "asym": 3417,
+    "bernoulli": 279,
+    "choi": 257,
+    "gregory": 84,
+    "sign": 73,
+    "stirling": 3672,
+    "values": 282,
+}
+BENCH_COUNTS = {
+    "asym": 8649,
+    "bernoulli": 279,
+    "choi": 742,
+    "gregory": 154,
+    "sign": 423,
+    "stirling": 3672,
+    "values": 886,
+}
+
+
+@pytest.mark.parametrize(
+    "bounds, counts",
+    [(Bounds(), DEFAULT_COUNTS), (Bounds(max_depth=4, max_weight=6, max_r=7), BENCH_COUNTS)],
+    ids=["default", "depth4-weight6-r7"],
+)
+def test_check_counts_are_pinned(bounds, counts):
+    # A restructured suite must keep every check: the counts are exact.
+    results = run_suites(["all"], bounds)
+    assert {res.suite: res.checked for res in results} == counts
+    assert all(res.ok for res in results)
