@@ -13,6 +13,8 @@ recurrences with the star weight (1/2 at zero) in the inner sum.  Each
 recurrence replaces the pair of entries it peels by one entry, so
 :func:`value` evaluates all four families without recursion: it fills one
 row of values per depth, from depth one up, each row from the one below.
+:func:`value_grid` evaluates a whole grid in one pass, each row shared by
+all the tuples that read it.
 On top of the recurrences this module carries:
 
 * closed forms for the reverse values as Stirling-kernel transforms of
@@ -54,7 +56,7 @@ class ValueKind(str, Enum):
     MZSF_REG = "mzsf-reg"
     MZSF_REV = "mzsf-rev"
 
-    def __str__(self) -> str:  # keep CLI/cache rendering stable
+    def __str__(self) -> str:  # keep CLI rendering stable
         return self.value
 
 
@@ -165,6 +167,52 @@ def value(kind: ValueKind | str, l: Sequence[int]) -> Fraction:
             new_row.append(v)
         row = new_row
     return row[0]
+
+
+def _grid_pairs(nodes: list, regular: bool) -> Iterator[tuple]:
+    # (node, x), x up to the node's budget, in grid order; each node is dropped after its last x.
+    if regular:
+        nodes.reverse()
+        while nodes:
+            node = nodes.pop()
+            yield from ((node, x) for x in range(node[1] + 1))
+    x = 0
+    while nodes:
+        yield from ((node, x) for node in nodes)
+        nodes, x = [node for node in nodes if node[1] > x], x + 1
+
+
+def value_grid(
+    kind: ValueKind | str, max_depth: int, max_weight: int
+) -> Iterator[Tuple[IndexTuple, Fraction]]:
+    """Yield (l, value(kind, l)) for l in iter_index_tuples(max_depth, max_weight).
+
+    Each node p, the empty tuple or a grid tuple of depth k < max_depth, has
+    one row of :func:`value`: the values at p + (x,) (regular) or (x,) + p
+    (reverse) for x up to max_weight - |p| + max_depth - 1 - k, the most any
+    grid tuple asks.  Depth by depth, each grid tuple is read from its
+    parent's row and then gets its own from that row's tail, so every step
+    runs once.  Rows enter the memo by setdefault: it ends as the per-tuple
+    calls leave it, and the values yielded are its objects.
+    """
+    kind = ValueKind(kind)
+    if max_depth < 1 or max_weight < 0:
+        return
+    put = _MEMO[kind].setdefault
+    regular = kind in (ValueKind.MZF_REG, ValueKind.MZSF_REG)
+    star = kind in (ValueKind.MZSF_REG, ValueKind.MZSF_REV)
+    step = _reg_step if regular else _rev_step
+    join = (lambda p, x: p + (x,)) if regular else (lambda p, x: (x,) + p)
+    # (p, max_weight - |p|, row of p), in lexicographic order of p.
+    level = [((), max_weight, [put((x,), zeta_neg(x)) for x in range(max_weight + max_depth)])]
+    for depth in range(1, max_depth + 1):
+        pairs, level = _grid_pairs(level, regular), []
+        for (p, rest, row), x in pairs:
+            l = join(p, x)
+            yield l, row[x]
+            if depth < max_depth:
+                prev, cs = row[x:], range(rest - x + max_depth - depth)
+                level.append((l, rest - x, [put(join(l, c), step(c, prev, star)) for c in cs]))
 
 
 def mzf_reg(l: Sequence[int]) -> Fraction:
@@ -339,7 +387,7 @@ def prop_zero_padding_check(l: Sequence[int], s_int: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration helper shared by grids (verification suites, tables, tests)
+# Enumeration helper shared by grids (verification suites, tests)
 # ---------------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: output formats and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import mzv.cli
 from mzv.cli import main
-from mzv.values import clear_memo
+from mzv.values import clear_memo, iter_index_tuples
 
 
 def run(capsys, *argv):
@@ -301,6 +302,109 @@ def test_table_json(capsys):
     values = {r["query"]: r["value"] for r in payload["records"]}
     assert values["mzsf-reg(0)"] == "-1/2"
     assert values["mzsf-reg(3)"] == "1/120"
+
+
+# SHA-256 of the lines f"{query}={value}\n" of `mzv table --json` at depth 6,
+# weight 7: the digests the benchmark's table workload checks.
+TABLE_DIGESTS = {
+    "mzf-reg": "461327f8b35f7772954c71bb8dab520f32bdd7a23427278aaf562d37ed7ede2e",
+    "mzf-rev": "4a54c1b1caf3068899cb5f20bbc99d81fa1573891d2710ac32aeebb1648c5e2b",
+    "mzsf-reg": "ca132e3bc3e0dd379a97b1f16a14bdc1fc938a3c5fe8c8f6dc503c5535ca868b",
+    "mzsf-rev": "7fbada01b364da8adc65aaecfc1c83555e0660cfb8cb28ac7c1c9fbf590acdd5",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_DIGESTS))
+def test_table_digests_are_pinned(capsys, kind):
+    clear_memo()
+    code, out, _ = run(
+        capsys,
+        "table", "--kind", kind, "--max-depth", "6", "--max-weight", "7", "--json",
+    )
+    assert code == 0
+    records = json.loads(out)["records"]
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(f"{record['query']}={record['value']}\n".encode("ascii"))
+    assert len(records) == 3002
+    assert digest.hexdigest() == TABLE_DIGESTS[kind]
+
+
+def test_table_decimal_records_are_pinned(capsys):
+    code, out, _ = run(
+        capsys,
+        "table", "--kind", "mzf-rev", "--max-depth", "2", "--max-weight", "2",
+        "--decimal", "12", "--json",
+    )
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [(r["query"], r["value"], r["approx_decimal"]) for r in records] == [
+        ("mzf-rev(0)", "-1/2", "-0.500000000000"),
+        ("mzf-rev(1)", "-1/12", "-0.083333333333"),
+        ("mzf-rev(2)", "0", "0.000000000000"),
+        ("mzf-rev(0,0)", "5/12", "0.416666666667"),
+        ("mzf-rev(0,1)", "1/12", "0.083333333333"),
+        ("mzf-rev(0,2)", "1/120", "0.008333333333"),
+        ("mzf-rev(1,0)", "1/24", "0.041666666667"),
+        ("mzf-rev(1,1)", "1/240", "0.004166666667"),
+        ("mzf-rev(2,0)", "-1/90", "-0.011111111111"),
+    ]
+    code, out, _ = run(
+        capsys,
+        "table", "--kind", "mzsf-reg", "--max-depth", "3", "--max-weight", "5",
+        "--decimal", "12", "--json",
+    )
+    assert code == 0
+    decimals = {r["query"]: r["approx_decimal"] for r in json.loads(out)["records"]}
+    assert decimals["mzsf-reg(5)"] == "-0.003968253968"
+    assert decimals["mzsf-reg(0,3)"] == "0.000000000000"
+    assert decimals["mzsf-reg(1,1,1)"] == "0.002744708995"
+    assert decimals["mzsf-reg(2,0,3)"] == "-0.001236772487"
+
+
+def test_decimal_skips_values_that_are_not_rationals(capsys):
+    code, out, _ = run(
+        capsys,
+        "stirling", "--kind", "S-poly", "--n", "2", "--m", "1",
+        "--decimal", "4", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["records"] == [
+        {"query": "S-poly(2,1)", "value": "2*Y + 1", "provenance": "closed-form"}
+    ]
+
+
+@pytest.mark.parametrize(
+    "grid, count",
+    [
+        (("8", "13"), None),
+        (("12", "9"), None),
+        (("30", "30"), "232,714,176,627,630,543"),
+        (("100000", "100000"), "C(200001, 100000) - 1"),
+    ],
+)
+def test_table_over_the_cap_is_refused_before_computing(capsys, monkeypatch, grid, count):
+    def no_grid(*args):
+        raise AssertionError("the grid was computed")
+
+    if count is None:  # small enough to count by enumeration
+        count = f"{len(list(iter_index_tuples(int(grid[0]), int(grid[1])))):,}"
+    monkeypatch.setattr(mzv.cli, "value_grid", no_grid)
+    code, out, err = run(
+        capsys, "table", "--kind", "mzf-reg", "--max-depth", grid[0], "--max-weight", grid[1]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the table has {count} index tuples; the cap is 250,000\n"
+
+
+def test_table_just_under_the_cap_is_computed(capsys, monkeypatch):
+    # Depth 8, weight 12 is 203,489 tuples; an empty grid stands in for it.
+    monkeypatch.setattr(mzv.cli, "value_grid", lambda kind, depth, weight: iter(()))
+    code, out, err = run(
+        capsys, "table", "--kind", "mzf-reg", "--max-depth", "8", "--max-weight", "12", "--json"
+    )
+    assert (code, out, err) == (0, '{"records": []}\n', "")
 
 
 def test_no_command_is_usage_error(capsys):

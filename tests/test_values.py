@@ -15,6 +15,7 @@ import mzv
 from mzv.asymptotic import asym_coeff
 from mzv.bernoulli import zeta_neg
 from mzv.values import (
+    _MEMO,
     ValueKind,
     akiyama_tanigawa_reg,
     akiyama_tanigawa_rev,
@@ -30,6 +31,7 @@ from mzv.values import (
     prop_zero_padding_check,
     sign_theorem_check,
     value,
+    value_grid,
 )
 
 index_tuples = st.lists(
@@ -263,10 +265,12 @@ def test_values_do_not_recurse():
     # One Python frame per depth level would need more than 150 frames here.
     script = (
         "import sys\n"
-        "from mzv.values import ValueKind, value\n"
+        "from mzv.values import ValueKind, value, value_grid\n"
         "sys.setrecursionlimit(150)\n"
         "for kind in ValueKind:\n"
         "    value(kind, (0,) * 70)\n"
+        "    grid = [l for l, _ in value_grid(kind, 70, 0)]\n"
+        "    assert grid == [(0,) * r for r in range(1, 71)]\n"
     )
     src = os.path.dirname(os.path.dirname(mzv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -274,6 +278,30 @@ def test_values_do_not_recurse():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("kind", list(ValueKind))
+@pytest.mark.parametrize("grid", [(1, 0), (1, 12), (2, 3), (5, 6), (6, 7), (7, 5)])
+def test_value_grid_matches_per_tuple_engine(kind, grid):
+    clear_memo()
+    expected = [(l, value(kind, l)) for l in iter_index_tuples(*grid)]
+    keys = set(_MEMO[kind])
+    clear_memo()
+    got = list(value_grid(kind, *grid))
+    assert got == expected
+    assert set(_MEMO[kind]) == keys
+    if grid == (6, 7):
+        assert len(keys) == 3717
+    for l, v in got:
+        assert v is _MEMO[kind][l]
+        assert value(kind, l) is v
+
+
+def test_value_grid_of_an_empty_grid_computes_nothing():
+    clear_memo()
+    for kind in ValueKind:
+        assert list(value_grid(kind, 0, 3)) == list(value_grid(kind, 3, -1)) == []
+    assert not any(_MEMO.values())
 
 
 small_tuples = st.lists(
