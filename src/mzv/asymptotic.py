@@ -20,10 +20,10 @@ d = (1,...,1,0,...,0):
 * :func:`c_ir_explicit` — the fully expanded nested sum obtained by unrolling
   both recurrences down to the depth-2 closed form.
 
-The three paths share only the base table of B_n(a)/n!, read as integer
-numerators over one denominator per shift (:func:`mzv.bernoulli.shift_ratios`).
-Each path keeps its own formula and adds its terms as integers, building
-one Fraction per sum.
+The three paths share only the base table of B_n(a)/n!, read as rows of
+integer numerators over one denominator per (shift, top)
+(:func:`mzv.bernoulli.shift_ratios`).  Each path keeps its own formula and
+adds its terms as integers, building one Fraction per sum.
 
 The module also computes generalized Gregory coefficients G_{m,n} as
 coefficients of the bivariate series
@@ -187,14 +187,13 @@ def _asym_sum(l: IndexTuple, d: "Direction | None", a: Shift) -> Fraction:
             ts = [t for lo, hi in windows for t in range(lo, min(hi, top) + 1)]
         if not ts:
             return Fraction(0)
-        n0 = max(0, min(row) - ts[-1])
-        slot_den, bern = shift_ratios(aj, n0, top - ts[0])
+        slot_den, bern = shift_ratios(aj, top - ts[0])
         nxt = {}
         for t in ts:
             x = head - total + t + j - 1  # prefix_j + j - 1
             ff = prod(range(x, x - lj, -1))
             if ff:
-                acc = sum(w * b for tp, w in row.items() if tp >= t and (b := bern[tp - t - n0]))
+                acc = sum(w * b for tp, w in row.items() if tp >= t and (b := bern[tp - t]))
                 if acc:
                     nxt[t] = ff * acc
         if not nxt:
@@ -246,9 +245,9 @@ def _c22_closed(l1: int, l2: int, a2: Fraction) -> Fraction:
     on the first shift entry.
     """
     s = l1 + l2 + 2
-    den, (num,) = shift_ratios(a2, s, s)
+    den, bern = shift_ratios(a2, s)
     sign = -1 if l1 % 2 else 1
-    return Fraction(sign * factorial(l1) * factorial(l2) * num, den)
+    return Fraction(sign * factorial(l1) * factorial(l2) * bern[s], den)
 
 
 def _peel(sign: int, subs: List[Fraction], l: int, a: Fraction) -> Fraction:
@@ -257,7 +256,7 @@ def _peel(sign: int, subs: List[Fraction], l: int, a: Fraction) -> Fraction:
     C(l+1, k) B_m(a) = (l+1)!/k! * B_m(a)/m! with m = l+1-k, an integer times
     a table numerator; the sub-values go over the lcm of their denominators.
     """
-    den, bern = shift_ratios(a, 0, l + 1)
+    den, bern = shift_ratios(a, l + 1)
     common = lcm(*(v.denominator for v in subs))
     total = sum(
         perm(l + 1, l + 1 - k) * bern[l + 1 - k] * v.numerator * (common // v.denominator)
@@ -281,8 +280,8 @@ def _c_rec(i: int, r: int, l: IndexTuple, a: Shift, memo: dict) -> Fraction:
         return memo[key]
     if r == 1:
         # -B_{l+1}(a)/(l+1) = -l! * B_{l+1}(a)/(l+1)!
-        den, (num,) = shift_ratios(a[0], l[0] + 1, l[0] + 1)
-        value = Fraction(-factorial(l[0]) * num, den)
+        den, bern = shift_ratios(a[0], l[0] + 1)
+        value = Fraction(-factorial(l[0]) * bern[l[0] + 1], den)
     elif i < r:
         # Peel the last slot: the tail exponent is confined to a window of
         # width l_r + 2, and each choice shifts the next-to-last index.
@@ -324,7 +323,7 @@ def _chain(
     k!, it is the integer weights[k'] (k' + l_j)!/k'! N_{top-k} over the
     denominator of the B_n(a_j)/n! table, which is returned alongside.
     """
-    den, bern = shift_ratios(aj, 0, max(weights) + lj + 1)
+    den, bern = shift_ratios(aj, max(weights) + lj + 1)
     bucket: "dict[int, int]" = {}
     for k_next, w in weights.items():
         if not w:
@@ -359,9 +358,8 @@ def _c_explicit(i: int, r: int, lt: IndexTuple, at: Shift) -> Fraction:
         # w(k_2) * (-B_{l_1+k_2+1}(a_1) / (l_1+k_2+1)), with
         # B_{L+1}(a)/(L+1) = L! B_{L+1}(a)/(L+1)!.
         l1 = lt[0]
-        lo = l1 + 1 + min(right)
-        core_den, bern = shift_ratios(at[0], lo, l1 + 1 + max(right))
-        total = sum(w * perm(l1 + k2, l1) * bern[l1 + k2 + 1 - lo] for k2, w in right.items())
+        core_den, bern = shift_ratios(at[0], l1 + 1 + max(right))
+        total = sum(w * perm(l1 + k2, l1) * bern[l1 + k2 + 1] for k2, w in right.items())
         return Fraction(-sign * total, den * core_den)
 
     # Left chain: variables k_1, ..., k_{i-2}; k_0 = 0; weights use the
@@ -375,13 +373,12 @@ def _c_explicit(i: int, r: int, lt: IndexTuple, at: Shift) -> Fraction:
     # L2 = l_i + k_right, (-1)^L1 L1! L2! B_s(a_i)/s!, s = L1 + L2 + 2; the
     # chain rescalings leave the integer (L1!/k_left!)(L2!/k_right!) N_s.
     la, lb = lt[i - 2], lt[i - 1]
-    lo = la + lb + 2 + min(left) + min(right)
-    core_den, bern = shift_ratios(at[i - 1], lo, la + lb + 2 + max(left) + max(right))
+    core_den, bern = shift_ratios(at[i - 1], la + lb + 2 + max(left) + max(right))
     total = 0
     for k_right, w_right in right.items():
         w_right *= perm(lb + k_right, lb)
         for k_left, w_left in left.items():
-            core = perm(la + k_left, la) * bern[la + lb + 2 + k_left + k_right - lo]
+            core = perm(la + k_left, la) * bern[la + lb + 2 + k_left + k_right]
             if (la + k_left) % 2:
                 core = -core
             total += w_right * w_left * core

@@ -16,11 +16,12 @@ values at non-positive integers are read from a second list,
 zeta(-l) = -B_{l+1} / (l+1) with zeta(0) = -1/2 (the bare number would give
 +1/2 there, as B_1 = -1/2).
 
-Bernoulli polynomial values are kept per shift a = p/q as integer
-numerators of B_n(a)/n! over one common denominator (:func:`shift_ratios`),
-each numerator filled only when first read: with L a multiple of the
-denominators of B_0..B_n, q^n L B_n(a) = sum_k C(n,k) (L B_k) p^(n-k) q^k is
-an integer, so a whole row of a sum can be added up as integers.
+Bernoulli polynomial values B_n(a)/n! are kept per shift a = p/q in one
+list that only grows by appending, each value computed once: with L a
+multiple of the denominators of B_0..B_n, q^n L B_n(a) =
+sum_k C(n,k) (L B_k) p^(n-k) q^k is an integer.  :func:`shift_ratios` reads
+that list as one row per (shift, top), integer numerators over
+top! q^top L(top), so a sum over the row can be added up as integers.
 
 The iterated Hurwitz-type sum of depth r at argument -l with shift z > 0 has
 the exact value
@@ -40,17 +41,13 @@ from typing import Dict, List, Tuple
 
 from .kernel import RationalLike, RationalPolynomial, rat
 
-# B_0, B_1, ... and zeta(0), zeta(-1), ...: grown on demand by _grow.  Each
-# growth writes one slice of values fixed by their indices, so neither list
-# ever shrinks, and two threads growing one at once write equal values.
+# B_0, B_1, ... and zeta(0), zeta(-1), ...: grown on demand by _grow.
 _BERNOULLI: List[Fraction] = []
 _ZETA_NEG: List[Fraction] = []
-# Per shift a = p/q, keyed by (p, q): (top, den, nums) with
-# B_n(a)/n! = nums[n] / den for every n <= top whose nums[n] is not None;
-# den = top! q^top L(top), L(n) the lcm of the denominators of B_0..B_n.
-# Raising top replaces the whole tuple, with the filled numerators rescaled,
-# so den and nums always belong together.
-_SHIFT_RATIOS: Dict[Tuple[int, int], tuple] = {}
+# Per shift a = p/q, keyed by (p, q): B_0(a)/0!, B_1(a)/1!, ... in order.
+_SHIFT_VALUES: Dict[Tuple[int, int], List[Fraction]] = {}
+# Keyed by (p, q, top): the row (den, nums) that shift_ratios returns.
+_SHIFT_ROWS: Dict[Tuple[int, int, int], Tuple[int, Tuple[int, ...]]] = {}
 
 
 def _tangent_numbers(k: int) -> List[int]:
@@ -96,12 +93,6 @@ def _grow(n: int) -> None:
     ]
 
 
-def _ratio_coeffs(order: int) -> List[Fraction]:
-    """Series coefficients B_n / n! of X/(e^X - 1) up to X^order."""
-    _grow(order)
-    return [_BERNOULLI[n] / factorial(n) for n in range(order + 1)]
-
-
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number B_n, with the B_1 = -1/2 convention."""
     if n < 0:
@@ -122,13 +113,10 @@ def bernoulli_poly(n: int) -> RationalPolynomial:
     return RationalPolynomial(coeffs)
 
 
-def _raised(entry: "tuple | None", a: Fraction, top: int) -> tuple:
-    """The entry of shift a at a new top, its filled numerators rescaled."""
-    old_top, old_den, nums = entry or (-1, 1, [])
-    _grow(top)
-    den = factorial(top) * a.denominator**top * lcm(*(b.denominator for b in _BERNOULLI[: top + 1]))
-    scale = den // old_den
-    return top, den, [x if x is None else x * scale for x in nums] + [None] * (top - old_top)
+def _denominator_lcm(n: int) -> int:
+    """L(n), the lcm of the denominators of B_0..B_n."""
+    _grow(n)
+    return lcm(*(b.denominator for b in _BERNOULLI[: n + 1]))
 
 
 def _scaled_bernoulli_poly(a: Fraction, n: int, big_l: int) -> int:
@@ -144,39 +132,42 @@ def _scaled_bernoulli_poly(a: Fraction, n: int, big_l: int) -> int:
     return acc
 
 
-def shift_ratios(a: Fraction, lo: int, hi: int) -> Tuple[int, List[int]]:
-    """(den, [N_lo, ..., N_hi]) with B_n(a)/n! = N_n / den for lo <= n <= hi.
+def _shift_values(a: Fraction, n: int) -> List[Fraction]:
+    """The list [B_0(a)/0!, B_1(a)/1!, ...] of shift a, grown to hold index n."""
+    values = _SHIFT_VALUES.setdefault((a.numerator, a.denominator), [])
+    have = len(values)
+    if n >= have:
+        big_l, q = _denominator_lcm(n), a.denominator
+        values.extend(
+            Fraction(_scaled_bernoulli_poly(a, m, big_l), q**m * big_l * factorial(m))
+            for m in range(have, n + 1)
+        )
+    return values
 
-    ``a`` must be a Fraction.  Every window of one shift shares the current
-    denominator of that shift, so sums over a window are sums of integers.
-    Only the numerators of the indices asked for are computed; each costs
-    O(n) integer products and is kept for later reads.
+
+def shift_ratios(a: Fraction, top: int) -> Tuple[int, Tuple[int, ...]]:
+    """(den, nums) with B_n(a)/n! = nums[n] / den for 0 <= n <= top.
+
+    ``a`` must be a Fraction.  den = top! q^top L(top) for a = p/q, so the
+    row depends on (a, top) alone and a sum over it is a sum of integers.
+    Each row is built once, by one integer division per entry.
     """
-    if lo < 0 or hi < lo:
-        raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
-    key = (a.numerator, a.denominator)  # hashes and compares faster than a
-    entry = _SHIFT_RATIOS.get(key)
-    if entry is None or hi > entry[0]:
-        entry = _SHIFT_RATIOS[key] = _raised(entry, a, hi)
-    top, den, nums = entry
-    window = nums[lo : hi + 1]
-    if None in window:
-        q, top_fact = a.denominator, factorial(top)
-        big_l = den // (top_fact * q**top)
-        for n in range(lo, hi + 1):
-            if nums[n] is None:
-                scale = top_fact // factorial(n) * q ** (top - n)
-                nums[n] = _scaled_bernoulli_poly(a, n, big_l) * scale
-        window = nums[lo : hi + 1]
-    return den, window
+    key = (a.numerator, a.denominator, top)  # hashes and compares faster than a
+    row = _SHIFT_ROWS.get(key)
+    if row is None:
+        if top < 0:
+            raise ValueError(f"need top >= 0, got {top}")
+        den = factorial(top) * a.denominator**top * _denominator_lcm(top)
+        values = _shift_values(a, top)[: top + 1]
+        row = _SHIFT_ROWS[key] = (den, tuple(v.numerator * (den // v.denominator) for v in values))
+    return row
 
 
 def bernoulli_poly_at(n: int, z: RationalLike) -> Fraction:
-    """B_n(z) at a rational point, read from the per-shift table."""
+    """B_n(z) at a rational point, read from the per-shift list."""
     if n < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-    den, (num,) = shift_ratios(rat(z), n, n)
-    return Fraction(num * factorial(n), den)
+    return _shift_values(rat(z), n)[n] * factorial(n)
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +176,8 @@ def _ratio_power(m: int, order: int):
     if m == 0:
         return tuple([Fraction(1)] + [Fraction(0)] * order)
     if m == 1:
-        return tuple(_ratio_coeffs(order))
+        # B_n(0)/n! = B_n/n!, with the B_1 = -1/2 of R(X) itself.
+        return tuple(_shift_values(Fraction(0), order)[: order + 1])
     half = _ratio_power(m - 1, order)
     base = _ratio_power(1, order)
     out = [Fraction(0)] * (order + 1)

@@ -14,7 +14,8 @@ Subcommands:
   tuples.
 
 Values are exact rationals rendered as ``p/q`` (integers drop the ``/1``);
-``--decimal N`` adds a clearly-marked approximate decimal rendering.
+``--decimal N`` adds a clearly-marked approximate decimal rendering to the
+records of ``value``, ``coeff``, ``stirling`` and ``table``.
 ``--json`` and ``--csv`` switch the output format.  Exit codes: 0 success,
 1 identity failure (a path disagreement or a failed verification), 2 usage
 error, 3 internal error (an unexpected exception, reported on one stderr
@@ -414,7 +415,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit one JSON document"
     )
     formats.add_argument("--csv", action="store_true", help="emit CSV rows")
-    formats.add_argument(
+    # Only for the subcommands whose records carry a rational value.
+    decimals = argparse.ArgumentParser(add_help=False)
+    decimals.add_argument(
         "--decimal",
         type=int,
         metavar="N",
@@ -425,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_value = sub.add_parser(
         "value",
-        parents=[formats],
+        parents=[formats, decimals],
         help="value of one of the four families at -l",
     )
     p_value.add_argument(
@@ -450,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_coeff = sub.add_parser(
         "coeff",
-        parents=[formats],
+        parents=[formats, decimals],
         help="asymptotic coefficient C^(d)(-l; a) from the defining sum",
     )
     p_coeff.add_argument("--index", required=True, metavar="L1,L2,...")
@@ -485,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_stirling = sub.add_parser(
         "stirling",
-        parents=[formats],
+        parents=[formats, decimals],
         help="Stirling numbers and their polynomial deformations",
     )
     p_stirling.add_argument(
@@ -534,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser(
         "table",
-        parents=[formats],
+        parents=[formats, decimals],
         help="all values of one family over a grid of index tuples",
     )
     p_table.add_argument(

@@ -41,16 +41,6 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def falling_factorial(x: RationalLike, n: int) -> Fraction:
-    """Falling factorial (x)_n = x (x-1) ... (x-n+1), with (x)_0 = 1."""
-    if n < 0:
-        raise ValueError(f"falling factorial needs n >= 0, got n={n}")
-    out = Fraction(1)
-    for t in range(n):
-        out *= x - t
-    return out
-
-
 class RationalPolynomial:
     """Dense univariate polynomial over the rationals.
 

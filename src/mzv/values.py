@@ -71,9 +71,8 @@ def as_index_tuple(l: Sequence[int]) -> IndexTuple:
     return t
 
 
-# One memo per kind, keyed by index tuple.  Entries are only ever added with
-# setdefault, so every caller sees one object per query; a race between
-# threads can at worst store an equal value twice.
+# One memo per kind, keyed by index tuple.  An entry is never replaced, so
+# every caller sees one object per query.
 _MEMO: Dict[ValueKind, Dict[IndexTuple, Fraction]] = {kind: {} for kind in ValueKind}
 
 
@@ -90,8 +89,7 @@ def clear_memo() -> None:
 
 # _WEIGHTS[star][c] lists the pairs (c - k, comb(c, k) * w(k)) for k in
 # 0..c, w = zeta_star_neg if star else zeta_neg, zero weights left out:
-# the inner sums of the recurrences, one product per term.  Grown on demand;
-# setdefault keeps one row per c if two threads build it at once.
+# the inner sums of the recurrences, one product per term.  Grown on demand.
 _WEIGHTS: Tuple[Dict[int, tuple], Dict[int, tuple]] = ({}, {})
 
 
@@ -101,7 +99,7 @@ def _weights(c: int, star: bool) -> tuple:
     if row is None:
         weight = zeta_star_neg if star else zeta_neg
         pairs = ((c - k, comb(c, k) * weight(k)) for k in range(c + 1))
-        row = table.setdefault(c, tuple((i, w) for i, w in pairs if w))
+        row = table[c] = tuple((i, w) for i, w in pairs if w)
     return row
 
 
@@ -163,7 +161,7 @@ def value(kind: ValueKind | str, l: Sequence[int]) -> Fraction:
             key = fixed + (x,) if regular else (x,) + fixed
             v = memo.get(key)
             if v is None:
-                v = memo.setdefault(key, step(x, row, star) if d else zeta_neg(x))
+                v = memo[key] = step(x, row, star) if d else zeta_neg(x)
             new_row.append(v)
         row = new_row
     return row[0]

@@ -1,8 +1,12 @@
 """Runnable verification suites covering every identity the library exposes.
 
 Each suite re-checks one family of exact identities over a bounded grid and
-reports the number of checks performed together with any counterexamples,
-rendered in full (all inputs and both sides).  Everything is exact rational
+reports the number of checks performed together with any counterexamples.
+A failed equality between two computed values is recorded with its inputs
+and both sides; a failed check that only yields True or False (zero
+padding, the Gregory origin, partition, decomposition and bundling checks,
+the basis-shift relation, parity and the choi reduction) is recorded with
+its description, which names its inputs.  Everything is exact rational
 arithmetic; a single failure anywhere is a bug, never numerical noise.
 
 The suites and what they cover:
@@ -127,7 +131,8 @@ class SuiteResult(NamedTuple):
 
 
 class _Recorder:
-    """Counts checks and keeps fully rendered counterexamples."""
+    """Counts checks and keeps each failure's description (with both sides
+    for an equality)."""
 
     def __init__(self) -> None:
         self.checked = 0

@@ -156,9 +156,6 @@ def _per_direction_sum(l, a):
 def test_all_directions_pass_matches_per_direction_sums():
     # d=None lets each tail sum range over the union of its two disjoint
     # windows; that must equal the sum of the 2^(r-1) single-direction sums.
-    # Placed before the high-index tests below: a B_n(1) read at n ~ 300
-    # widens the shared table denominator of the shift 1, and every later
-    # sum at that shift carries the wider integers (about 4x slower here).
     for l in iter_index_tuples(5, 7):
         for make_shift in _SUITE_SHIFTS:
             a = make_shift(len(l))

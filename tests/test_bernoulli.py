@@ -2,12 +2,13 @@
 depth-one zeta values built from them."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mzv.asymptotic import asym_coeff
 from mzv.bernoulli import (
     bernoulli_higher_at,
     bernoulli_higher_order,
@@ -167,14 +168,27 @@ def test_choi_identity_random(r, l, z):
 
 
 def test_shift_ratios_windows_in_any_order():
-    # A shift that no other test reads, so its table starts empty: windows
-    # above the top rescale what is filled, windows below fill gaps.
+    # A shift that no other test reads, so its list starts empty: rows above
+    # the list's end grow it, rows below read a prefix of it.
     a = Fraction(-17, 19)
-    for lo, hi in ((5, 9), (0, 2), (30, 30), (3, 40), (12, 12), (41, 41)):
-        den, nums = shift_ratios(a, lo, hi)
-        expected = [bernoulli_poly(n).evaluate(a) / factorial(n) for n in range(lo, hi + 1)]
-        assert [Fraction(x, den) for x in nums] == expected, (lo, hi)
+    for top in (9, 2, 30, 40, 12, 41, 0):
+        den, nums = shift_ratios(a, top)
+        assert den == factorial(top) * 19**top * _bernoulli_lcm(top), top
+        expected = [bernoulli_poly(n).evaluate(a) / factorial(n) for n in range(top + 1)]
+        assert [Fraction(x, den) for x in nums] == expected, top
+        assert shift_ratios(a, top) is shift_ratios(a, top)
     with pytest.raises(ValueError):
-        shift_ratios(a, 3, 2)
+        shift_ratios(a, -1)
     with pytest.raises(ValueError):
         bernoulli_poly_at(-1, a)
+
+
+def test_shift_ratios_row_ignores_earlier_high_reads():
+    # B_301(1) is read first, through a depth-one coefficient, yet the row of
+    # the shift 1 at top 5 keeps its own denominator 5! L(5) = 120 * 30.
+    assert asym_coeff((300,), (), (1,)) == -bernoulli_number(301) / 301
+    assert shift_ratios(Fraction(1), 5)[0] == 3600
+
+
+def _bernoulli_lcm(n):
+    return lcm(*(bernoulli_number(k).denominator for k in range(n + 1)))

@@ -131,6 +131,22 @@ def test_value_decimal_marked_approximate(capsys):
     assert "approximate" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gregory", "--max", "2", "2"),
+        ("verify", "--suite", "bernoulli", "--max-depth", "1", "--max-weight", "1", "--max-r", "2"),
+    ],
+)
+def test_decimal_is_refused_where_it_changes_nothing(capsys, argv):
+    # gregory and verify print no rational records, so --decimal would be
+    # silently ignored; it is a usage error instead.
+    code, out, err = run(capsys, *argv, "--decimal", "3")
+    assert code == 2
+    assert out == ""
+    assert "--decimal" in err
+
+
 def test_json_and_csv_conflict(capsys):
     code, _, err = run(
         capsys,

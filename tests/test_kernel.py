@@ -12,7 +12,6 @@ from mzv.kernel import (
     BivariateSeries,
     RationalPolynomial,
     div_xy_difference,
-    falling_factorial,
     rat,
 )
 
@@ -59,15 +58,6 @@ def graded_units(draw, max_degree=4):
 def test_rat_converts_integers_and_fractions():
     assert rat(3) == Fraction(3)
     assert rat(Fraction(1, 3)) == Fraction(1, 3)
-
-
-def test_falling_factorial_values():
-    assert falling_factorial(5, 3) == 60
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(0, 2) == 0
-    assert falling_factorial(Fraction(1, 2), 2) == Fraction(-1, 4)
-    with pytest.raises(ValueError):
-        falling_factorial(2, -1)
 
 
 # ---------------------------------------------------------------------------
