@@ -5,10 +5,11 @@ A depth-r point is indexed by a tuple l of non-negative integers (the point is
 (-l_1, ..., -l_r)), a direction vector d in {0,1}^(r-1), and a shift vector a
 of rationals.  The coefficient C^(d)(-l; a) is a finite sum of products of
 Bernoulli polynomial values B_n(a_j)/n! and falling factorials, taken over an
-admissible set of exponent tuples n cut out by d (:func:`admissible_n_set`).
-Each d_j only picks one of two disjoint windows for one tail sum of n, so
-the sum over all 2^(r-1) directions, which gives the reverse values at the
-all-ones shift, is one definition-sum pass over the union of the windows.
+admissible set of exponent tuples n cut out by d, one window per tail sum of n
+(:func:`_tail_window`).  Each d_j only picks one of two disjoint windows for
+its tail sum, so the sum over all 2^(r-1) directions, which gives the reverse
+values at the all-ones shift, is one definition-sum pass over the union of
+the windows.
 
 Three independent computation paths are provided for the staircase directions
 d = (1,...,1,0,...,0):
@@ -120,31 +121,6 @@ def _ones_shift(r: int) -> Shift:
 # ---------------------------------------------------------------------------
 # The definition sum
 # ---------------------------------------------------------------------------
-
-
-def admissible_n_set(l: Sequence[int], d: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    """All exponent tuples n contributing to the coefficient at (-l, d).
-
-    These are the n in N_0^r with n_1 + ... + n_r = r + |l| whose tail sums
-    n_{j+1} + ... + n_r are bounded above by r - j + l_{j+1} + ... + l_r when
-    d_j = 0 and below by r - j + 1 + l_j + ... + l_r when d_j = 1.
-    """
-    lt = as_index_tuple(l)
-    dt = as_direction(d, len(lt))
-    r = len(lt)
-    found = []
-
-    def walk(j: int, t_prev: int, head: Tuple[int, ...]) -> None:
-        # t_prev is the tail sum n_j + ... + n_r still to distribute.
-        if j == r:
-            found.append(head + (t_prev,))
-            return
-        lo, hi = _tail_window(lt, dt[j - 1], j)
-        for t in range(lo, min(hi, t_prev) + 1):
-            walk(j + 1, t, head + (t_prev - t,))
-
-    walk(1, r + sum(lt), ())
-    return tuple(sorted(found))
 
 
 def _tail_window(l: IndexTuple, bit: int, j: int) -> Tuple[int, int]:

@@ -14,7 +14,10 @@ recurrence replaces the pair of entries it peels by one entry, so
 :func:`value` evaluates all four families without recursion: it fills one
 row of values per depth, from depth one up, each row from the one below.
 :func:`value_grid` evaluates a whole grid in one pass, each row shared by
-all the tuples that read it.
+all the tuples that read it.  A step adds its terms as integers: it reads its
+row as integer numerators over one row denominator (formed once per row, and
+only for a row a step reads) and the weights as integer numerators over one
+denominator per (c, star), and reduces once, in the Fraction it returns.
 On top of the recurrences this module carries:
 
 * closed forms for the reverse values as Stirling-kernel transforms of
@@ -39,8 +42,8 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
-from typing import Dict, Iterator, Sequence, Tuple
+from math import comb, factorial, lcm
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .bernoulli import zeta_neg, zeta_star_neg
 from .stirling import stirling_first, stirling_kernel_box, stirling_poly_first_at
@@ -87,45 +90,57 @@ def clear_memo() -> None:
 # ---------------------------------------------------------------------------
 
 
-# _WEIGHTS[star][c] lists the pairs (c - k, comb(c, k) * w(k)) for k in
-# 0..c, w = zeta_star_neg if star else zeta_neg, zero weights left out:
-# the inner sums of the recurrences, one product per term.  Grown on demand.
+# _WEIGHTS[star][c] is (den, edge, pairs): the inner-sum weights
+# comb(c, k) * w(k) for k in 0..c, w = zeta_star_neg if star else zeta_neg,
+# as pairs (c - k, numerator) over the one denominator den, zero weights left
+# out.  den is a multiple of c + 1, and edge = den / (c + 1) carries the
+# recurrences' 1/(c + 1) term.  Grown on demand.
 _WEIGHTS: Tuple[Dict[int, tuple], Dict[int, tuple]] = ({}, {})
 
 
 def _weights(c: int, star: bool) -> tuple:
     table = _WEIGHTS[star]
-    row = table.get(c)
-    if row is None:
+    entry = table.get(c)
+    if entry is None:
         weight = zeta_star_neg if star else zeta_neg
-        pairs = ((c - k, comb(c, k) * weight(k)) for k in range(c + 1))
-        row = table[c] = tuple((i, w) for i, w in pairs if w)
-    return row
+        ws = [(c - k, comb(c, k) * weight(k)) for k in range(c + 1)]
+        den = lcm(c + 1, *(w.denominator for _, w in ws))
+        pairs = tuple((i, w.numerator * (den // w.denominator)) for i, w in ws if w)
+        entry = table[c] = (den, den // (c + 1), pairs)
+    return entry
 
 
-def _reg_step(c: int, prev: Sequence[Fraction], star: bool) -> Fraction:
-    # l = head + (b, c); prev[i] is the value at head + (b + i,).  The plain
-    # and star recurrences differ only in the inner weight.
-    total = -prev[c + 1] / (c + 1)
-    for i, w in _weights(c, star):
-        total += w * prev[i]
-    return total
+def _as_ints(row: Sequence[Fraction]) -> Tuple[List[int], int]:
+    # (nums, den) with row[i] = nums[i] / den: the form the steps read.
+    den = lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row], den
 
 
-def _rev_step(a: int, prev: Sequence[Fraction], star: bool) -> Fraction:
-    # l = (a, b) + rest; prev[i] is the value at (b + i,) + rest.  The
+def _reg_step(c: int, nums: Sequence[int], den: int, star: bool) -> Fraction:
+    # l = head + (b, c); nums[i] / den is the value at head + (b + i,).  The
+    # plain and star recurrences differ only in the inner weight.
+    wden, edge, pairs = _weights(c, star)
+    total = -edge * nums[c + 1]
+    for i, w in pairs:
+        total += w * nums[i]
+    return Fraction(total, wden * den)
+
+
+def _rev_step(a: int, nums: Sequence[int], den: int, star: bool) -> Fraction:
+    # l = (a, b) + rest; nums[i] / den is the value at (b + i,) + rest.  The
     # star-composition split on the first slot cancels the stray
     # depth-(r-1) term, so the star recurrence keeps plain zeta weights and
     # lacks only the final -V((a + b,) + rest).  The recurrence's
     # + zeta(-a) V((b,) + rest) cancels the k = a weight pair (0, zeta(-a)),
     # so both are left out.
-    total = prev[a + 1] / (a + 1)
-    for i, w in _weights(a, False):
+    wden, edge, pairs = _weights(a, False)
+    total = edge * nums[a + 1]
+    for i, w in pairs:
         if i:
-            total -= w * prev[i]
+            total -= w * nums[i]
     if not star:
-        total -= prev[a]
-    return total
+        total -= wden * nums[a]
+    return Fraction(total, wden * den)
 
 
 def value(kind: ValueKind | str, l: Sequence[int]) -> Fraction:
@@ -156,12 +171,14 @@ def value(kind: ValueKind | str, l: Sequence[int]) -> Fraction:
     row: list = []
     for d in range(r):
         fixed = lt[:d] if regular else lt[r - d :]
-        new_row = []
+        new_row, ints = [], None
         for x in range(order[d], hi[d] + 1):
             key = fixed + (x,) if regular else (x,) + fixed
             v = memo.get(key)
             if v is None:
-                v = memo[key] = step(x, row, star) if d else zeta_neg(x)
+                if d:
+                    ints = ints or _as_ints(row)
+                v = memo[key] = step(x, *ints, star) if d else zeta_neg(x)
             new_row.append(v)
         row = new_row
     return row[0]
@@ -201,16 +218,20 @@ def value_grid(
     star = kind in (ValueKind.MZSF_REG, ValueKind.MZSF_REV)
     step = _reg_step if regular else _rev_step
     join = (lambda p, x: p + (x,)) if regular else (lambda p, x: (x,) + p)
-    # (p, max_weight - |p|, row of p), in lexicographic order of p.
-    level = [((), max_weight, [put((x,), zeta_neg(x)) for x in range(max_weight + max_depth)])]
+    # (p, max_weight - |p|, row of p, its (nums, den) if a step reads it),
+    # in lexicographic order of p.
+    row = [put((x,), zeta_neg(x)) for x in range(max_weight + max_depth)]
+    level = [((), max_weight, row, _as_ints(row) if max_depth > 1 else None)]
     for depth in range(1, max_depth + 1):
         pairs, level = _grid_pairs(level, regular), []
-        for (p, rest, row), x in pairs:
+        for (p, rest, row, ints), x in pairs:
             l = join(p, x)
             yield l, row[x]
             if depth < max_depth:
-                prev, cs = row[x:], range(rest - x + max_depth - depth)
-                level.append((l, rest - x, [put(join(l, c), step(c, prev, star)) for c in cs]))
+                nums, den = ints
+                prev, cs = nums[x:], range(rest - x + max_depth - depth)
+                new = [put(join(l, c), step(c, prev, den, star)) for c in cs]
+                level.append((l, rest - x, new, _as_ints(new) if depth + 1 < max_depth else None))
 
 
 def mzf_reg(l: Sequence[int]) -> Fraction:

@@ -504,20 +504,15 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
                         f"complement parity i={i}, r={r}, l={l}, a={a}",
                         parity_check(i, r, l, a),
                     )
-    for l in iter_index_tuples(bounds.max_depth, bounds.max_weight):
-        r = len(l)
-        ones = (Fraction(1),) * r
-        # All 2^(r-1) directions in one definition-sum pass.
-        rec.equal(f"reverse bridge l={l}", _asym_sum(l, None, ones), mzf_rev(l))
-        rec.equal(
-            f"regular bridge l={l}", asym_coeff(l, (0,) * (r - 1), ones), mzf_reg(l)
-        )
-        star_shift = (Fraction(1),) + (Fraction(0),) * (r - 1)
-        rec.equal(
-            f"star bridge l={l}",
-            asym_coeff(l, (0,) * (r - 1), star_shift),
-            mzsf_reg(l),
-        )
+    for r in range(1, bounds.max_depth + 1):
+        ones = as_shift((1,) * r, r)
+        star_shift = as_shift((1,) + (0,) * (r - 1), r)
+        flat = (0,) * (r - 1)
+        for l in iter_index_tuples(r, bounds.max_weight, min_depth=r):
+            # All 2^(r-1) directions in one definition-sum pass.
+            rec.equal(f"reverse bridge l={l}", _asym_sum(l, None, ones), mzf_rev(l))
+            rec.equal(f"regular bridge l={l}", _asym_sum(l, flat, ones), mzf_reg(l))
+            rec.equal(f"star bridge l={l}", _asym_sum(l, flat, star_shift), mzsf_reg(l))
     return rec.result("asym")
 
 

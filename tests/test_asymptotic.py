@@ -15,7 +15,7 @@ from mzv.asymptotic import (
     CompositionPair,
     _asym_sum,
     _gregory_block_product,
-    admissible_n_set,
+    _tail_window,
     as_direction,
     as_shift,
     asym_coeff,
@@ -37,7 +37,7 @@ from mzv.asymptotic import (
     staircase_direction,
 )
 from mzv.bernoulli import bernoulli_poly, bernoulli_poly_at
-from mzv.values import iter_index_tuples, mzf_reg, mzf_rev, mzsf_reg
+from mzv.values import as_index_tuple, iter_index_tuples, mzf_reg, mzf_rev, mzsf_reg
 
 
 def test_input_validation():
@@ -53,6 +53,33 @@ def test_input_validation():
     with pytest.raises(ValueError):
         staircase_direction(0, 2)
     assert staircase_direction(2, 4) == (1, 0, 0)
+
+
+def admissible_n_set(l, d):
+    """All exponent tuples n contributing to the coefficient at (-l, d).
+
+    These are the n in N_0^r with n_1 + ... + n_r = r + |l| whose tail sums
+    n_{j+1} + ... + n_r are bounded above by r - j + l_{j+1} + ... + l_r when
+    d_j = 0 and below by r - j + 1 + l_j + ... + l_r when d_j = 1: a walk
+    over the windows the definition sum uses, checked against the bounds
+    themselves by :func:`_admissible_by_definition`.
+    """
+    lt = as_index_tuple(l)
+    dt = as_direction(d, len(lt))
+    r = len(lt)
+    found = []
+
+    def walk(j, t_prev, head):
+        # t_prev is the tail sum n_j + ... + n_r still to distribute.
+        if j == r:
+            found.append(head + (t_prev,))
+            return
+        lo, hi = _tail_window(lt, dt[j - 1], j)
+        for t in range(lo, min(hi, t_prev) + 1):
+            walk(j + 1, t, head + (t_prev - t,))
+
+    walk(1, r + sum(lt), ())
+    return tuple(sorted(found))
 
 
 def test_admissible_sets():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import mzv
 from mzv.asymptotic import asym_coeff
-from mzv.bernoulli import zeta_neg
+from mzv.bernoulli import zeta_neg, zeta_star_neg
 from mzv.values import (
     _MEMO,
     ValueKind,
@@ -297,6 +298,19 @@ def test_value_grid_matches_per_tuple_engine(kind, grid):
         assert value(kind, l) is v
 
 
+@pytest.mark.parametrize("kind", list(ValueKind))
+@pytest.mark.parametrize("grid", [(3, 9), (6, 7)])
+def test_value_grid_leaves_the_memo_per_tuple_calls_leave(kind, grid):
+    clear_memo()
+    for l in iter_index_tuples(*grid):
+        value(kind, l)
+    expected = dict(_MEMO[kind])
+    clear_memo()
+    for l, v in value_grid(kind, *grid):
+        assert v is _MEMO[kind][l]
+    assert _MEMO[kind] == expected
+
+
 def test_value_grid_of_an_empty_grid_computes_nothing():
     clear_memo()
     for kind in ValueKind:
@@ -346,3 +360,80 @@ def test_high_weight_regular_values_agree_with_definition_sums(l):
     flat = (0,) * (r - 1)
     assert asym_coeff(l, flat, (1,) * r) == mzf_reg(l)
     assert asym_coeff(l, flat, (1,) + (0,) * (r - 1)) == mzsf_reg(l)
+
+
+# The recurrence steps as they were written in Fraction arithmetic, one
+# product and one sum per term, kept as an oracle for the integer steps of
+# the engine; the evaluator recurses on depth and memoizes per call.
+def _oracle_weights(c, star):
+    weight = zeta_star_neg if star else zeta_neg
+    return [(c - k, comb(c, k) * weight(k)) for k in range(c + 1)]
+
+
+def _oracle_reg_step(c, prev, star):
+    total = -prev[c + 1] / (c + 1)
+    for i, w in _oracle_weights(c, star):
+        total += w * prev[i]
+    return total
+
+
+def _oracle_rev_step(a, prev, star):
+    total = prev[a + 1] / (a + 1)
+    for i, w in _oracle_weights(a, False):
+        if i:
+            total -= w * prev[i]
+    if not star:
+        total -= prev[a]
+    return total
+
+
+def _oracle_value(kind, l, memo):
+    if len(l) == 1:
+        return zeta_neg(l[0])
+    if l not in memo:
+        star = kind in (ValueKind.MZSF_REG, ValueKind.MZSF_REV)
+        if kind in (ValueKind.MZF_REG, ValueKind.MZSF_REG):
+            head, b, c = l[:-2], l[-2], l[-1]
+            prev = [_oracle_value(kind, head + (b + i,), memo) for i in range(c + 2)]
+            memo[l] = _oracle_reg_step(c, prev, star)
+        else:
+            a, b, rest = l[0], l[1], l[2:]
+            prev = [_oracle_value(kind, (b + i,) + rest, memo) for i in range(a + 2)]
+            memo[l] = _oracle_rev_step(a, prev, star)
+    return memo[l]
+
+
+@st.composite
+def _oracle_tuples(draw):
+    # Depth <= 5 and weight <= 10.
+    r = draw(st.integers(min_value=1, max_value=5))
+    l, budget = [], 10
+    for _ in range(r):
+        l.append(draw(st.integers(min_value=0, max_value=budget)))
+        budget -= l[-1]
+    return tuple(draw(st.permutations(l)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_oracle_tuples())
+def test_integer_steps_match_the_fraction_oracle(l):
+    for kind in ValueKind:
+        clear_memo()
+        assert value(kind, l) == _oracle_value(kind, l, {})
+
+
+# SHA-256 of str(value(kind, (0,) * 120)), recorded from the Fraction steps
+# the integer steps replaced.
+PINNED_DEEP_ZERO_DIGESTS = {
+    "mzf-reg": "6322bbc2ec28d89e545f9c6c17f389891c0ea36c2bbf82f0fd8ec976a2e59350",
+    "mzf-rev": "edebac8bb698ff3ede2a0406b5f275eda12c53cd0327f327770e71333d3f4344",
+    "mzsf-reg": "dcf2dd68cd066809c128311103c9101dbe90df007e639346ccad4707bdd4c115",
+    "mzsf-rev": "926a1e66bac0d505ea0635ecf40c1142a8c44d7d0aa35c2ef04f1ef1a7d64d34",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_DEEP_ZERO_DIGESTS))
+def test_pinned_deep_zero_values(kind):
+    clear_memo()
+    digest = hashlib.sha256(str(value(kind, (0,) * 120)).encode()).hexdigest()
+    assert digest == PINNED_DEEP_ZERO_DIGESTS[kind]
