@@ -29,7 +29,7 @@ the exact value
     (-1)^r * l! / (r+l)! * B_{r+l}^(r)(z),
 
 exposed as :func:`choi_value`, together with the contiguous-shift identity
-check :func:`choi_identity_check`.
+check :func:`choi_identity_check`.  No value is cached per point.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ def bernoulli_number(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
-@lru_cache(maxsize=None)
 def bernoulli_poly(n: int) -> RationalPolynomial:
     """Bernoulli polynomial B_n(z) = sum_k binom(n, k) B_k z^{n-k}."""
     if n < 0:
@@ -206,14 +205,9 @@ def bernoulli_higher_order(n: int, m: int) -> RationalPolynomial:
     return RationalPolynomial(coeffs)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_higher_at(n: int, m: int, z: Fraction) -> Fraction:
-    return bernoulli_higher_order(n, m).evaluate(z)
-
-
 def bernoulli_higher_at(n: int, m: int, z: RationalLike) -> Fraction:
-    """B_n^(m)(z) at a rational point, memoized."""
-    return _bernoulli_higher_at(n, m, rat(z))
+    """B_n^(m)(z) at a rational point, from the cached polynomial."""
+    return bernoulli_higher_order(n, m).evaluate(z)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +266,7 @@ def choi_value(r: int, l: int, z: RationalLike) -> Fraction:
     if zv <= 0:
         raise ValueError(f"shift must be a positive rational, got {zv}")
     sign = -1 if r % 2 else 1
-    return sign * Fraction(factorial(l), factorial(r + l)) * _bernoulli_higher_at(r + l, r, zv)
+    return sign * Fraction(factorial(l), factorial(r + l)) * bernoulli_higher_at(r + l, r, zv)
 
 
 def choi_identity_check(r: int, l: int, z: RationalLike, m: int) -> bool:

@@ -503,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--y",
         default=None,
         metavar="P/Q",
-        help="evaluate the polynomial kinds at this rational",
+        help="evaluate the polynomial kinds at this rational (use --y=-P/Q for negative values)",
     )
     p_stirling.set_defaults(handler=_cmd_stirling)
 

@@ -3,7 +3,8 @@ polynomials, and a dense quotient table of bivariate power series.
 
 Every coefficient in this module is a `fractions.Fraction`, so results are
 exact by construction (lowest terms, positive denominator); nothing here ever
-touches floating point.  The two container types are deliberately small:
+touches floating point, and polynomial values come from the integer
+:func:`horner`.  The two container types are deliberately small:
 
 * :class:`RationalPolynomial` — dense univariate polynomial with trimmed
   coefficients, used for Bernoulli-type and Stirling-type polynomials.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -41,6 +43,15 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def horner(coeffs: Sequence[int], p: int, q: int = 1) -> int:
+    """q^d P(p/q) for P = sum_k coeffs[k] Y^k, d = len(coeffs) - 1; all ints, q > 0."""
+    acc, qk = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
 class RationalPolynomial:
     """Dense univariate polynomial over the rationals.
 
@@ -50,13 +61,14 @@ class RationalPolynomial:
     polynomial is minus infinity (:data:`NEG_INFINITY`).
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_scaled")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs: Tuple[Fraction, ...] = tuple(cs)
+        self._scaled = None  # (den, nums), coeffs[k] = nums[k] / den: see evaluate
 
     # -- constructors -----------------------------------------------------
 
@@ -153,11 +165,13 @@ class RationalPolynomial:
     __rmul__ = __mul__
 
     def evaluate(self, x: RationalLike) -> Fraction:
-        """Value at a rational point, by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        """Value at a rational point, by :func:`horner` on integer numerators."""
+        x, cs = rat(x), self._coeffs
+        if self._scaled is None:
+            den = lcm(*(c.denominator for c in cs))
+            self._scaled = (den, tuple(c.numerator * (den // c.denominator) for c in cs))
+        (den, nums), q = self._scaled, x.denominator
+        return Fraction(horner(nums, x.numerator, q), den * q ** max(len(cs) - 1, 0))
 
     __call__ = evaluate
 

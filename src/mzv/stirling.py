@@ -12,7 +12,9 @@ The polynomial deformations move the expansion point by a parameter Y:
     (X + Y)^n = sum_m S(n, m, Y) (X)_m
 
 so s(n, m, 0) and S(n, m, 0) recover the plain numbers.  Both deformations
-are computed in closed form from the plain numbers:
+are cached once as integer coefficients, in closed form from one pass over
+the triangle of plain numbers, and every value is read by
+:func:`mzv.kernel.horner`:
 
     s(n, m, Y) = sum_k  binom(m + k, m) s(n, m + k) (-Y)^k
     S(n, m, Y) = sum_k  binom(n, k) S(n - k, m) Y^k
@@ -28,9 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .kernel import RationalLike, RationalPolynomial, rat
+from .kernel import RationalLike, RationalPolynomial, horner, rat
 
 _FIRST_TO_SECOND = "first-to-second"
 _SECOND_TO_FIRST = "second-to-first"
@@ -41,80 +43,71 @@ def _check_pair(n: int, m: int) -> None:
         raise ValueError(f"Stirling indices must be >= 0, got (n, m) = ({n}, {m})")
 
 
-def _stirling_row(n: int, m: int, first: bool) -> int:
+def _triangle(n: int, m: int, first: bool) -> Tuple[List[int], List[int]]:
     # Rows of the triangle T(i, j) = T(i-1, j-1) + c T(i-1, j), with
     # c = -(i-1) for the first kind and c = j for the second, updated in
-    # place over the columns 0..m only.
+    # place over the columns 0..m only.  Returns row n and column m.
     row = [1] + [0] * m
+    column = [row[m]]
     for i in range(n):
         for j in range(min(i + 1, m), 0, -1):
             row[j] = row[j - 1] + (-i if first else j) * row[j]
         row[0] = 0
-    return row[m]
+        column.append(row[m])
+    return row, column
 
 
-@lru_cache(maxsize=None)
 def stirling_first(n: int, m: int) -> int:
     """Signed Stirling number of the first kind s(n, m)."""
     _check_pair(n, m)
-    return _stirling_row(n, m, True) if m <= n else 0
+    return _triangle(n, m, True)[0][m] if m <= n else 0
 
 
-@lru_cache(maxsize=None)
 def stirling_second(n: int, m: int) -> int:
     """Stirling number of the second kind S(n, m)."""
     _check_pair(n, m)
-    return _stirling_row(n, m, False) if m <= n else 0
+    return _triangle(n, m, False)[0][m] if m <= n else 0
 
 
 @lru_cache(maxsize=None)
+def _poly_coeffs(n: int, m: int, first: bool) -> Tuple[int, ...]:
+    """Integer coefficients of s(n, m, Y) (``first``) or S(n, m, Y), lowest
+    degree first: from row n of the first-kind triangle or column m of the
+    second-kind one."""
+    _check_pair(n, m)
+    if m > n:
+        return ()
+    if first:
+        row = _triangle(n, n, True)[0]  # s(n, j) for j = 0..n
+        return tuple(comb(m + k, m) * (-1) ** k * row[m + k] for k in range(n - m + 1))
+    column = _triangle(n, m, False)[1]  # S(i, m) for i = 0..n
+    return tuple(comb(n, k) * column[n - k] for k in range(n - m + 1))
+
+
+def _poly_at(n: int, m: int, y: RationalLike, first: bool) -> Fraction:
+    y = rat(y)
+    coeffs, q = _poly_coeffs(n, m, first), y.denominator
+    return Fraction(horner(coeffs, y.numerator, q), q ** max(len(coeffs) - 1, 0))
+
+
 def stirling_poly_first(n: int, m: int) -> RationalPolynomial:
     """First-kind Stirling polynomial s(n, m, Y) as a polynomial in Y."""
-    _check_pair(n, m)
-    if m > n:
-        return RationalPolynomial.zero()
-    coeffs = [
-        Fraction(comb(m + k, m) * stirling_first(n, m + k) * (-1) ** k)
-        for k in range(n - m + 1)
-    ]
-    return RationalPolynomial(coeffs)
+    return RationalPolynomial(_poly_coeffs(n, m, True))
 
 
-@lru_cache(maxsize=None)
 def stirling_poly_second(n: int, m: int) -> RationalPolynomial:
     """Second-kind Stirling polynomial S(n, m, Y) as a polynomial in Y."""
-    _check_pair(n, m)
-    if m > n:
-        return RationalPolynomial.zero()
-    coeffs = [
-        Fraction(comb(n, k) * stirling_second(n - k, m)) for k in range(n - m + 1)
-    ]
-    return RationalPolynomial(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _poly_first_at(n: int, m: int, y: Fraction) -> Fraction:
-    return stirling_poly_first(n, m).evaluate(y)
-
-
-@lru_cache(maxsize=None)
-def _poly_second_at(n: int, m: int, y: Fraction) -> Fraction:
-    return stirling_poly_second(n, m).evaluate(y)
+    return RationalPolynomial(_poly_coeffs(n, m, False))
 
 
 def stirling_poly_first_at(n: int, m: int, y: RationalLike) -> Fraction:
-    """s(n, m, y) at a rational parameter, memoized."""
-    return _poly_first_at(n, m, rat(y))
+    """s(n, m, y) at a rational parameter."""
+    return _poly_at(n, m, y, True)
 
 
 def stirling_poly_second_at(n: int, m: int, y: RationalLike) -> Fraction:
-    """S(n, m, y) at a rational parameter, memoized."""
-    return _poly_second_at(n, m, rat(y))
-
-
-def _poly_second_int(n: int, m: int, y: int) -> int:
-    """S(n, m, y) at an integer y, by the closed form in integers."""
-    return sum(comb(n, k) * stirling_second(n - k, m) * y**k for k in range(n - m + 1))
+    """S(n, m, y) at a rational parameter."""
+    return _poly_at(n, m, y, False)
 
 
 def stirling_kernel_box(l: Sequence[int], shift: int) -> Dict[int, int]:
@@ -134,10 +127,11 @@ def stirling_kernel_box(l: Sequence[int], shift: int) -> Dict[int, int]:
     """
     totals: Dict[int, int] = {0: 1}
     for j, lj in enumerate(l, start=1):
+        kernels = [_poly_coeffs(lj, kj, False) for kj in range(lj + 1)]
         grown: Dict[int, int] = {}
         for prev, weight in totals.items():
-            for kj in range(lj + 1):
-                factor = _poly_second_int(lj, kj, prev + j - shift)
+            for kj, coeffs in enumerate(kernels):
+                factor = horner(coeffs, prev + j - shift)
                 if shift and (lj - kj) % 2:
                     factor = -factor
                 term = weight * factor * perm(prev + kj + j - 1, kj)
@@ -158,15 +152,12 @@ def stirling_transform_apply(
     """
     yv = rat(y)
     values = tuple(rat(c) for c in seq)
-    if direction == _FIRST_TO_SECOND:
-        kernel = _poly_second_at
-    elif direction == _SECOND_TO_FIRST:
-        kernel = _poly_first_at
-    else:
+    if direction not in (_FIRST_TO_SECOND, _SECOND_TO_FIRST):
         raise ValueError(
             f"direction must be {_FIRST_TO_SECOND!r} or {_SECOND_TO_FIRST!r}, got {direction!r}"
         )
+    first = direction == _SECOND_TO_FIRST
     return tuple(
-        sum((kernel(n, k, yv) * values[k] for k in range(n + 1)), Fraction(0))
+        sum((_poly_at(n, k, yv, first) * values[k] for k in range(n + 1)), Fraction(0))
         for n in range(len(values))
     )

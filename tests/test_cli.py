@@ -232,6 +232,20 @@ def test_stirling_polynomial_at_value(capsys):
     assert "= 2" in out
 
 
+def test_stirling_polynomial_at_negative_values(capsys):
+    # The two forms the --y help names; "--y -3/11" reads as an option.
+    code, out, _ = run(
+        capsys, "stirling", "--kind", "S-poly", "--n", "4", "--m", "2", "--y=-3/11"
+    )
+    assert code == 0
+    assert "S-poly(4,2; Y=-3/11) = 505/121" in out
+    code, out, _ = run(
+        capsys, "stirling", "--kind", "S-poly", "--n", "4", "--m", "2", "--y", "-3"
+    )
+    assert code == 0
+    assert "S-poly(4,2; Y=-3) = 25" in out
+
+
 def test_stirling_number_prints_every_digit(capsys):
     # s(2000, 1) = -1999! has about 5,700 digits, past the interpreter's
     # default limit on int-to-str conversion.

@@ -12,11 +12,20 @@ from mzv.kernel import (
     BivariateSeries,
     RationalPolynomial,
     div_xy_difference,
+    horner,
     rat,
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 polynomials = st.lists(rationals, min_size=0, max_size=6).map(RationalPolynomial)
+
+
+def fraction_horner(coeffs, x):
+    """Oracle: Horner's rule one Fraction at a time."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def diagonals(coeffs):
@@ -95,6 +104,35 @@ def test_polynomial_evaluate():
     assert RationalPolynomial.zero().evaluate(5) == 0
     assert RationalPolynomial.monomial(3).evaluate(2) == 8
     assert RationalPolynomial((1, 1)).evaluate(Fraction(1, 2)) == Fraction(3, 2)
+
+
+def test_polynomial_evaluate_refuses_a_float():
+    with pytest.raises(TypeError):
+        RationalPolynomial((1, 2)).evaluate(0.5)
+    with pytest.raises(TypeError):
+        RationalPolynomial.zero().evaluate(1.0)
+
+
+@given(
+    st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=8),
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=1, max_value=50),
+)
+def test_horner_scales_the_value_by_q_to_the_degree(coeffs, p, q):
+    value = horner(coeffs, p, q)
+    assert type(value) is int
+    assert value == fraction_horner(coeffs, Fraction(p, q)) * q ** max(len(coeffs) - 1, 0)
+    if q == 1:
+        assert horner(coeffs, p) == value
+
+
+@given(polynomials, st.one_of(rationals, st.integers(min_value=-20, max_value=20)))
+def test_polynomial_evaluate_matches_fraction_horner(a, x):
+    # Covers the zero polynomial (no coefficients), constants and negative points.
+    value = a.evaluate(x)
+    assert type(value) is Fraction
+    assert value == fraction_horner(a.coeffs, x)
+    assert a.evaluate(x) == value  # a second call reads the stored numerators
 
 
 def test_polynomial_scalar_interop():

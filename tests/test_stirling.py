@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mzv.kernel import RationalPolynomial
+from mzv import bernoulli, stirling
+from mzv.bernoulli import bernoulli_higher_at
+from mzv.kernel import RationalPolynomial, horner
 from mzv.stirling import (
-    _poly_second_int,
+    _poly_coeffs,
     stirling_first,
     stirling_kernel_box,
     stirling_poly_first,
@@ -22,6 +24,18 @@ from mzv.stirling import (
 )
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+
+
+def second_at_int(n, m, y):
+    """Oracle: S(n, m, y) at an integer y, by the closed-form sum with a power per term."""
+    return sum(comb(n, k) * stirling_second(n - k, m) * y**k for k in range(n - m + 1))
+
+
+def first_at_int(n, m, y):
+    """Oracle: s(n, m, y) at an integer y, by the closed-form sum with a power per term."""
+    return sum(
+        comb(m + k, m) * stirling_first(n, m + k) * (-y) ** k for k in range(n - m + 1)
+    )
 
 
 def test_classical_number_examples():
@@ -183,20 +197,52 @@ def test_integer_parameter_polynomial_values():
     for n in range(11):
         for m in range(n + 2):
             for y in range(-3, 6):
-                value = _poly_second_int(n, m, y)
-                assert type(value) is int
-                assert value == stirling_poly_second_at(n, m, y), (n, m, y)
+                for first, oracle in ((False, second_at_int), (True, first_at_int)):
+                    expected = oracle(n, m, y)
+                    # The box weights read the coefficient tuple at integer y.
+                    value = horner(_poly_coeffs(n, m, first), y)
+                    assert type(value) is int
+                    assert value == expected, (n, m, y, first)
+                    at = stirling_poly_first_at if first else stirling_poly_second_at
+                    assert at(n, m, y) == expected, (n, m, y, first)
+
+
+def test_first_kind_polynomial_expands_the_shifted_falling_factorial():
+    # (X - Y)_n = sum_m s(n, m, Y) X^m, both sides as polynomials in X at integer Y.
+    for y in range(-3, 4):
+        falling = RationalPolynomial.one()
+        for n in range(9):
+            expanded = RationalPolynomial(stirling_poly_first_at(n, m, y) for m in range(n + 1))
+            assert falling == expanded, (n, y)
+            falling = falling * RationalPolynomial((-y - n, 1))
+
+
+def test_point_values_leave_every_cache_unchanged():
+    caches = [
+        obj
+        for module in (stirling, bernoulli)
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_info")
+    ]
+    stirling_poly_second_at(7, 3, 0)
+    bernoulli_higher_at(6, 2, 0)
+    sizes = [c.cache_info().currsize for c in caches]
+    for t in range(1, 1001):
+        y = Fraction(t * (-1) ** t, 7)
+        stirling_poly_second_at(7, 3, y)
+        bernoulli_higher_at(6, 2, y)
+    assert [c.cache_info().currsize for c in caches] == sizes
 
 
 @pytest.mark.parametrize("l", [(0,), (3,), (2, 1), (1, 0, 2), (2, 2, 1), (0, 3, 1, 1)])
 @pytest.mark.parametrize("shift", [0, 1])
 def test_kernel_box_int_weights_match_the_box_points(l, shift):
-    # The box summed point by point, with the Fraction-valued kernel.
+    # The box summed point by point, with the closed-form sum as the kernel.
     expected = {}
     for k in product(*(range(lj + 1) for lj in l)):
         weight, K = Fraction(1), 0
         for j, (lj, kj) in enumerate(zip(l, k), start=1):
-            weight *= (-1) ** (shift * (lj - kj)) * stirling_poly_second_at(lj, kj, K + j - shift)
+            weight *= (-1) ** (shift * (lj - kj)) * second_at_int(lj, kj, K + j - shift)
             weight *= Fraction(factorial(K + kj + j - 1), factorial(K + j - 1))
             K += kj
         expected[K] = expected.get(K, 0) + weight
