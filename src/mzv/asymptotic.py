@@ -5,17 +5,17 @@ A depth-r point is indexed by a tuple l of non-negative integers (the point is
 (-l_1, ..., -l_r)), a direction vector d in {0,1}^(r-1), and a shift vector a
 of rationals.  The coefficient C^(d)(-l; a) is a finite sum of products of
 Bernoulli polynomial values B_n(a_j)/n! and falling factorials, taken over an
-admissible set of exponent tuples n cut out by d, one window per tail sum of n
-(:func:`_tail_window`).  Each d_j only picks one of two disjoint windows for
-its tail sum, so the sum over all 2^(r-1) directions, which gives the reverse
-values at the all-ones shift, is one definition-sum pass over the union of
-the windows.
+admissible set of exponent tuples n cut out by d, one window per tail sum of n.
+Each d_j only picks one of two disjoint windows for its tail sum, so the sum
+over all 2^(r-1) directions, which gives the reverse values at the all-ones
+shift, is one definition-sum pass over the union of the windows.
 
 Three independent computation paths are provided for the staircase directions
 d = (1,...,1,0,...,0):
 
 * :func:`c_ir` — the definition sum itself, over the same admissible set and
-  with the same terms, carried slot by slot over the tail sums of n;
+  with the same terms, carried slot by slot over the tail sums of n from the
+  last slot back to the first (:func:`_asym_sum`);
 * :func:`c_ir_recurrence` — depth reduction: one recurrence peels the last
   index slot, a second peels the first slot, with a closed depth-2 base case;
 * :func:`c_ir_explicit` — the fully expanded nested sum obtained by unrolling
@@ -24,7 +24,13 @@ d = (1,...,1,0,...,0):
 The three paths share only the base table of B_n(a)/n!, read as rows of
 integer numerators over one denominator per (shift, top)
 (:func:`mzv.bernoulli.shift_ratios`).  Each path keeps its own formula and
-adds its terms as integers, building one Fraction per sum.
+adds its terms as integers, building one Fraction per sum.  Each path also
+keeps its own memo, passed in by the caller and never held by the module:
+the definition sum keeps its rows under the suffix of slots they read and
+their cap, the explicit path its chains under their links, and the
+recurrence its nodes per (i, r, shift).  A grid of calls can share one memo
+per path (the ``asym`` suite does, for one run); a single public call starts
+from an empty one.
 
 The module also computes generalized Gregory coefficients G_{m,n} as
 coefficients of the bivariate series
@@ -45,6 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as _product
 from math import factorial, lcm, perm, prod
+from operator import mul
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .bernoulli import shift_ratios
@@ -123,16 +130,7 @@ def _ones_shift(r: int) -> Shift:
 # ---------------------------------------------------------------------------
 
 
-def _tail_window(l: IndexTuple, bit: int, j: int) -> Tuple[int, int]:
-    """Bounds (lo, hi) of the tail sum t_j = n_{j+1} + ... + n_r when d_j = bit,
-    1-based j < r."""
-    r = len(l)
-    if bit == 0:
-        return 0, r - j + sum(l[j:])
-    return r - j + 1 + sum(l[j - 1 :]), r + sum(l)
-
-
-def _asym_sum(l: IndexTuple, d: "Direction | None", a: Shift) -> Fraction:
+def _asym_sum(l: IndexTuple, d: "Direction | None", a: Shift, memo: dict) -> Fraction:
     """Definition sum, assuming validated inputs; ``d=None`` sums C^(d)(-l; a)
     over all 2^(r-1) directions d in the same single pass.
 
@@ -140,43 +138,76 @@ def _asym_sum(l: IndexTuple, d: "Direction | None", a: Shift) -> Fraction:
     prod_j B_{n_j}(a_j)/n_j! * (prefix_j + j - 1)_{l_j}, with (x)_k the falling
     factorial and prefix_j = (l_1 - n_1) + ... + (l_j - n_j).  In the tail sums
     t_j = n_{j+1} + ... + n_r (t_0 = r + |l|, t_r = 0), slot j's Bernoulli factor
-    depends on n_j = t_{j-1} - t_j, its falling factorial on t_j alone, and
-    admissibility is one window per t_j.  So the sum runs slot by slot over
-    {t_j: summed product over slots 1..j}: same admissible set, same terms.
-    The windows of d_j = 0 and d_j = 1 are disjoint (a gap of l_j + 1) and the
-    later slots see t_j only, so the sum over all d lets t_j range over both.
-    The weights are integers over den, which takes one factor per slot: the
-    common denominator of that slot's B_n(a_j)/n!.
+    depends on n_j = t_{j-1} - t_j and admissibility is one window per t_j.
+    With S_{>j} = l_{j+1} + ... + l_r, slot j's falling factorial reads
+    x = t_j - S_{>j} - (r - j) - 1, the d_j = 0 window is [0, r - j + S_{>j}]
+    and the d_j = 1 window starts at r - j + 1 + l_j + S_{>j}; the two are
+    disjoint, so ``d=None`` lets t_j range over both.
+
+    So the sum runs from the last slot back to the first.  Row j maps each
+    t_j to ff_j(t_j) times the sum over t_{j+1} <= t_j of
+    B_{t_j - t_{j+1}}(a_{j+1})/(t_j - t_{j+1})! times row j+1 at t_{j+1}, and
+    the result is read from row 1 at t_0.  Row j depends only on the suffix
+    (l_j..l_r, d_j..d_{r-1}, a_{j+1}..a_r) and on its cap, the largest t_j
+    the prefix allows: t_0, lowered to r - k + S_{>k} by each d_k = 0 with
+    k <= j.  ``memo`` keeps row j >= 2 under that key once a zero bit has
+    lowered its cap below t_0.  Calls with a common suffix after a zero bit
+    then share its rows: the staircase directions i and i + 1, and grid
+    tuples that differ only in their first entries.  A row capped at t_0 is
+    tied to the weight of the prefix, and row 1 to the whole tuple, so they
+    are seldom read twice and are not kept.  Each entry is a function of its
+    key alone, so any calls may share a memo and no value depends on which
+    calls came first.  Each row is integers over one denominator, the
+    product of its slots' B_n(a)/n! table denominators.
     """
     r, total = len(l), len(l) + sum(l)
-    row = {total: 1}
-    den = 1
-    head = 0  # l_1 + ... + l_j
-    for j, (lj, aj) in enumerate(zip(l, a), start=1):
-        head += lj
-        top = max(row)
-        if j == r:
-            ts = [0]
+    dirs = (None,) * (r - 1) if d is None else d
+    # Slot k adds (l_k, d_k, a_{k+1}) to a key, a_{k+1} as two ints that hash
+    # faster than a Fraction, so the suffix of row j is one slice.
+    suffix = [None] * (4 * r - 3)
+    suffix[::4] = l
+    suffix[1::4] = dirs
+    suffix[2::4] = [c.numerator for c in a[1:]]
+    suffix[3::4] = [c.denominator for c in a[1:]]
+    suffix = tuple(suffix)
+    # Walk forward to the first kept row, noting the caps and keys before it.
+    caps, keys, cap, head = [], [], total, 0
+    for j in range(1, r + 1):
+        head += l[j - 1]  # r - j + S_{>j} = total - head - j
+        cap = 0 if j == r else min(cap, total - head - j) if dirs[j - 1] == 0 else cap
+        key = (cap, suffix[4 * j - 4 :])
+        if j > 1 and cap < total and key in memo:
+            den, low, row = memo[key]
+            break
+        caps.append(cap)
+        keys.append(key)
+    else:
+        den, low, row = 1, 0, [-factorial(l[-1]) if l[-1] % 2 else factorial(l[-1])]
+        if r > 1:
+            memo[key] = den, low, row
+    rest = total - r - head  # S_{>j}, for the row just read
+    for j in range(j - 1, 0, -1):
+        rest += l[j]
+        cap, bit, hi = caps[j - 1], dirs[j - 1], r - j + rest
+        ts = [] if bit == 1 else list(range(low, min(cap, hi) + 1))
+        if bit != 0:
+            ts += range(max(low, hi + 1 + l[j - 1]), cap + 1)
+        if row and ts:
+            slot_den, bern = shift_ratios(a[j], ts[-1] - low)
+            nxt = [0] * (ts[-1] - ts[0] + 1)
+            for t in ts:
+                ff = prod(range(t - hi - 1, t - hi - 1 - l[j - 1], -1))
+                nxt[t - ts[0]] = ff * sum(map(mul, row, bern[t - low :: -1]))
+            den, low, row = den * slot_den, ts[0], nxt
         else:
-            bits = (0, 1) if d is None else (d[j - 1],)
-            windows = (_tail_window(l, b, j) for b in bits)
-            ts = [t for lo, hi in windows for t in range(lo, min(hi, top) + 1)]
-        if not ts:
-            return Fraction(0)
-        slot_den, bern = shift_ratios(aj, top - ts[0])
-        nxt = {}
-        for t in ts:
-            x = head - total + t + j - 1  # prefix_j + j - 1
-            ff = prod(range(x, x - lj, -1))
-            if ff:
-                acc = sum(w * b for tp, w in row.items() if tp >= t and (b := bern[tp - t]))
-                if acc:
-                    nxt[t] = ff * acc
-        if not nxt:
-            return Fraction(0)
-        row = nxt
-        den *= slot_den
-    return Fraction(-row[0] if total % 2 else row[0], den)
+            den, low, row = 1, 0, []
+        if j > 1 and cap < total:
+            memo[keys[j - 1]] = den, low, row
+    if not row:
+        return Fraction(0)
+    slot_den, bern = shift_ratios(a[0], total - low)
+    acc = sum(map(mul, row, bern[total - low :: -1]))
+    return Fraction(-acc if total % 2 else acc, den * slot_den)
 
 
 def asym_coeff(
@@ -186,7 +217,7 @@ def asym_coeff(
     lt = as_index_tuple(l)
     dt = as_direction(d, len(lt))
     at = as_shift(a, len(lt))
-    return _asym_sum(lt, dt, at)
+    return _asym_sum(lt, dt, at, {})
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +241,7 @@ def c_ir(i: int, r: int, l: Sequence[int], a: Sequence[RationalLike]) -> Fractio
     """Staircase coefficient C_{i,r}(-l; a): direction (1,...,1,0,...,0)
     with i-1 ones, evaluated by the definition sum."""
     lt, at = _validated_staircase_args(i, r, l, a)
-    return _asym_sum(lt, staircase_direction(i, r), at)
+    return _asym_sum(lt, staircase_direction(i, r), at, {})
 
 
 def _c22_closed(l1: int, l2: int, a2: Fraction) -> Fraction:
@@ -249,7 +280,7 @@ def _c_rec(i: int, r: int, l: IndexTuple, a: Shift, memo: dict) -> Fraction:
     (r', r') once the first slot is peeled.  So a memo may be shared by
     top-level calls with the same i, r and a, whatever their l, and by no
     others: top-level calls with different i reach one (r', r') with
-    different shifts.  :func:`_c_explicit` never takes a shared memo.
+    different shifts.
     """
     key = (i, r, l)
     if key in memo:
@@ -313,20 +344,37 @@ def _chain(
     return bucket, den
 
 
-def _c_explicit(i: int, r: int, lt: IndexTuple, at: Shift) -> Fraction:
-    """:func:`c_ir_explicit` on validated inputs."""
-    if r < 3 or i == r:
-        return _c_rec(i, r, lt, at, {})
+def _chain_links(
+    links: "Tuple[Tuple[int, int, int], ...]", memo: dict
+) -> "Tuple[dict[int, int], int]":
+    """The chain {0: 1} carried through the links (l_j, p, q), the shift
+    p/q in lowest terms as two ints that hash faster than a Fraction, in
+    order, as (weights, den); ``memo`` keeps the chain of every prefix.
 
-    # Right chain: variables k_r, ..., k_{i+1}; k_{r+1} = 0.  After the loop,
+    A chain reads nothing but its links, so the key is the links themselves
+    and one memo may serve any calls, the right and the left chains alike.
+    """
+    k = len(links)
+    while k and links[:k] not in memo:
+        k -= 1
+    weights, den = memo[links[:k]] if k else ({0: 1}, 1)
+    for m in range(k, len(links)):
+        lj, p, q = links[m]
+        weights, link_den = _chain(weights, lj, Fraction(p, q))
+        den *= link_den
+        memo[links[: m + 1]] = weights, den
+    return weights, den
+
+
+def _c_explicit(i: int, r: int, lt: IndexTuple, at: Shift, memo: dict) -> Fraction:
+    """:func:`c_ir_explicit` on validated inputs; ``memo`` keeps the chains
+    (:func:`_chain_links`)."""
+    # Right chain: variables k_r, ..., k_{i+1}; k_{r+1} = 0.  After it,
     # right[k] is k! times the summed product of the weights
     # comb(k_{j+1}+l_j+1, k_j) * B_{k_{j+1}+l_j+1-k_j}(a_j) / (k_{j+1}+l_j+1)
     # over j = r, ..., i+1 with k_{i+1} = k, as an integer over den.
-    right: "dict[int, int]" = {0: 1}
-    den = 1
-    for j in range(r, i, -1):
-        right, link_den = _chain(right, lt[j - 1], at[j - 1])
-        den *= link_den
+    links = tuple((lj, aj.numerator, aj.denominator) for lj, aj in zip(lt[i:], at[i:]))
+    right, den = _chain_links(links[::-1], memo)
 
     sign = -1 if (r - i) % 2 else 1
 
@@ -339,11 +387,12 @@ def _c_explicit(i: int, r: int, lt: IndexTuple, at: Shift) -> Fraction:
         return Fraction(-sign * total, den * core_den)
 
     # Left chain: variables k_1, ..., k_{i-2}; k_0 = 0; weights use the
-    # complement shifts 1 - a_{j+1}.  For i == 2 the chain is empty.
-    left: "dict[int, int]" = {0: 1}
-    for j in range(1, i - 1):
-        left, link_den = _chain(left, lt[j - 1], 1 - at[j])
-        den *= link_den
+    # complement shifts 1 - a_{j+1} = (q - p)/q.  For i == 2 the chain is empty.
+    links = tuple(
+        (lj, c.denominator - c.numerator, c.denominator) for lj, c in zip(lt, at[1 : i - 1])
+    )
+    left, left_den = _chain_links(links, memo)
+    den *= left_den
 
     # Depth-2 core on slots (i-1, i): with L1 = l_{i-1} + k_left and
     # L2 = l_i + k_right, (-1)^L1 L1! L2! B_s(a_i)/s!, s = L1 + L2 + 2; the
@@ -366,16 +415,18 @@ def c_ir_explicit(
 ) -> Fraction:
     """Staircase coefficient via the fully expanded nested sum.
 
-    Valid as a distinct formula for r >= 3 and 1 <= i <= r - 1; outside that
-    range it falls back to :func:`c_ir_recurrence`.  The expansion carries a
-    chain of binomially weighted Bernoulli factors from the right end down to
-    slot i+1, a complement-shift chain from the left end up to slot i-2, and
-    a closed depth-2 core on slots (i-1, i).  Each chain bucket is kept
-    rescaled by k!, so every piece is an integer over the product of the
-    per-link table denominators and the sum is reduced once at the end.
+    The expansion carries a chain of binomially weighted Bernoulli factors
+    from the right end down to slot i+1, a complement-shift chain from the
+    left end up to slot i-2, and a closed depth-2 core on slots (i-1, i), or
+    the depth-1 closed form on slot 1 when i = 1.  It holds for every
+    1 <= i <= r: at i = r the right chain is empty and at i <= 2 the left
+    one is, so it never hands over to :func:`c_ir_recurrence`.  Each chain
+    bucket is kept rescaled by k!, so every piece is an integer over the
+    product of the per-link table denominators and the sum is reduced once
+    at the end.
     """
     lt, at = _validated_staircase_args(i, r, l, a)
-    return _c_explicit(i, r, lt, at)
+    return _c_explicit(i, r, lt, at, {})
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +482,9 @@ def gregory_origin_check(r: int) -> bool:
         raise ValueError(f"depth must be >= 1, got {r}")
     zeros = (0,) * r
     ones = _ones_shift(r)
+    memo: dict = {}
     return all(
-        _asym_sum(zeros, staircase_direction(i, r), ones) == gregory(i, r - i + 2)
+        _asym_sum(zeros, staircase_direction(i, r), ones, memo) == gregory(i, r - i + 2)
         for i in range(1, r + 1)
     )
 
@@ -543,16 +595,17 @@ def origin_decomposition_check(r: int) -> bool:
     if r < 3:
         return True
     ones = _ones_shift(r)
+    memo: dict = {}
     for d in _product((0, 1), repeat=r - 1):
         whole = None
         for t in range(1, r - 1):  # 1-based position of the 0 in the pattern
             if d[t - 1] == 0 and d[t] == 1:
                 if whole is None:
-                    whole = _asym_sum((0,) * r, d, ones)
+                    whole = _asym_sum((0,) * r, d, ones, memo)
                 left_d = d[: t - 1]
                 right_d = (1,) + d[t + 1 :]
-                left = _asym_sum((0,) * t, left_d, _ones_shift(t))
-                right = _asym_sum((0,) * (r - t), right_d, _ones_shift(r - t))
+                left = _asym_sum((0,) * t, left_d, _ones_shift(t), memo)
+                right = _asym_sum((0,) * (r - t), right_d, _ones_shift(r - t), memo)
                 if whole != left * right:
                     return False
     return True
@@ -572,10 +625,11 @@ def gregory_bundling_check(r: int) -> bool:
         raise ValueError(f"depth must be >= 1, got {r}")
     ones = _ones_shift(r)
     zeros = (0,) * r
+    memo: dict = {}
     for j in range((r - 1) // 2 + 1):
         for k in range(r - 1 - 2 * j + 1):
             lhs = sum(
-                (_asym_sum(zeros, d, ones) for d in enumerate_I(j, k, r)),
+                (_asym_sum(zeros, d, ones, memo) for d in enumerate_I(j, k, r)),
                 Fraction(0),
             )
             rhs = sum(
@@ -640,7 +694,9 @@ def rev_via_gregory(l: Sequence[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def star_coeff_relation_check(i: int, r: int, p: int, l: Sequence[int]) -> bool:
+def star_coeff_relation_check(
+    i: int, r: int, p: int, l: Sequence[int], *, memo: "dict | None" = None
+) -> bool:
     """Check the standard-basis-shift relation for staircase coefficients.
 
     With e_p the shift putting 1 in slot p and 0 elsewhere and s = (-1)^(r+|l|),
@@ -657,7 +713,8 @@ def star_coeff_relation_check(i: int, r: int, p: int, l: Sequence[int]) -> bool:
     sum to lattice points with n_p = 1 and deleting that slot: for p in
     {1, i} the window constraints make the restricted set empty, and
     otherwise slot deletion is a bijection onto the depth-(r-1) staircase set
-    for the merged index.
+    for the merged index.  ``memo`` is a definition-sum memo that may be
+    shared with other calls (see :func:`_asym_sum`); by default it is fresh.
     """
     lt = as_index_tuple(l)
     if r != len(lt):
@@ -672,22 +729,32 @@ def star_coeff_relation_check(i: int, r: int, p: int, l: Sequence[int]) -> bool:
         tuple(1 if t == p - 1 else 0 for t in range(r)), r, relaxed=True
     )
     sign = -1 if (r + sum(lt)) % 2 else 1
-    lhs = _asym_sum(lt, d, e_p) - sign * _asym_sum(lt, d, ones)
+    memo = {} if memo is None else memo
+    lhs = _asym_sum(lt, d, e_p, memo) - sign * _asym_sum(lt, d, ones, memo)
     if p == 1 or p == i:
         return lhs == 0
     merged = lt[: p - 2] + (lt[p - 2] + lt[p - 1],) + lt[p:]
     sub_i = i - 1 if p < i else i
     rhs = sign * _asym_sum(
-        merged, staircase_direction(sub_i, r - 1), _ones_shift(r - 1)
+        merged, staircase_direction(sub_i, r - 1), _ones_shift(r - 1), memo
     )
     return lhs == rhs
 
 
 def parity_check(
-    i: int, r: int, l: Sequence[int], a: Sequence[RationalLike]
+    i: int,
+    r: int,
+    l: Sequence[int],
+    a: Sequence[RationalLike],
+    *,
+    memo: "dict | None" = None,
 ) -> bool:
     """Check the complement-shift parity C_{i,r}(-l; a) =
-    (-1)^(r+|l|) C_{i,r}(-l; 1-a) for shifts with entries in [0, 1]."""
+    (-1)^(r+|l|) C_{i,r}(-l; 1-a) for shifts with entries in [0, 1].
+
+    ``memo`` is a definition-sum memo that may be shared with other calls
+    (see :func:`_asym_sum`); by default it is fresh.
+    """
     lt = as_index_tuple(l)
     if r != len(lt):
         raise ValueError(f"r={r} does not match the index depth {len(lt)}")
@@ -702,4 +769,5 @@ def parity_check(
     d = staircase_direction(i, r)
     comp = tuple(Fraction(1) - c for c in entries)
     sign = -1 if (r + sum(lt)) % 2 else 1
-    return _asym_sum(lt, d, entries) == sign * _asym_sum(lt, d, comp)
+    memo = {} if memo is None else memo
+    return _asym_sum(lt, d, entries, memo) == sign * _asym_sum(lt, d, comp, memo)

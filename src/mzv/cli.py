@@ -60,6 +60,12 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer that lost i
 
 # `mzv table` refuses larger grids up front; 203,489 tuples take 7 s on a 2.1 GHz Xeon.
 TABLE_MAX_TUPLES = 250_000
+# `mzv coeff` refuses an index with r * (r + |l|) over this up front: the definition
+# sum fills r rows of up to r + |l| + 1 entries.  The slowest shape at the cap, depth 1
+# with r + |l| = 1,000, takes 5 s at a = 3/7 and 10 s at a = 997/1000 on a 2.1 GHz
+# Xeon; (100, 100, 100) has 909.  A cap on r + |l| alone would not do: at
+# r + |l| = 300, depth 20 takes 22 s and depth 40 takes 81 s.
+COEFF_MAX_SIZE = 1_000
 
 
 class _UsageError(Exception):
@@ -216,6 +222,9 @@ def _cmd_value(args: argparse.Namespace) -> int:
 def _cmd_coeff(args: argparse.Namespace) -> int:
     _check_formats(args)
     l = _parse_index(args.index)
+    size = len(l) * (len(l) + sum(l))
+    if size > COEFF_MAX_SIZE:
+        raise _UsageError(f"the index has r * (r + |l|) = {size:,}; the cap is {COEFF_MAX_SIZE:,}")
     bits = _parse_bits(args.d) if args.d is not None else (0,) * (len(l) - 1)
     shift = (
         _parse_rationals(args.a)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .asymptotic import (
     _asym_sum,
@@ -130,23 +130,33 @@ class SuiteResult(NamedTuple):
         return not self.failures
 
 
+# A check's description: a string, or a function that builds it.
+Description = Union[str, Callable[[], str]]
+
+
+def _text(description: Description) -> str:
+    return description if isinstance(description, str) else description()
+
+
 class _Recorder:
     """Counts checks and keeps each failure's description (with both sides
-    for an equality)."""
+    for an equality).  A description that is a function is called only when
+    its check fails, so passing checks format nothing; it runs at once, while
+    the loop variables it reads still hold the failing check's inputs."""
 
     def __init__(self) -> None:
         self.checked = 0
         self.failures: List[str] = []
 
-    def equal(self, description: str, lhs, rhs) -> None:
+    def equal(self, description: Description, lhs, rhs) -> None:
         self.checked += 1
         if lhs != rhs:
-            self.failures.append(f"{description}: {lhs} != {rhs}")
+            self.failures.append(f"{_text(description)}: {lhs} != {rhs}")
 
-    def true(self, description: str, ok: bool) -> None:
+    def true(self, description: Description, ok: bool) -> None:
         self.checked += 1
         if not ok:
-            self.failures.append(description)
+            self.failures.append(_text(description))
 
     def result(self, suite: str) -> SuiteResult:
         return SuiteResult(suite, self.checked, tuple(self.failures))
@@ -216,7 +226,11 @@ def _suite_stirling(bounds: Bounds, rng: random.Random) -> SuiteResult:
                     ),
                     Fraction(0),
                 )
-                rec.equal(f"orthogonality sum_k S(n,k,y) s(k,m,y), n={n}, m={m}, y={y}", lhs, want)
+                rec.equal(
+                    lambda: f"orthogonality sum_k S(n,k,y) s(k,m,y), n={n}, m={m}, y={y}",
+                    lhs,
+                    want,
+                )
                 lhs = sum(
                     (
                         stirling_poly_first_at(n, k, y)
@@ -225,14 +239,18 @@ def _suite_stirling(bounds: Bounds, rng: random.Random) -> SuiteResult:
                     ),
                     Fraction(0),
                 )
-                rec.equal(f"orthogonality sum_k s(n,k,y) S(k,m,y), n={n}, m={m}, y={y}", lhs, want)
+                rec.equal(
+                    lambda: f"orthogonality sum_k s(n,k,y) S(k,m,y), n={n}, m={m}, y={y}",
+                    lhs,
+                    want,
+                )
     # Generating function: n! * [X^n] (e^X-1)^k e^{yX} / k! = S(n, k, y).
     for y in (Fraction(0), Fraction(1), Fraction(5, 2)):
         for k in range(7):
             series = _exp_minus_one_pow_series(k, y, 10)
             for n in range(11):
                 rec.equal(
-                    f"generating function n={n}, k={k}, y={y}",
+                    lambda: f"generating function n={n}, k={k}, y={y}",
                     series[n] * factorial(n),
                     stirling_poly_second_at(n, k, y),
                 )
@@ -246,7 +264,7 @@ def _suite_stirling(bounds: Bounds, rng: random.Random) -> SuiteResult:
             if m >= 1:
                 rhs = rhs - stirling_poly_second(n, m - 1).compose(shift)
             rec.equal(
-                f"shifted recurrence Y*S(n,m,Y) = S(n+1,m,Y) - S(n,m-1,Y+1), "
+                lambda: f"shifted recurrence Y*S(n,m,Y) = S(n+1,m,Y) - S(n,m-1,Y+1), "
                 f"n={n}, m={m}",
                 lhs,
                 rhs,
@@ -266,7 +284,7 @@ def _suite_stirling(bounds: Bounds, rng: random.Random) -> SuiteResult:
                         Fraction(0),
                     )
                     rec.equal(
-                        f"convolution n={n}, m={m}, k={k}, x={x}",
+                        lambda: f"convolution n={n}, m={m}, k={k}, x={x}",
                         stirling_poly_second_at(n, k, x),
                         rhs,
                     )
@@ -274,12 +292,12 @@ def _suite_stirling(bounds: Bounds, rng: random.Random) -> SuiteResult:
     for n in range(16):
         for m in range(16):
             rec.equal(
-                f"first-kind specialization n={n}, m={m}",
+                lambda: f"first-kind specialization n={n}, m={m}",
                 stirling_poly_first_at(n, m, 0),
                 Fraction(stirling_first(n, m)),
             )
             rec.equal(
-                f"second-kind specialization n={n}, m={m}",
+                lambda: f"second-kind specialization n={n}, m={m}",
                 stirling_poly_second_at(n, m, 0),
                 Fraction(stirling_second(n, m)),
             )
@@ -289,7 +307,7 @@ def _suite_stirling(bounds: Bounds, rng: random.Random) -> SuiteResult:
         y = _random_rational(rng)
         once = stirling_transform_apply(seq, y, "first-to-second")
         back = stirling_transform_apply(once, y, "second-to-first")
-        rec.equal(f"transform round-trip seq={seq}, y={y}", back, seq)
+        rec.equal(lambda: f"transform round-trip seq={seq}, y={y}", back, seq)
     return rec.result("stirling")
 
 
@@ -305,7 +323,7 @@ def _suite_bernoulli(bounds: Bounds, rng: random.Random) -> SuiteResult:
         poly = bernoulli_poly(n)
         reflected = poly.compose(one_minus_z)
         expected = poly if n % 2 == 0 else -poly
-        rec.equal(f"reflection B_{n}(1-z) = (-1)^{n} B_{n}(z)", reflected, expected)
+        rec.equal(lambda: f"reflection B_{n}(1-z) = (-1)^{n} B_{n}(z)", reflected, expected)
     # Order additivity via the generating-function product rule with the
     # polynomial argument kept on the first factor.
     for m1 in range(4):
@@ -317,42 +335,42 @@ def _suite_bernoulli(bounds: Bounds, rng: random.Random) -> SuiteResult:
                         n - j, m2, 0
                     )
                 lhs = bernoulli_higher_order(n, m1 + m2)
-                rec.equal(f"order additivity n={n}, m1={m1}, m2={m2}", lhs, rhs)
+                rec.equal(lambda: f"order additivity n={n}, m1={m1}, m2={m2}", lhs, rhs)
     # Order 0 and order 1 reductions.
     for n in range(11):
         rec.equal(
-            f"order-1 reduction n={n}",
+            lambda: f"order-1 reduction n={n}",
             bernoulli_higher_order(n, 1),
             bernoulli_poly(n),
         )
         rec.equal(
-            f"order-0 reduction n={n}",
+            lambda: f"order-0 reduction n={n}",
             bernoulli_higher_order(n, 0),
             RationalPolynomial.monomial(n),
         )
-        rec.equal(f"B_n(0) = B_n, n={n}", bernoulli_poly_at(n, 0), bernoulli_number(n))
+        rec.equal(lambda: f"B_n(0) = B_n, n={n}", bernoulli_poly_at(n, 0), bernoulli_number(n))
     # Zeta values at non-positive integers.
     for k in range(1, 11):
-        rec.equal(f"zeta(-2k) = 0, k={k}", zeta_neg(2 * k), Fraction(0))
+        rec.equal(lambda: f"zeta(-2k) = 0, k={k}", zeta_neg(2 * k), Fraction(0))
     rec.equal("zeta(0)", zeta_neg(0), Fraction(-1, 2))
     rec.equal("zeta*(0) weight", zeta_star_neg(0), Fraction(1, 2))
     for l in range(1, 13):
-        rec.equal(f"zeta*(-l) = zeta(-l), l={l}", zeta_star_neg(l), zeta_neg(l))
+        rec.equal(lambda: f"zeta*(-l) = zeta(-l), l={l}", zeta_star_neg(l), zeta_neg(l))
         rec.equal(
-            f"depth-1 base mzf vs zeta, l={l}", mzf_reg((l,)), zeta_neg(l)
+            lambda: f"depth-1 base mzf vs zeta, l={l}", mzf_reg((l,)), zeta_neg(l)
         )
     for _ in range(6):
         n = rng.randint(0, 14)
         z = _random_rational(rng)
         rec.equal(
-            f"poly evaluation consistency n={n}, z={z}",
+            lambda: f"poly evaluation consistency n={n}, z={z}",
             bernoulli_poly_at(n, z),
             bernoulli_poly(n).evaluate(z),
         )
     for l in range(0, 7):
         a = _random_rational(rng, positive=True)
         rec.equal(
-            f"depth-1 shifted value l={l}, a={a}",
+            lambda: f"depth-1 shifted value l={l}, a={a}",
             hurwitz_zeta_neg(l, a),
             -bernoulli_poly_at(l + 1, a) / (l + 1),
         )
@@ -370,14 +388,14 @@ def _suite_choi(bounds: Bounds, rng: random.Random) -> SuiteResult:
     z_values.append(_random_rational(rng, positive=True))
     for l in range(0, 7):
         rec.equal(
-            f"depth-1 reduction l={l}", choi_value(1, l, Fraction(1)), zeta_neg(l)
+            lambda: f"depth-1 reduction l={l}", choi_value(1, l, Fraction(1)), zeta_neg(l)
         )
     for r in range(2, bounds.max_r + 1):
         for m in range(1, r):
             for l in range(0, bounds.max_weight + 1):
                 for z in z_values:
                     rec.true(
-                        f"contiguous-shift reduction r={r}, m={m}, l={l}, z={z} "
+                        lambda: f"contiguous-shift reduction r={r}, m={m}, l={l}, z={z} "
                         f"(depth-{r} value {choi_value(r, l, z)})",
                         choi_identity_check(r, l, z, m),
                     )
@@ -393,27 +411,27 @@ def _suite_values(bounds: Bounds, rng: random.Random) -> SuiteResult:
     rec = _Recorder()
     for l in iter_index_tuples(bounds.max_depth, bounds.max_weight):
         rec.equal(
-            f"plain reverse closed form l={l}", mzf_rev_stirling(l), mzf_rev(l)
+            lambda: f"plain reverse closed form l={l}", mzf_rev_stirling(l), mzf_rev(l)
         )
         rec.equal(
-            f"star reverse closed form l={l}", mzsf_rev_stirling(l), mzsf_rev(l)
+            lambda: f"star reverse closed form l={l}", mzsf_rev_stirling(l), mzsf_rev(l)
         )
     for r in range(1, bounds.max_r + 1):
         for l in range(0, bounds.max_weight + 3):
             rec.equal(
-                f"single-entry regular formula r={r}, l={l}",
+                lambda: f"single-entry regular formula r={r}, l={l}",
                 akiyama_tanigawa_reg(r, l),
                 mzf_reg((l,) + (0,) * (r - 1)),
             )
             rec.equal(
-                f"single-entry reverse formula r={r}, l={l}",
+                lambda: f"single-entry reverse formula r={r}, l={l}",
                 akiyama_tanigawa_rev(r, l),
                 mzf_rev((0,) * (r - 1) + (l,)),
             )
     for l in iter_index_tuples(min(bounds.max_depth, 3), min(bounds.max_weight, 3)):
         for s_int in (0, -1, -2):
             rec.true(
-                f"zero-padding transform l={l}, s={s_int}",
+                lambda: f"zero-padding transform l={l}, s={s_int}",
                 prop_zero_padding_check(l, s_int),
             )
     return rec.result("values")
@@ -429,18 +447,19 @@ def _suite_sign(bounds: Bounds, rng: random.Random) -> SuiteResult:
     for l in iter_index_tuples(bounds.max_depth, bounds.max_weight):
         if l[0] < 1:
             continue
-        for order in ("regular", "reverse"):
-            plain = mzf_reg(l) if order == "regular" else mzf_rev(l)
-            star = mzsf_reg(l) if order == "regular" else mzsf_rev(l)
+        for order, plain_of, star_of in (
+            ("regular", mzf_reg, mzsf_reg),
+            ("reverse", mzf_rev, mzsf_rev),
+        ):
             rec.true(
-                f"sign relation {order} l={l}: plain={plain}, star={star}",
+                lambda: f"sign relation {order} l={l}: plain={plain_of(l)}, star={star_of(l)}",
                 sign_theorem_check(order, l),
             )
     for l2 in (1, 3, 5, 7, 9):
         star = mzsf_reg((0, l2))
         plain = mzf_reg((0, l2))
         rec.true(
-            f"documented failure at (0,{l2}): star={star}, plain={plain}, "
+            lambda: f"documented failure at (0,{l2}): star={star}, plain={plain}, "
             f"-zeta(-{l2})={-zeta_neg(l2)}",
             star == 0 and plain == -zeta_neg(l2) and plain != 0,
         )
@@ -462,6 +481,11 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
     rec.equal(
         "worked value C^(1)(-1,-1)", asym_coeff((1, 1), (1,), (1, 1)), Fraction(1, 720)
     )
+    # The definition sum and the explicit path each keep one memo for the
+    # suite: their keys name everything a row or chain reads, so any calls
+    # may share them (see _asym_sum and _chain_links).
+    definition: dict = {}
+    chains: dict = {}
     max_r = max(2, min(4, bounds.max_depth + 1))
     for r in range(1, max_r + 1):
         shifts = [(Fraction(1),) * r, (Fraction(1),) + (Fraction(0),) * (r - 1)]
@@ -476,15 +500,15 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
             for i in range(1, r + 1):
                 d = staircase_direction(i, r)
                 for s, a in enumerate(shifts):
-                    reference = _asym_sum(l, d, a)
+                    reference = _asym_sum(l, d, a, definition)
                     rec.equal(
-                        f"recurrence path i={i}, r={r}, l={l}, a={a}",
+                        lambda: f"recurrence path i={i}, r={r}, l={l}, a={a}",
                         _c_rec(i, r, l, a, memos[i, s]),
                         reference,
                     )
                     rec.equal(
-                        f"explicit path i={i}, r={r}, l={l}, a={a}",
-                        _c_explicit(i, r, l, a),
+                        lambda: f"explicit path i={i}, r={r}, l={l}, a={a}",
+                        _c_explicit(i, r, l, a, chains),
                         reference,
                     )
     star_r = min(4, max_r)
@@ -493,26 +517,31 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
             for i in range(2, r + 1):
                 for p in range(1, r + 1):
                     rec.true(
-                        f"basis-shift relation i={i}, r={r}, p={p}, l={l}",
-                        star_coeff_relation_check(i, r, p, l),
+                        lambda: f"basis-shift relation i={i}, r={r}, p={p}, l={l}",
+                        star_coeff_relation_check(i, r, p, l, memo=definition),
                     )
     for r in range(1, min(3, max_r) + 1):
         for l in iter_index_tuples(r, min(bounds.max_weight, 3), min_depth=r):
             for i in range(1, r + 1):
                 for a in ((Fraction(1),) * r, _unit_interval_shift(rng, r)):
                     rec.true(
-                        f"complement parity i={i}, r={r}, l={l}, a={a}",
-                        parity_check(i, r, l, a),
+                        lambda: f"complement parity i={i}, r={r}, l={l}, a={a}",
+                        parity_check(i, r, l, a, memo=definition),
                     )
     for r in range(1, bounds.max_depth + 1):
         ones = as_shift((1,) * r, r)
         star_shift = as_shift((1,) + (0,) * (r - 1), r)
         flat = (0,) * (r - 1)
         for l in iter_index_tuples(r, bounds.max_weight, min_depth=r):
-            # All 2^(r-1) directions in one definition-sum pass.
-            rec.equal(f"reverse bridge l={l}", _asym_sum(l, None, ones), mzf_rev(l))
-            rec.equal(f"regular bridge l={l}", _asym_sum(l, flat, ones), mzf_reg(l))
-            rec.equal(f"star bridge l={l}", _asym_sum(l, flat, star_shift), mzsf_reg(l))
+            # d=None: the reverse bridge sums all 2^(r-1) directions in one pass.
+            for kind, d, a, value in (
+                ("reverse", None, ones, mzf_rev),
+                ("regular", flat, ones, mzf_reg),
+                ("star", flat, star_shift, mzsf_reg),
+            ):
+                rec.equal(
+                    lambda: f"{kind} bridge l={l}", _asym_sum(l, d, a, definition), value(l)
+                )
     return rec.result("asym")
 
 
@@ -528,18 +557,18 @@ def _suite_gregory(bounds: Bounds, rng: random.Random) -> SuiteResult:
     rec.equal("G(1,3)", gregory(1, 3), Fraction(1, 3))
     rec.equal("G(2,2)", gregory(2, 2), Fraction(1, 12))
     for r in range(1, bounds.max_r + 1):
-        rec.true(f"origin identity C_(i,{r})(0) = G(i,{r}-i+2)", gregory_origin_check(r))
-        rec.true(f"direction partition r={r}", direction_partition_check(r))
+        rec.true(lambda: f"origin identity C_(i,{r})(0) = G(i,{r}-i+2)", gregory_origin_check(r))
+        rec.true(lambda: f"direction partition r={r}", direction_partition_check(r))
         rec.equal(
-            f"origin reverse value via Gregory sums r={r}",
+            lambda: f"origin reverse value via Gregory sums r={r}",
             origin_rev_gregory(r),
             mzf_rev((0,) * r),
         )
     for r in range(1, min(bounds.max_r, 5) + 1):
-        rec.true(f"origin product decomposition r={r}", origin_decomposition_check(r))
-        rec.true(f"Gregory bundling r={r}", gregory_bundling_check(r))
+        rec.true(lambda: f"origin product decomposition r={r}", origin_decomposition_check(r))
+        rec.true(lambda: f"Gregory bundling r={r}", gregory_bundling_check(r))
     for l in iter_index_tuples(min(bounds.max_depth, 3), bounds.max_weight):
-        rec.equal(f"reverse value via Gregory l={l}", rev_via_gregory(l), mzf_rev(l))
+        rec.equal(lambda: f"reverse value via Gregory l={l}", rev_via_gregory(l), mzf_rev(l))
     return rec.result("gregory")
 
 

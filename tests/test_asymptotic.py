@@ -2,6 +2,7 @@
 and the direction-vector combinatorics."""
 
 import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
@@ -15,7 +16,6 @@ from mzv.asymptotic import (
     CompositionPair,
     _asym_sum,
     _gregory_block_product,
-    _tail_window,
     as_direction,
     as_shift,
     asym_coeff,
@@ -36,7 +36,7 @@ from mzv.asymptotic import (
     star_coeff_relation_check,
     staircase_direction,
 )
-from mzv.bernoulli import bernoulli_poly, bernoulli_poly_at
+from mzv.bernoulli import bernoulli_poly, bernoulli_poly_at, shift_ratios
 from mzv.values import as_index_tuple, iter_index_tuples, mzf_reg, mzf_rev, mzsf_reg
 
 
@@ -53,6 +53,50 @@ def test_input_validation():
     with pytest.raises(ValueError):
         staircase_direction(0, 2)
     assert staircase_direction(2, 4) == (1, 0, 0)
+
+
+def _tail_window(l, bit, j):
+    """Bounds (lo, hi) of the tail sum t_j = n_{j+1} + ... + n_r when d_j = bit,
+    1-based j < r."""
+    r = len(l)
+    if bit == 0:
+        return 0, r - j + sum(l[j:])
+    return r - j + 1 + sum(l[j - 1 :]), r + sum(l)
+
+
+def _forward_asym_sum(l, d, a):
+    """The definition sum carried forward from the first slot to the last, one
+    dict of integer weights per tail sum t_j; the oracle of the memoized
+    backward sum ``_asym_sum``.  It reads only ``shift_ratios``."""
+    r, total = len(l), len(l) + sum(l)
+    row = {total: 1}
+    den = 1
+    head = 0  # l_1 + ... + l_j
+    for j, (lj, aj) in enumerate(zip(l, a), start=1):
+        head += lj
+        top = max(row)
+        if j == r:
+            ts = [0]
+        else:
+            bits = (0, 1) if d is None else (d[j - 1],)
+            windows = (_tail_window(l, b, j) for b in bits)
+            ts = [t for lo, hi in windows for t in range(lo, min(hi, top) + 1)]
+        if not ts:
+            return Fraction(0)
+        slot_den, bern = shift_ratios(aj, top - ts[0])
+        nxt = {}
+        for t in ts:
+            x = head - total + t + j - 1  # prefix_j + j - 1
+            ff = prod(range(x, x - lj, -1))
+            if ff:
+                acc = sum(w * b for tp, w in row.items() if tp >= t and (b := bern[tp - t]))
+                if acc:
+                    nxt[t] = ff * acc
+        if not nxt:
+            return Fraction(0)
+        row = nxt
+        den *= slot_den
+    return Fraction(-row[0] if total % 2 else row[0], den)
 
 
 def admissible_n_set(l, d):
@@ -160,7 +204,8 @@ def test_definition_sum_matches_term_by_term_oracle(point):
     assert admissible_n_set(l, d) == _admissible_by_definition(l, d)
     a = as_shift(a, len(l), relaxed=True)
     expected = _definition_sum_oracle(l, d, a)
-    assert _asym_sum(l, d, a) == expected
+    assert _asym_sum(l, d, a, {}) == expected
+    assert _forward_asym_sum(l, d, a) == expected
     if a[0] > 0:  # every family has positive partial sums once a_1 > 0
         assert asym_coeff(l, d, a) == expected
 
@@ -177,7 +222,7 @@ _SUITE_SHIFTS = (
 
 def _per_direction_sum(l, a):
     r = len(l)
-    return sum((_asym_sum(l, d, a) for d in product((0, 1), repeat=r - 1)), Fraction(0))
+    return sum((_asym_sum(l, d, a, {}) for d in product((0, 1), repeat=r - 1)), Fraction(0))
 
 
 def test_all_directions_pass_matches_per_direction_sums():
@@ -186,8 +231,8 @@ def test_all_directions_pass_matches_per_direction_sums():
     for l in iter_index_tuples(5, 7):
         for make_shift in _SUITE_SHIFTS:
             a = make_shift(len(l))
-            assert _asym_sum(l, None, a) == _per_direction_sum(l, a), (l, a)
-        assert _asym_sum(l, None, (Fraction(1),) * len(l)) == mzf_rev(l), l
+            assert _asym_sum(l, None, a, {}) == _per_direction_sum(l, a), (l, a)
+        assert _asym_sum(l, None, (Fraction(1),) * len(l), {}) == mzf_rev(l), l
 
 
 @settings(deadline=None, max_examples=60)
@@ -196,8 +241,8 @@ def test_all_directions_pass_property(data):
     l = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=5), label="l"))
     positive = st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
     a = tuple(data.draw(st.lists(positive, min_size=len(l), max_size=len(l)), label="a"))
-    assert _asym_sum(l, None, a) == _per_direction_sum(l, a)
-    assert _asym_sum(l, None, (Fraction(1),) * len(l)) == mzf_rev(l)
+    assert _asym_sum(l, None, a, {}) == _per_direction_sum(l, a)
+    assert _asym_sum(l, None, (Fraction(1),) * len(l), {}) == mzf_rev(l)
 
 
 def test_recurrence_memo_shared_across_the_grid_is_sound():
@@ -214,10 +259,98 @@ def test_recurrence_memo_shared_across_the_grid_is_sound():
                     ), (i, r, l, a)
 
 
+def _draw_index(draw, max_depth=5, max_weight=8):
+    r = draw(st.integers(min_value=1, max_value=max_depth))
+    l, budget = [], max_weight
+    for _ in range(r):
+        l.append(draw(st.integers(min_value=0, max_value=budget)))
+        budget -= l[-1]
+    return tuple(l)
+
+
+@st.composite
+def _shared_suffix_points(draw):
+    """Points (l, d, a) in a random order that share suffixes: every suffix of
+    a few drawn tuples, with the matching suffix of one depth-5 shift (all
+    ones, a basis vector e_p or random positive entries), at d=None, at every
+    staircase direction and at one more drawn direction."""
+    family = draw(st.sampled_from(["ones", "basis", "positive"]))
+    if family == "ones":
+        master = (Fraction(1),) * 5
+    elif family == "basis":
+        p = draw(st.integers(min_value=0, max_value=4))
+        master = tuple(Fraction(int(t == p)) for t in range(5))
+    else:
+        positive = st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
+        master = tuple(draw(st.lists(positive, min_size=5, max_size=5)))
+    points = []
+    count = draw(st.integers(min_value=1, max_value=4))
+    for l in [_draw_index(draw) for _ in range(count)]:
+        for start in range(len(l)):
+            sub, r = l[start:], len(l) - start
+            bits = st.lists(st.integers(min_value=0, max_value=1), min_size=r - 1, max_size=r - 1)
+            dirs = [None, tuple(draw(bits))]
+            dirs += [staircase_direction(i, r) for i in range(1, r + 1)]
+            points += [(sub, d, master[5 - r :]) for d in dict.fromkeys(dirs)]
+    return draw(st.permutations(points))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_shared_suffix_points())
+def test_shared_definition_memo_matches_the_forward_oracle(points):
+    # One memo, filled in a random order by calls that share suffix rows.
+    memo = {}
+    for l, d, a in points:
+        assert _asym_sum(l, d, a, memo) == _forward_asym_sum(l, d, a), (l, d, a)
+
+
+def test_two_fill_orders_leave_equal_memos():
+    # Each kept row is a function of its key, and a call keeps every row it
+    # computes that may be kept, so the memo a grid leaves does not depend
+    # on the order of its calls.
+    grid = [
+        (l, d, make_shift(len(l)))
+        for l in iter_index_tuples(4, 4)
+        for d in (None, *product((0, 1), repeat=len(l) - 1))
+        for make_shift in _SUITE_SHIFTS
+    ]
+    in_order, shuffled = {}, {}
+    values = [_asym_sum(l, d, a, in_order) for l, d, a in grid]
+    order = list(range(len(grid)))
+    random.Random(0).shuffle(order)
+    for k in order:
+        assert _asym_sum(*grid[k], shuffled) == values[k], grid[k]
+    assert in_order and shuffled == in_order
+    assert values == [_forward_asym_sum(l, d, a) for l, d, a in grid]
+
+
+def test_shared_chain_memo_matches_fresh_explicit_path(monkeypatch):
+    # The expansion covers every staircase, i == r and r < 3 included, and
+    # never hands over to the recurrence.
+    def no_recurrence(*args):
+        raise AssertionError("the explicit path ran the recurrence")
+
+    monkeypatch.setattr(asymptotic, "_c_rec", no_recurrence)
+    grid = [
+        (i, r, l, as_shift(make_shift(r), r))
+        for r in range(1, 6)
+        for l in iter_index_tuples(r, 4, min_depth=r)
+        for i in range(1, r + 1)
+        for make_shift in _SUITE_SHIFTS
+    ]
+    random.Random(1).shuffle(grid)
+    chains = {}
+    for i, r, l, a in grid:
+        fresh = asymptotic._c_explicit(i, r, l, a, {})
+        assert fresh == _forward_asym_sum(l, staircase_direction(i, r), a), (i, r, l, a)
+        assert asymptotic._c_explicit(i, r, l, a, chains) == fresh, (i, r, l, a)
+    assert chains
+
+
 def test_explicit_path_never_reads_the_suite_memo(monkeypatch):
     # Corrupt every shared memo after each recurrence check: later recurrence
-    # checks then fail, while every explicit-path check, whose r < 3 and
-    # i == r fallback runs the recurrence on a memo of its own, still passes.
+    # checks then fail, while every explicit-path check, which never runs
+    # the recurrence, still passes.
     from mzv import verify
 
     c_rec = verify._c_rec
@@ -250,7 +383,7 @@ def test_pinned_coefficients():
         for a in shifts:
             if a[0] == 0:  # basis shifts e_p, p >= 2: only the relaxed definition sum
                 for d in product((0, 1), repeat=r - 1):
-                    digest.update(f"_asym_sum {l} {d} {a}={_asym_sum(l, d, a)}\n".encode())
+                    digest.update(f"_asym_sum {l} {d} {a}={_asym_sum(l, d, a, {})}\n".encode())
                 continue
             for d in product((0, 1), repeat=r - 1):
                 digest.update(f"asym_coeff {l} {d} {a}={asym_coeff(l, d, a)}\n".encode())

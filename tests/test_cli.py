@@ -178,6 +178,27 @@ def test_coeff_bad_direction_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_coeff_over_the_size_cap_is_refused_before_any_compute(capsys, monkeypatch):
+    def no_compute(*args):
+        raise AssertionError("an over-cap coeff started computing")
+
+    monkeypatch.setattr(mzv.cli, "asym_coeff", no_compute)
+    assert mzv.cli.COEFF_MAX_SIZE == 1_000
+    for index in ("1000", ",".join(["0"] * 32), "10,10,10,10,10,10,10,10,10,10"):
+        code, out, err = run(capsys, "coeff", "--index", index)
+        assert code == 2, index
+        assert out == ""
+        assert "the cap is 1,000" in err, err
+    code, _, err = run(capsys, "coeff", "--index", "1000")
+    assert "r * (r + |l|) = 1,001" in err
+
+
+def test_coeff_under_the_size_cap_is_accepted(capsys):
+    code, out, _ = run(capsys, "coeff", "--index", "100,100,100", "--a", "3/7,1,2", "--json")
+    assert code == 0
+    assert json.loads(out)["records"][0]["value"].startswith("-95238198825826031307644077864143")
+
+
 def test_gregory_table_text(capsys):
     code, out, _ = run(capsys, "gregory", "--max", "4", "4")
     assert code == 0

@@ -1,10 +1,12 @@
 """Tests for the verification-suite runner."""
 
+import json
 import threading
 
 import pytest
 
 from mzv import verify
+from mzv.cli import main
 from mzv.verify import SUITE_NAMES, Bounds, run_suite, run_suites
 
 
@@ -102,3 +104,50 @@ def test_check_counts_are_pinned(bounds, counts):
     results = run_suites(["all"], bounds)
     assert {res.suite: res.checked for res in results} == counts
     assert all(res.ok for res in results)
+
+
+def test_passing_checks_build_no_description():
+    def unused():
+        raise AssertionError("a passing check built its description")
+
+    rec = verify._Recorder()
+    rec.equal(unused, 1, 1)
+    rec.true(unused, True)
+    rec.equal(lambda: "built on failure", 1, 2)
+    rec.true("a plain string", False)
+    assert rec.result("demo") == ("demo", 4, ("built on failure: 1 != 2", "a plain string"))
+
+
+# The failure text of three planted wrong routes, recorded when every
+# description was formatted before its check ran.
+PLANTED_COUNTEREXAMPLES = {
+    "asym": "explicit path i=2, r=3, l=(1, 0, 2), a=(Fraction(1, 1), Fraction(1, 1), "
+    "Fraction(1, 1)): 6047/6048 != -1/6048",
+    "choi": "contiguous-shift reduction r=3, m=2, l=1, z=1 (depth-3 value 1/240)",
+    "sign": "sign relation regular l=(1, 1): plain=1/360, star=1/360",
+}
+
+
+def test_planted_wrong_routes_report_pinned_counterexamples(monkeypatch, capsys):
+    c_explicit = verify._c_explicit
+    choi_check = verify.choi_identity_check
+    sign_check = verify.sign_theorem_check
+
+    def wrong_explicit(i, r, l, a, memo):
+        value = c_explicit(i, r, l, a, memo)
+        return value + 1 if (i, l) == (2, (1, 0, 2)) else value
+
+    monkeypatch.setattr(verify, "_c_explicit", wrong_explicit)
+    monkeypatch.setattr(
+        verify,
+        "choi_identity_check",
+        lambda r, l, z, m: choi_check(r, l, z, m) and (r, m, l) != (3, 2, 1),
+    )
+    monkeypatch.setattr(
+        verify, "sign_theorem_check", lambda order, l: sign_check(order, l) and l != (1, 1)
+    )
+    argv = ["verify", "--suite", "all", "--json", "--max-depth", "2", "--max-weight", "3"]
+    assert main(argv + ["--max-r", "3"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    found = {res["suite"]: res["first_counterexample"] for res in results}
+    assert found == {name: PLANTED_COUNTEREXAMPLES.get(name) for name in SUITE_NAMES}
