@@ -55,7 +55,7 @@ from operator import mul
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .bernoulli import shift_ratios
-from .kernel import BivariateSeries, RationalLike, div_xy_difference, rat
+from .kernel import BivariateSeries, RationalLike, rat
 from .stirling import stirling_kernel_box
 from .values import IndexTuple, as_index_tuple
 
@@ -86,13 +86,10 @@ def as_direction(d: Sequence[int], depth: int) -> Direction:
     return bits
 
 
-def as_shift(a: Sequence[RationalLike], depth: int, *, relaxed: bool = False) -> Shift:
+def as_shift(a: Sequence[RationalLike], depth: int) -> Shift:
     """Validate a shift vector of exact rationals.
 
-    The partial sums a_1 + ... + a_j must all be positive; with
-    ``relaxed=True`` they need only be non-negative (used by identity checks
-    that evaluate coefficients at standard-basis shifts, where the Bernoulli
-    polynomial values remain perfectly well defined).
+    The partial sums a_1 + ... + a_j must all be positive.
     """
     entries = tuple(rat(c) for c in a)
     if len(entries) != depth:
@@ -102,12 +99,7 @@ def as_shift(a: Sequence[RationalLike], depth: int, *, relaxed: bool = False) ->
     running = Fraction(0)
     for j, c in enumerate(entries, start=1):
         running += c
-        if relaxed:
-            if running < 0:
-                raise ValueError(
-                    f"shift partial sum a_1+...+a_{j} = {running} is negative"
-                )
-        elif running <= 0:
+        if running <= 0:
             raise ValueError(
                 f"shift partial sum a_1+...+a_{j} = {running} is not positive"
             )
@@ -442,29 +434,27 @@ def _gregory_diagonals(t: int) -> Tuple[List[Fraction], List[Fraction]]:
 
     On total degree t + 1, y log^2(1+x) - x log^2(1+y) is L2_t (x^t y - x y^t)
     and log(1+x) - log(1+y) is L_{t+1} (x^(t+1) - y^(t+1)), with L_k and L2_k
-    the coefficients of u^k in log(1+u) and log^2(1+u).  Every entry of the
-    divided denominator is L_{t+1} = (-1)^t / (t + 1).
+    the coefficients of u^k in log(1+u) and log^2(1+u):
+    L_k = (-1)^(k+1) / k and L2_t = sum_{a=1}^{t-1} (-1)^t / (a (t - a)).
+    Divided by (x - y), the first is L2_t at every 0 < i < t and 0 at both
+    ends, and every entry of the second is L_{t+1} = (-1)^t / (t + 1).
     """
-    log = [Fraction(0)] + [Fraction(1 if k % 2 else -1, k) for k in range(1, t + 2)]
-    log2 = sum((log[a] * log[t - a] for a in range(1, t)), Fraction(0))
-    num = [Fraction(0)] * (t + 2)
-    den = [Fraction(0)] * (t + 2)
-    num[t] += log2
-    num[1] -= log2
-    den[t + 1] += log[t + 1]
-    den[0] -= log[t + 1]
-    return div_xy_difference(num), div_xy_difference(den)
+    sign = -1 if t % 2 else 1
+    log2 = sum((Fraction(sign, a * (t - a)) for a in range(1, t)), Fraction(0))
+    num = [log2 if 0 < i < t else Fraction(0) for i in range(t + 1)]
+    return num, [Fraction(sign, t + 1)] * (t + 1)
 
 
 def gregory(m: int, n: int) -> Fraction:
     """Generalized Gregory coefficient G_{m,n}: the coefficient of x^m y^n in
     (y log^2(1+x) - x log^2(1+y)) / (log(1+x) - log(1+y)).
 
-    Each diagonal of numerator and denominator is divided by (x - y), which
-    certifies that it divides exactly; the divided denominator is constant on
-    each diagonal, so the last division runs diagonal by diagonal in one dense
-    table.  Every call reads the same table, grown in place to total degree
-    m+n: a higher order appends diagonals and never recomputes old ones.
+    Numerator and denominator are both divisible by (x - y), and their
+    quotients by it have closed-form diagonals; the divided denominator is
+    constant on each diagonal, so the last division runs diagonal by diagonal
+    in one dense table.  Every call reads the same table, grown in place to
+    total degree m+n: a higher order appends diagonals and never recomputes
+    old ones.
     """
     if m < 0 or n < 0:
         raise ValueError(f"Gregory indices must be non-negative, got ({m}, {n})")
@@ -725,9 +715,9 @@ def star_coeff_relation_check(
         raise ValueError(f"need 1 <= p <= r, got p={p}")
     d = staircase_direction(i, r)
     ones = _ones_shift(r)
-    e_p = as_shift(
-        tuple(1 if t == p - 1 else 0 for t in range(r)), r, relaxed=True
-    )
+    # The basis shift e_p has partial sums 0 before slot p; the definition sum
+    # is well defined there, though asym_coeff refuses such a shift.
+    e_p = tuple(Fraction(1 if t == p - 1 else 0) for t in range(r))
     sign = -1 if (r + sum(lt)) % 2 else 1
     memo = {} if memo is None else memo
     lhs = _asym_sum(lt, d, e_p, memo) - sign * _asym_sum(lt, d, ones, memo)

@@ -16,7 +16,9 @@ Subcommands:
 Values are exact rationals rendered as ``p/q`` (integers drop the ``/1``);
 ``--decimal N`` adds a clearly-marked approximate decimal rendering to the
 records of ``value``, ``coeff``, ``stirling`` and ``table``.
-``--json`` and ``--csv`` switch the output format.  Exit codes: 0 success,
+``--json`` and ``--csv`` switch the output format.  Records are written as
+they are produced, so a table streams; every usage check runs before the
+first byte.  Exit codes: 0 success,
 1 identity failure (a path disagreement or a failed verification), 2 usage
 error, 3 internal error (an unexpected exception, reported on one stderr
 line), 141 stdout closed by its reader (128 + SIGPIPE).  Every call computes
@@ -31,8 +33,9 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .asymptotic import asym_coeff, gregory, rev_via_gregory
 from .stirling import (
@@ -58,7 +61,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer that lost its reader
 
-# `mzv table` refuses larger grids up front; 203,489 tuples take 7 s on a 2.1 GHz Xeon.
+# `mzv table` refuses larger grids up front; 203,489 tuples take 4 s on a 2.1 GHz Xeon.
 TABLE_MAX_TUPLES = 250_000
 # `mzv coeff` refuses an index with r * (r + |l|) over this up front: the definition
 # sum fills r rows of up to r + |l| + 1 entries.  The slowest shape at the cap, depth 1
@@ -66,6 +69,16 @@ TABLE_MAX_TUPLES = 250_000
 # Xeon; (100, 100, 100) has 909.  A cap on r + |l| alone would not do: at
 # r + |l| = 300, depth 20 takes 22 s and depth 40 takes 81 s.
 COEFF_MAX_SIZE = 1_000
+# The Bernoulli rows also grow with the shift, so r * (r + |l|) times the bit length of
+# the largest numerator or denominator in the shift has its own cap.  On the same Xeon,
+# index (999) takes 9-10 s at a = 1019/1021 (10 bits), 17 s at 1/1000003 and 75 s at
+# 1/10^30; (908) at 2037/2039 (11 bits, just under the cap) takes 7-8 s.
+COEFF_MAX_SIZE_BITS = 10_000
+
+
+# One output record: (query, exact value, provenance).  The value is an int or a
+# Fraction, or the text of a value that is not a number (an S-poly polynomial).
+Record = Tuple[str, Union[int, Fraction, str], str]
 
 
 class _UsageError(Exception):
@@ -131,42 +144,41 @@ def _check_formats(args: argparse.Namespace) -> None:
 
 
 def _emit_records(
-    args: argparse.Namespace,
-    records: List[Dict[str, str]],
-    verdict: Optional[str] = None,
+    args: argparse.Namespace, records: Iterable[Record], verdict: Optional[str] = None
 ) -> None:
-    decimal = getattr(args, "decimal", None)
-    if decimal is not None:
-        for record in records:
-            try:
-                exact = Fraction(record["value"])
-            except (ValueError, ZeroDivisionError):
-                continue  # not a rational, such as an S-poly polynomial
-            record["approx_decimal"] = _decimal_string(exact, decimal)
+    """Write each record as it arrives: a text line, a CSV row or the next
+    entry of one JSON document.  ``--decimal`` adds an approximate decimal to
+    every record whose value is an int or a Fraction."""
+    decimal = args.decimal
+    write = sys.stdout.write
+    if args.csv:
+        row = csv.writer(sys.stdout).writerow
+        row(["query", "value", "provenance"] + ([] if decimal is None else ["approx_decimal"]))
+    elif args.json:
+        write('{"records": [')
+    sep = ""
+    for query, exact, provenance in records:
+        approx = (
+            _decimal_string(exact, decimal)
+            if decimal is not None and isinstance(exact, (int, Fraction))
+            else None
+        )
+        if args.json:
+            extra = "" if approx is None else f', "approx_decimal": "{approx}"'
+            write(f'{sep}{{"query": {_json(query)}, "value": {_json(str(exact))}, '
+                  f'"provenance": {_json(provenance)}{extra}}}')
+            sep = ", "
+        elif args.csv:
+            row([query, exact, provenance] + ([] if decimal is None else [approx or ""]))
+        else:
+            extra = "" if approx is None else f" (~ {approx}, approximate)"
+            write(f"{query} = {exact}{extra}  [{provenance}]\n")
     if args.json:
-        payload: Dict[str, object] = {"records": records}
-        if verdict is not None:
-            payload["verdict"] = verdict
-        print(json.dumps(payload))
-    elif args.csv:
-        writer = csv.writer(sys.stdout)
-        columns = ["query", "value", "provenance"]
-        if decimal is not None:
-            columns.append("approx_decimal")
-        writer.writerow(columns)
-        for record in records:
-            writer.writerow([record.get(column, "") for column in columns])
-        if verdict is not None:
-            writer.writerow(["verdict", verdict, ""])
-    else:
-        for record in records:
-            line = f"{record['query']} = {record['value']}"
-            if "approx_decimal" in record:
-                line += f" (~ {record['approx_decimal']}, approximate)"
-            line += f"  [{record['provenance']}]"
-            print(line)
-        if verdict is not None:
-            print(f"verdict: {verdict}")
+        write("]" + ("" if verdict is None else f', "verdict": "{verdict}"') + "}\n")
+    elif verdict is not None and args.csv:
+        row(["verdict", verdict, ""])
+    elif verdict is not None:
+        write(f"verdict: {verdict}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +214,12 @@ def _cmd_value(args: argparse.Namespace) -> int:
         for name, route in routes.items()
         if args.path in ("all", name)
     }
-    index_text = ",".join(map(str, l))
-    records = [
-        {
-            "query": f"{kind.value}({index_text})",
-            "value": str(computed[name]),
-            "provenance": name,
-        }
-        for name in sorted(computed)
-    ]
+    query = f"{kind.value}({','.join(map(str, l))})"
+    records = [(query, computed[name], name) for name in sorted(computed)]
     if args.path != "all":
         _emit_records(args, records)
         return EXIT_OK
-    agree = len({record["value"] for record in records}) == 1
+    agree = len(set(computed.values())) == 1
     _emit_records(args, records, verdict="AGREE" if agree else "DISAGREE")
     return EXIT_OK if agree else EXIT_IDENTITY_FAILURE
 
@@ -231,17 +236,18 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
         if args.a is not None
         else (Fraction(1),) * len(l)
     )
-    result = asym_coeff(l, bits, shift)
-    record = {
-        "query": (
-            f"coeff(l=({','.join(map(str, l))});"
-            f" d=({','.join(map(str, bits))});"
-            f" a=({','.join(map(str, shift))}))"
-        ),
-        "value": str(result),
-        "provenance": "definition",
-    }
-    _emit_records(args, [record])
+    shift_bits = max(max(abs(c.numerator), c.denominator).bit_length() for c in shift)
+    if size * shift_bits > COEFF_MAX_SIZE_BITS:
+        raise _UsageError(
+            f"the index has r * (r + |l|) = {size:,} and the shift has {shift_bits}-bit entries; "
+            f"the cap on their product is {COEFF_MAX_SIZE_BITS:,}"
+        )
+    query = (
+        f"coeff(l=({','.join(map(str, l))});"
+        f" d=({','.join(map(str, bits))});"
+        f" a=({','.join(map(str, shift))}))"
+    )
+    _emit_records(args, [(query, asym_coeff(l, bits, shift), "definition")])
     return EXIT_OK
 
 
@@ -295,33 +301,23 @@ def _cmd_stirling(args: argparse.Namespace) -> int:
         result = (
             stirling_first(n, m) if kind == "s" else stirling_second(n, m)
         )
-        record = {
-            "query": f"{kind}({n},{m})",
-            "value": str(result),
-            "provenance": "recurrence-table",
-        }
+        record: Record = (f"{kind}({n},{m})", result, "recurrence-table")
     elif y is None:
         poly = (
             stirling_poly_first(n, m)
             if kind == "s-poly"
             else stirling_poly_second(n, m)
         )
-        record = {
-            "query": f"{kind}({n},{m})",
-            "value": poly.to_string("Y"),
-            "provenance": "closed-form",
-        }
+        # A constant polynomial is a number, and gets a decimal like one.
+        exact = poly.coefficient(0) if poly.degree < 1 else poly.to_string("Y")
+        record = (f"{kind}({n},{m})", exact, "closed-form")
     else:
         at = (
             stirling_poly_first_at(n, m, y)
             if kind == "s-poly"
             else stirling_poly_second_at(n, m, y)
         )
-        record = {
-            "query": f"{kind}({n},{m}; Y={y})",
-            "value": str(at),
-            "provenance": "closed-form",
-        }
+        record = (f"{kind}({n},{m}; Y={y})", at, "closed-form")
     _emit_records(args, [record])
     return EXIT_OK
 
@@ -396,12 +392,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if size is None or size > TABLE_MAX_TUPLES:
         count = f"C({depth + weight + 1}, {depth}) - 1" if size is None else f"{size:,}"
         raise _UsageError(f"the table has {count} index tuples; the cap is {TABLE_MAX_TUPLES:,}")
-    records = [
-        {"query": f"{args.kind}({','.join(map(str, l))})", "value": str(v),
-         "provenance": "recurrence"}
+    _emit_records(args, (
+        (f"{args.kind}({','.join(map(str, l))})", v, "recurrence")
         for l, v in value_grid(args.kind, depth, weight)
-    ]
-    _emit_records(args, records)
+    ))
     return EXIT_OK
 
 

@@ -13,11 +13,8 @@ touches floating point, and polynomial values come from the integer
   for the two-variable generating function whose coefficients are the
   Gregory-type constants.
 
-The two divisions are the only non-obvious algorithms.
-:func:`div_xy_difference` divides one diagonal by the antisymmetric factor
-(x - y) and certifies divisibility, refusing loudly when the diagonal sum
-fails to vanish.  :class:`BivariateSeries` divides by a graded unit (one
-constant per diagonal) with a prefix sum per diagonal.
+The one non-obvious algorithm is the division in :class:`BivariateSeries`:
+by a graded unit (one constant per diagonal), with a prefix sum per diagonal.
 """
 
 from __future__ import annotations
@@ -236,30 +233,6 @@ def _as_poly(value):
 # ---------------------------------------------------------------------------
 # Dense graded quotient of bivariate power series
 # ---------------------------------------------------------------------------
-
-
-def div_xy_difference(diagonal: Sequence[Fraction]) -> List[Fraction]:
-    """Divide one homogeneous diagonal by (x - y), certifying divisibility.
-
-    Entry i of a total-degree-D diagonal is the coefficient of x^i y^(D-i).
-    It is divisible by (x - y) exactly when its entries sum to zero (it
-    vanishes on x = y); the quotient is the total-degree-(D-1) diagonal.
-    Otherwise a ValueError reports the total degree and the residue.
-    """
-    degree = len(diagonal) - 1
-    quotient = [Fraction(0)] * degree
-    # c_i = q_{i-1} - q_i: walk down from the pure-x end, then the leftover
-    # c_0 + q_0 certifies divisibility.
-    carry = Fraction(0)
-    for i in range(degree, 0, -1):
-        carry = quotient[i - 1] = diagonal[i] + carry
-    residue = diagonal[0] + carry
-    if residue != 0:
-        raise ValueError(
-            "series is not divisible by (x - y): diagonal sum at total degree "
-            f"{degree} leaves residue {residue}"
-        )
-    return quotient
 
 
 class BivariateSeries:

@@ -193,6 +193,34 @@ def test_coeff_over_the_size_cap_is_refused_before_any_compute(capsys, monkeypat
     assert "r * (r + |l|) = 1,001" in err
 
 
+@pytest.mark.parametrize(
+    "shift, bits",
+    [("1/1000000000000000000000000000000", 100), ("1/1000003", 20), ("1000003", 20), ("2037/2039", 11)],
+)
+def test_coeff_over_the_shift_cap_is_refused_before_any_compute(capsys, monkeypatch, shift, bits):
+    def no_compute(*args):
+        raise AssertionError("an over-cap coeff started computing")
+
+    monkeypatch.setattr(mzv.cli, "asym_coeff", no_compute)
+    assert mzv.cli.COEFF_MAX_SIZE_BITS == 10_000
+    code, out, err = run(capsys, "coeff", "--index", "999", "--a", shift)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the index has r * (r + |l|) = 1,000 and the shift has {bits}-bit entries; "
+        "the cap on their product is 10,000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "index, shift", [("99", "1/1000003"), ("9", "1/" + "9" * 300), ("1,1,1", "5/4,7/9,1/6")]
+)
+def test_coeff_under_the_shift_cap_is_accepted(capsys, index, shift):
+    # 100 * 20, 10 * 997 and 12 * 4 are under the cap of 10,000.
+    code, out, err = run(capsys, "coeff", "--index", index, "--a", shift)
+    assert (code, err) == (0, "")
+    assert out.endswith("  [definition]\n")
+
+
 def test_coeff_under_the_size_cap_is_accepted(capsys):
     code, out, _ = run(capsys, "coeff", "--index", "100,100,100", "--a", "3/7,1,2", "--json")
     assert code == 0
@@ -513,3 +541,206 @@ def test_cache_dir_is_ignored(tmp_path, monkeypatch, capsys):
     assert err == ""
     assert "mzf-reg(3) = 1/120" in out
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",), ("--csv",)])
+def test_emit_records_streams(monkeypatch, fmt):
+    # Each record is written before the next one is produced.
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    args = mzv.cli._build_parser().parse_args(["table", "--kind", "mzf-reg", "--decimal", "2", *fmt])
+    held_back = []
+
+    def records():
+        for k in range(4):
+            if k and f"q{k - 1}" not in out.getvalue():
+                held_back.append(k - 1)
+            yield f"q{k}", Fraction(k, 7), "test"
+
+    mzv.cli._emit_records(args, records())
+    assert held_back == []
+    assert "q3" in out.getvalue()
+
+
+def test_table_streams_the_grid(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    held_back = []
+
+    def grid(kind, depth, weight):
+        for x in range(weight + 1):
+            if x and f"{kind}({x - 1})" not in out.getvalue():
+                held_back.append(x - 1)
+            yield (x,), Fraction(1, x + 2)
+
+    monkeypatch.setattr(mzv.cli, "value_grid", grid)
+    code = main(["table", "--kind", "mzf-rev", "--max-depth", "1", "--max-weight", "3", "--json"])
+    assert (code, held_back) == (0, [])
+    assert json.loads(out.getvalue())["records"][3] == {
+        "query": "mzf-rev(3)", "value": "1/5", "provenance": "recurrence"
+    }
+
+
+# Output of each record-writing subcommand in the three formats, byte for
+# byte, as recorded before records were streamed.
+PINNED_OUTPUT = {
+    "value": (
+        ("value", "--kind", "mzf-rev", "--index", "1,2", "--path", "all", "--decimal", "6"),
+        {
+            "text": (
+                'mzf-rev(1,2) = -1/240 (~ -0.004167, approximate)  [gregory]\n'
+                'mzf-rev(1,2) = -1/240 (~ -0.004167, approximate)  [recurrence]\n'
+                'mzf-rev(1,2) = -1/240 (~ -0.004167, approximate)  [stirling]\n'
+                'verdict: AGREE\n'
+            ),
+            "csv": (
+                'query,value,provenance,approx_decimal\r\n'
+                '"mzf-rev(1,2)",-1/240,gregory,-0.004167\r\n'
+                '"mzf-rev(1,2)",-1/240,recurrence,-0.004167\r\n'
+                '"mzf-rev(1,2)",-1/240,stirling,-0.004167\r\n'
+                'verdict,AGREE,\r\n'
+            ),
+            "json": (
+                '{"records": [{"query": "mzf-rev(1,2)", "value": "-1/240", '
+                '"provenance": "gregory", "approx_decimal": "-0.004167"}, '
+                '{"query": "mzf-rev(1,2)", "value": "-1/240", '
+                '"provenance": "recurrence", "approx_decimal": "-0.004167"}, '
+                '{"query": "mzf-rev(1,2)", "value": "-1/240", "provenance": "stirling", '
+                '"approx_decimal": "-0.004167"}], "verdict": "AGREE"}\n'
+            ),
+        },
+    ),
+    "coeff": (
+        ("coeff", "--index", "1,0,2", "--d", "1,0", "--a", "3/7,1,2", "--decimal", "6"),
+        {
+            "text": (
+                'coeff(l=(1,0,2); d=(1,0); a=(3/7,1,2)) = -89/30240 (~ -0.002943, '
+                'approximate)  [definition]\n'
+            ),
+            "csv": (
+                'query,value,provenance,approx_decimal\r\n'
+                '"coeff(l=(1,0,2); d=(1,0); a=(3/7,1,2))",-89/30240,definition,-0.002943\r\n'
+            ),
+            "json": (
+                '{"records": [{"query": "coeff(l=(1,0,2); d=(1,0); a=(3/7,1,2))", '
+                '"value": "-89/30240", "provenance": "definition", '
+                '"approx_decimal": "-0.002943"}]}\n'
+            ),
+        },
+    ),
+    "stirling-number": (
+        ("stirling", "--kind", "s", "--n", "7", "--m", "3", "--decimal", "2"),
+        {
+            "text": 's(7,3) = 1624 (~ 1624.00, approximate)  [recurrence-table]\n',
+            "csv": (
+                'query,value,provenance,approx_decimal\r\n'
+                '"s(7,3)",1624,recurrence-table,1624.00\r\n'
+            ),
+            "json": (
+                '{"records": [{"query": "s(7,3)", "value": "1624", '
+                '"provenance": "recurrence-table", "approx_decimal": "1624.00"}]}\n'
+            ),
+        },
+    ),
+    "stirling-polynomial": (
+        ("stirling", "--kind", "S-poly", "--n", "4", "--m", "2", "--decimal", "2"),
+        {
+            "text": 'S-poly(4,2) = 6*Y^2 + 12*Y + 7  [closed-form]\n',
+            "csv": (
+                'query,value,provenance,approx_decimal\r\n'
+                '"S-poly(4,2)",6*Y^2 + 12*Y + 7,closed-form,\r\n'
+            ),
+            "json": (
+                '{"records": [{"query": "S-poly(4,2)", "value": "6*Y^2 + 12*Y + 7", '
+                '"provenance": "closed-form"}]}\n'
+            ),
+        },
+    ),
+    "stirling-constant-polynomial": (
+        ("stirling", "--kind", "S-poly", "--n", "3", "--m", "3", "--decimal", "2"),
+        {
+            "text": 'S-poly(3,3) = 1 (~ 1.00, approximate)  [closed-form]\n',
+            "csv": (
+                'query,value,provenance,approx_decimal\r\n'
+                '"S-poly(3,3)",1,closed-form,1.00\r\n'
+            ),
+            "json": (
+                '{"records": [{"query": "S-poly(3,3)", "value": "1", '
+                '"provenance": "closed-form", "approx_decimal": "1.00"}]}\n'
+            ),
+        },
+    ),
+    "stirling-point": (
+        ("stirling", "--kind", "s-poly", "--n", "5", "--m", "2", "--y=-3/11", "--decimal", "4"),
+        {
+            "text": (
+                's-poly(5,2; Y=-3/11) = -34105/1331 (~ -25.6236, '
+                'approximate)  [closed-form]\n'
+            ),
+            "csv": (
+                'query,value,provenance,approx_decimal\r\n'
+                '"s-poly(5,2; Y=-3/11)",-34105/1331,closed-form,-25.6236\r\n'
+            ),
+            "json": (
+                '{"records": [{"query": "s-poly(5,2; Y=-3/11)", "value": "-34105/1331", '
+                '"provenance": "closed-form", "approx_decimal": "-25.6236"}]}\n'
+            ),
+        },
+    ),
+    "table": (
+        ("table", "--kind", "mzsf-rev", "--max-depth", "2", "--max-weight", "2", "--decimal", "4"),
+        {
+            "text": (
+                'mzsf-rev(0) = -1/2 (~ -0.5000, approximate)  [recurrence]\n'
+                'mzsf-rev(1) = -1/12 (~ -0.0833, approximate)  [recurrence]\n'
+                'mzsf-rev(2) = 0 (~ 0.0000, approximate)  [recurrence]\n'
+                'mzsf-rev(0,0) = -1/12 (~ -0.0833, approximate)  [recurrence]\n'
+                'mzsf-rev(0,1) = 0 (~ 0.0000, approximate)  [recurrence]\n'
+                'mzsf-rev(0,2) = 1/120 (~ 0.0083, approximate)  [recurrence]\n'
+                'mzsf-rev(1,0) = -1/24 (~ -0.0417, approximate)  [recurrence]\n'
+                'mzsf-rev(1,1) = 1/240 (~ 0.0042, approximate)  [recurrence]\n'
+                'mzsf-rev(2,0) = -1/90 (~ -0.0111, approximate)  [recurrence]\n'
+            ),
+            "csv": (
+                'query,value,provenance,approx_decimal\r\n'
+                'mzsf-rev(0),-1/2,recurrence,-0.5000\r\n'
+                'mzsf-rev(1),-1/12,recurrence,-0.0833\r\n'
+                'mzsf-rev(2),0,recurrence,0.0000\r\n'
+                '"mzsf-rev(0,0)",-1/12,recurrence,-0.0833\r\n'
+                '"mzsf-rev(0,1)",0,recurrence,0.0000\r\n'
+                '"mzsf-rev(0,2)",1/120,recurrence,0.0083\r\n'
+                '"mzsf-rev(1,0)",-1/24,recurrence,-0.0417\r\n'
+                '"mzsf-rev(1,1)",1/240,recurrence,0.0042\r\n'
+                '"mzsf-rev(2,0)",-1/90,recurrence,-0.0111\r\n'
+            ),
+            "json": (
+                '{"records": [{"query": "mzsf-rev(0)", "value": "-1/2", '
+                '"provenance": "recurrence", "approx_decimal": "-0.5000"}, '
+                '{"query": "mzsf-rev(1)", "value": "-1/12", "provenance": "recurrence", '
+                '"approx_decimal": "-0.0833"}, {"query": "mzsf-rev(2)", "value": "0", '
+                '"provenance": "recurrence", "approx_decimal": "0.0000"}, '
+                '{"query": "mzsf-rev(0,0)", "value": "-1/12", '
+                '"provenance": "recurrence", "approx_decimal": "-0.0833"}, '
+                '{"query": "mzsf-rev(0,1)", "value": "0", "provenance": "recurrence", '
+                '"approx_decimal": "0.0000"}, {"query": "mzsf-rev(0,2)", '
+                '"value": "1/120", "provenance": "recurrence", '
+                '"approx_decimal": "0.0083"}, {"query": "mzsf-rev(1,0)", '
+                '"value": "-1/24", "provenance": "recurrence", '
+                '"approx_decimal": "-0.0417"}, {"query": "mzsf-rev(1,1)", '
+                '"value": "1/240", "provenance": "recurrence", '
+                '"approx_decimal": "0.0042"}, {"query": "mzsf-rev(2,0)", '
+                '"value": "-1/90", "provenance": "recurrence", '
+                '"approx_decimal": "-0.0111"}]}\n'
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUT))
+def test_record_output_is_pinned(capsys, name, fmt):
+    argv, expected = PINNED_OUTPUT[name]
+    code, out, err = run(capsys, *argv, *(() if fmt == "text" else ("--" + fmt,)))
+    assert (code, err) == (0, "")
+    assert out == expected[fmt]

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mzv.asymptotic import _gregory_diagonals
 from mzv.kernel import (
     NEG_INFINITY,
     BivariateSeries,
     RationalPolynomial,
-    div_xy_difference,
     horner,
     rat,
 )
@@ -39,6 +39,30 @@ ONE = diagonals({(0, 0): 1})
 def quotient(num, den, order=0):
     """The table of num / den, both given as diagonal readers."""
     return BivariateSeries(lambda t: (num(t), den(t)), order)
+
+
+def div_xy_difference(diagonal):
+    """Oracle: divide one homogeneous diagonal by (x - y), certifying divisibility.
+
+    Entry i of a total-degree-D diagonal is the coefficient of x^i y^(D-i).
+    It is divisible by (x - y) exactly when its entries sum to zero; the
+    quotient is the total-degree-(D-1) diagonal.  Otherwise a ValueError
+    reports the total degree and the residue.
+    """
+    degree = len(diagonal) - 1
+    quotient = [Fraction(0)] * degree
+    # c_i = q_{i-1} - q_i: walk down from the pure-x end, then the leftover
+    # c_0 + q_0 certifies divisibility.
+    carry = Fraction(0)
+    for i in range(degree, 0, -1):
+        carry = quotient[i - 1] = diagonal[i] + carry
+    residue = diagonal[0] + carry
+    if residue != 0:
+        raise ValueError(
+            "series is not divisible by (x - y): diagonal sum at total degree "
+            f"{degree} leaves residue {residue}"
+        )
+    return quotient
 
 
 @st.composite
@@ -279,3 +303,22 @@ def test_series_xy_difference_round_trip(q):
     padded = [Fraction(0)] + q + [Fraction(0)]
     product = [padded[i] - padded[i + 1] for i in range(len(q) + 1)]
     assert div_xy_difference(product) == q
+
+
+def test_gregory_diagonals_are_the_divided_log_series():
+    # y log^2(1+x) - x log^2(1+y) and log(1+x) - log(1+y), each divided by
+    # (x - y) one diagonal at a time, against the closed forms for t <= 60.
+    order = 61
+    log = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
+    log2 = [sum(log[a] * log[k - a] for a in range(k + 1)) for k in range(order + 1)]
+    num, den = {}, {}
+    for k in range(order + 1):
+        num[(k, 1)] = num.get((k, 1), 0) + log2[k]
+        num[(1, k)] = num.get((1, k), 0) - log2[k]
+        den[(k, 0)] = den.get((k, 0), 0) + log[k]
+        den[(0, k)] = den.get((0, k), 0) - log[k]
+    for t in range(order):
+        assert _gregory_diagonals(t) == (
+            div_xy_difference(diagonals(num)(t + 1)),
+            div_xy_difference(diagonals(den)(t + 1)),
+        )
