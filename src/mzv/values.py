@@ -14,10 +14,11 @@ recurrence replaces the pair of entries it peels by one entry, so
 :func:`value` evaluates all four families without recursion: it fills one
 row of values per depth, from depth one up, each row from the one below.
 :func:`value_grid` evaluates a whole grid in one pass, each row shared by
-all the tuples that read it.  A step adds its terms as integers: it reads its
-row as integer numerators over one row denominator (formed once per row, and
-only for a row a step reads) and the weights as integer numerators over one
-denominator per (c, star), and reduces once, in the Fraction it returns.
+all the tuples that read it and dropped after the last of them.  A step adds
+its terms as integers: it reads its row as integer numerators over one row
+denominator (formed once per row, and only for a row a step reads) and the
+weights as integer numerators over one denominator per (c, star), and
+reduces once, in the Fraction it returns.
 On top of the recurrences this module carries:
 
 * closed forms for the reverse values as Stirling-kernel transforms of
@@ -32,9 +33,10 @@ On top of the recurrences this module carries:
   (:func:`prop_zero_padding_check`).
 
 Every result is an exact Fraction.  Each family keeps one in-memory memo of
-every value its rows computed, so repeated evaluation is cheap and
-deterministic (the same query returns the identical object).  Nothing is
-persisted between processes.
+every value the rows of :func:`value` computed, so repeated evaluation is
+cheap and deterministic (the same query returns the identical object).
+:func:`value` is the memo's only writer; :func:`value_grid` keeps its rows to
+itself.  Nothing is persisted between processes.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ def as_index_tuple(l: Sequence[int]) -> IndexTuple:
     return t
 
 
-# One memo per kind, keyed by index tuple.  An entry is never replaced, so
-# every caller sees one object per query.
+# One memo per kind, keyed by index tuple, written only by value.  An entry is
+# never replaced, so every caller sees one object per query.
 _MEMO: Dict[ValueKind, Dict[IndexTuple, Fraction]] = {kind: {} for kind in ValueKind}
 
 
@@ -184,54 +186,41 @@ def value(kind: ValueKind | str, l: Sequence[int]) -> Fraction:
     return row[0]
 
 
-def _grid_pairs(nodes: list, regular: bool) -> Iterator[tuple]:
-    # (node, x), x up to the node's budget, in grid order; each node is dropped after its last x.
-    if regular:
-        nodes.reverse()
-        while nodes:
-            node = nodes.pop()
-            yield from ((node, x) for x in range(node[1] + 1))
-    x = 0
-    while nodes:
-        yield from ((node, x) for node in nodes)
-        nodes, x = [node for node in nodes if node[1] > x], x + 1
-
-
 def value_grid(
     kind: ValueKind | str, max_depth: int, max_weight: int
 ) -> Iterator[Tuple[IndexTuple, Fraction]]:
     """Yield (l, value(kind, l)) for l in iter_index_tuples(max_depth, max_weight).
 
-    Each node p, the empty tuple or a grid tuple of depth k < max_depth, has
+    Each parent p, the empty tuple or a grid tuple of depth k < max_depth, has
     one row of :func:`value`: the values at p + (x,) (regular) or (x,) + p
     (reverse) for x up to max_weight - |p| + max_depth - 1 - k, the most any
-    grid tuple asks.  Depth by depth, each grid tuple is read from its
-    parent's row and then gets its own from that row's tail, so every step
-    runs once.  Rows enter the memo by setdefault: it ends as the per-tuple
-    calls leave it, and the values yielded are its objects.
+    grid tuple asks.  The walk follows :func:`iter_index_tuples`, depth by
+    depth, so each grid tuple is read from its parent's row, built one depth
+    earlier, and then builds its own row from that row's tail: every step
+    runs once.  A parent's last child is the one at full weight, which drops
+    the parent's row.  The memo is left to :func:`value`: the grid neither
+    reads nor writes it.
     """
     kind = ValueKind(kind)
     if max_depth < 1 or max_weight < 0:
         return
-    put = _MEMO[kind].setdefault
     regular = kind in (ValueKind.MZF_REG, ValueKind.MZSF_REG)
     star = kind in (ValueKind.MZSF_REG, ValueKind.MZSF_REV)
     step = _reg_step if regular else _rev_step
-    join = (lambda p, x: p + (x,)) if regular else (lambda p, x: (x,) + p)
-    # (p, max_weight - |p|, row of p, its (nums, den) if a step reads it),
-    # in lexicographic order of p.
-    row = [put((x,), zeta_neg(x)) for x in range(max_weight + max_depth)]
-    level = [((), max_weight, row, _as_ints(row) if max_depth > 1 else None)]
-    for depth in range(1, max_depth + 1):
-        pairs, level = _grid_pairs(level, regular), []
-        for (p, rest, row, ints), x in pairs:
-            l = join(p, x)
-            yield l, row[x]
-            if depth < max_depth:
-                nums, den = ints
-                prev, cs = nums[x:], range(rest - x + max_depth - depth)
-                new = [put(join(l, c), step(c, prev, den, star)) for c in cs]
-                level.append((l, rest - x, new, _as_ints(new) if depth + 1 < max_depth else None))
+    row = [zeta_neg(x) for x in range(max_weight + max_depth)]
+    # parent -> (its row, the row's (nums, den) if a step reads it)
+    rows = {(): (row, _as_ints(row) if max_depth > 1 else None)}
+    for l in iter_index_tuples(max_depth, max_weight):
+        p, x = (l[:-1], l[-1]) if regular else (l[1:], l[0])
+        rest = max_weight - sum(l)
+        row, ints = rows[p] if rest else rows.pop(p)
+        yield l, row[x]
+        depth = len(l)
+        if depth < max_depth:
+            nums, den = ints
+            prev = nums[x:]
+            new = [step(c, prev, den, star) for c in range(rest + max_depth - depth)]
+            rows[l] = new, _as_ints(new) if depth + 1 < max_depth else None
 
 
 def mzf_reg(l: Sequence[int]) -> Fraction:

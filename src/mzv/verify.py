@@ -372,7 +372,7 @@ def _suite_bernoulli(bounds: Bounds, rng: random.Random) -> SuiteResult:
         rec.equal(
             lambda: f"depth-1 shifted value l={l}, a={a}",
             hurwitz_zeta_neg(l, a),
-            -bernoulli_poly_at(l + 1, a) / (l + 1),
+            choi_value(1, l, a),
         )
     return rec.result("bernoulli")
 

@@ -251,6 +251,19 @@ def test_gregory_table_json(capsys):
     assert payload["rows"] == [["1", "-1/2"], ["-1/2", "1/12"]]
 
 
+def test_gregory_over_the_order_cap_is_refused_before_any_compute(capsys, monkeypatch):
+    # Stubbed: the real --max 60 60 table takes about 10 s.
+    calls = []
+    monkeypatch.setattr(mzv.cli, "gregory", lambda m, n: calls.append((m, n)) or 0)
+    assert mzv.cli.GREGORY_MAX_ORDER == 120
+    for bounds in (("61", "60"), ("1", "120"), ("120", "1")):
+        code, out, err = run(capsys, "gregory", "--max", *bounds)
+        assert (code, out, calls) == (2, "", []), bounds
+        assert err == "error: the table has M + N = 121; the cap is 120\n"
+    code, _, err = run(capsys, "gregory", "--max", "60", "60", "--csv")
+    assert (code, err, len(calls)) == (0, "", 3600)
+
+
 def test_gregory_bad_bounds(capsys):
     code, _, err = run(capsys, "gregory", "--max", "0", "3")
     assert code == 2
