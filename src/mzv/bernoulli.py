@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 from typing import Dict, List, Tuple
 
-from .kernel import RationalLike, RationalPolynomial, rat
+from .kernel import RationalLike, RationalPolynomial, horner, rat
 
 # B_0, B_1, ... and zeta(0), zeta(-1), ...: grown on demand by _grow.
 _BERNOULLI: List[Fraction] = []
@@ -252,12 +252,8 @@ def hurwitz_zeta_neg(l: int, a: RationalLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def choi_value(r: int, l: int, z: RationalLike) -> Fraction:
-    """Depth-r iterated Hurwitz-type sum at argument -l with shift z > 0.
-
-    Exact value (-1)^r * l!/(r+l)! * B_{r+l}^(r)(z).  The shift must be a
-    positive rational; the depth r >= 1 and l >= 0.
-    """
+def _choi_shift(r: int, l: int, z: RationalLike) -> Fraction:
+    """The shift z of a depth-r sum at -l as a Fraction, after checking r, l, z."""
     if r < 1:
         raise ValueError(f"depth must be >= 1, got r={r}")
     if l < 0:
@@ -265,6 +261,16 @@ def choi_value(r: int, l: int, z: RationalLike) -> Fraction:
     zv = rat(z)
     if zv <= 0:
         raise ValueError(f"shift must be a positive rational, got {zv}")
+    return zv
+
+
+def choi_value(r: int, l: int, z: RationalLike) -> Fraction:
+    """Depth-r iterated Hurwitz-type sum at argument -l with shift z > 0.
+
+    Exact value (-1)^r * l!/(r+l)! * B_{r+l}^(r)(z).  The shift must be a
+    positive rational; the depth r >= 1 and l >= 0.
+    """
+    zv = _choi_shift(r, l, z)
     sign = -1 if r % 2 else 1
     return sign * Fraction(factorial(l), factorial(r + l)) * bernoulli_higher_at(r + l, r, zv)
 
@@ -277,14 +283,23 @@ def choi_identity_check(r: int, l: int, z: RationalLike, m: int) -> bool:
 
         value(r, -l, z) = sum_{k=0}^{m} binom(m, k) value(r-m+k, -l, z+k).
 
-    Returns True when both sides agree exactly.
+    Returns True when both sides agree exactly.  With z = p/q, nums_s / den_s
+    the coefficients of B_{s+l}^(s) (degree d_s) and H = horner(nums_s, p + kq, q),
+    value(s, -l, z+k) = (-1)^s l!/(s+l)! H / (den_s q^d_s); times
+    (-1)^r (r+l)!/l! q^d D for d >= every d_s and D a common multiple of the
+    den_s, every term is an integer, so the check is one integer equality.
     """
     if not 1 <= m < r:
         raise ValueError(f"need 1 <= m < r, got m={m}, r={r}")
-    zv = rat(z)
-    lhs = choi_value(r, l, zv)
-    rhs = sum(
-        (comb(m, k) * choi_value(r - m + k, l, zv + k) for k in range(m + 1)),
-        Fraction(0),
-    )
-    return lhs == rhs
+    zv = _choi_shift(r, l, z)
+    p, q = zv.numerator, zv.denominator
+    rows = {s: bernoulli_higher_order(s + l, s).scaled() for s in range(r - m, r + 1)}
+    big_d = lcm(*(den for den, _ in rows.values()))
+    top = max(len(nums) for _, nums in rows.values())
+
+    def term(s: int, k: int) -> int:
+        den, nums = rows[s]
+        scale = perm(r + l, r - s) * q ** (top - len(nums)) * (big_d // den)
+        return (-1) ** (r - s) * scale * horner(nums, p + k * q, q)
+
+    return term(r, 0) == sum(comb(m, k) * term(r - m + k, k) for k in range(m + 1))

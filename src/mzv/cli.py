@@ -78,6 +78,19 @@ COEFF_MAX_SIZE_BITS = 10_000
 # `mzv gregory` refuses --max M N with M + N over this up front: the cost follows
 # M + N, and on a 2.1 GHz Xeon --max 60 60 and --max 1 119 each take 8-10 s wall.
 GREGORY_MAX_ORDER = 120
+# `mzv value` refuses an index with r + |l| over this up front.  The recurrence fills
+# rows of up to r + |l| values at up to r + |l| terms each (cost about (r + |l|)^3), and
+# the Stirling route reads the reverse origin value at depth r + |l| after a box of
+# Stirling kernels of degree up to |l|.  On a 2.1 GHz Xeon, 300 zeros take 3-5 s wall
+# by the recurrence (any kind), and depth 1 with l = 299 takes 7 s by the Stirling
+# route.  The Gregory route (mzf-rev, --path gregory or all) builds the Gregory table to
+# order r + |l| + 2, so past GREGORY_MAX_ORDER it is refused too: 118 zeros take 12 s
+# wall with --path all.
+VALUE_MAX_SIZE = 300
+# `mzv stirling` refuses --n over this up front: the triangle of plain numbers has n
+# rows.  On the same Xeon, the slowest kind at the cap, s-poly --n 2000 --m 3, takes
+# 4 s wall, and S --n 2000 --m 1000 takes 2 s.
+STIRLING_MAX_N = 2_000
 
 
 # One output record: (query, exact value, provenance).  The value is an int or a
@@ -213,11 +226,16 @@ def _cmd_value(args: argparse.Namespace) -> int:
             f"path {args.path!r} is not available for kind {kind.value!r} "
             f"(available: {', '.join(sorted(routes))})"
         )
-    computed = {
-        name: route(l)
-        for name, route in routes.items()
-        if args.path in ("all", name)
-    }
+    routes = {name: route for name, route in routes.items() if args.path in ("all", name)}
+    size = len(l) + sum(l)
+    if size > VALUE_MAX_SIZE:
+        raise _UsageError(f"the index has r + |l| = {size:,}; the cap is {VALUE_MAX_SIZE:,}")
+    if "gregory" in routes and size + 2 > GREGORY_MAX_ORDER:
+        raise _UsageError(
+            f"the Gregory route needs order r + |l| + 2 = {size + 2:,}; "
+            f"the cap is {GREGORY_MAX_ORDER}"
+        )
+    computed = {name: route(l) for name, route in routes.items()}
     query = f"{kind.value}({','.join(map(str, l))})"
     records = [(query, computed[name], name) for name in sorted(computed)]
     if args.path != "all":
@@ -297,6 +315,8 @@ def _cmd_stirling(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
     if n < 0 or m < 0:
         raise _UsageError(f"indices must be >= 0, got n={n}, m={m}")
+    if n > STIRLING_MAX_N:
+        raise _UsageError(f"--n is {n:,}; the cap is {STIRLING_MAX_N:,}")
     y = _parse_rational(args.y) if args.y is not None else None
     kind = args.kind
     if kind in ("s", "S"):

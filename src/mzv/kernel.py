@@ -65,7 +65,7 @@ class RationalPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs: Tuple[Fraction, ...] = tuple(cs)
-        self._scaled = None  # (den, nums), coeffs[k] = nums[k] / den: see evaluate
+        self._scaled = None  # see scaled
 
     # -- constructors -----------------------------------------------------
 
@@ -161,14 +161,20 @@ class RationalPolynomial:
 
     __rmul__ = __mul__
 
-    def evaluate(self, x: RationalLike) -> Fraction:
-        """Value at a rational point, by :func:`horner` on integer numerators."""
-        x, cs = rat(x), self._coeffs
+    def scaled(self) -> Tuple[int, Tuple[int, ...]]:
+        """(den, nums) with coeffs[k] = nums[k] / den, den the lcm of the
+        coefficient denominators; built once per instance."""
         if self._scaled is None:
+            cs = self._coeffs
             den = lcm(*(c.denominator for c in cs))
             self._scaled = (den, tuple(c.numerator * (den // c.denominator) for c in cs))
-        (den, nums), q = self._scaled, x.denominator
-        return Fraction(horner(nums, x.numerator, q), den * q ** max(len(cs) - 1, 0))
+        return self._scaled
+
+    def evaluate(self, x: RationalLike) -> Fraction:
+        """Value at a rational point, by :func:`horner` on integer numerators."""
+        x = rat(x)
+        (den, nums), q = self.scaled(), x.denominator
+        return Fraction(horner(nums, x.numerator, q), den * q ** max(len(nums) - 1, 0))
 
     __call__ = evaluate
 

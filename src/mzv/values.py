@@ -248,6 +248,12 @@ def mzsf_rev(l: Sequence[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _deepest_first(boxed: Dict[int, int]) -> List[Tuple[int, int]]:
+    # The deepest origin value fills the memo with every shallower one, so it
+    # goes first; shallow first would grow the rows by one depth per call.
+    return sorted(boxed.items(), reverse=True)
+
+
 def mzf_rev_stirling(l: Sequence[int]) -> Fraction:
     """Reverse value by the second-kind Stirling closed form.
 
@@ -263,7 +269,7 @@ def mzf_rev_stirling(l: Sequence[int]) -> Fraction:
     lt = as_index_tuple(l)
     boxed = stirling_kernel_box(lt, 0)
     return sum(
-        (w * mzf_rev((0,) * (len(lt) + k)) for k, w in boxed.items()), Fraction(0)
+        (w * mzf_rev((0,) * (len(lt) + k)) for k, w in _deepest_first(boxed)), Fraction(0)
     )
 
 
@@ -282,7 +288,7 @@ def mzsf_rev_stirling(l: Sequence[int]) -> Fraction:
     lt = as_index_tuple(l)
     boxed = stirling_kernel_box(lt, 1)
     return sum(
-        (w * mzsf_rev((0,) * (len(lt) + k)) for k, w in boxed.items()), Fraction(0)
+        (w * mzsf_rev((0,) * (len(lt) + k)) for k, w in _deepest_first(boxed)), Fraction(0)
     )
 
 

@@ -8,6 +8,10 @@ padding, the Gregory origin, partition, decomposition and bundling checks,
 the basis-shift relation, parity and the choi reduction) is recorded with
 its description, which names its inputs.  Everything is exact rational
 arithmetic; a single failure anywhere is a bug, never numerical noise.
+The fixed-grid checks of the stirling, bernoulli and choi suites compare
+integer numerators over a known common denominator, and rebuild the failure
+text as reduced Fractions: the text a Fraction computation of the two sides
+would give.
 
 The suites and what they cover:
 
@@ -39,7 +43,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from itertools import zip_longest
+from math import comb, factorial, lcm
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .asymptotic import (
@@ -60,7 +65,6 @@ from .asymptotic import (
     star_coeff_relation_check,
 )
 from .bernoulli import (
-    bernoulli_higher_at,
     bernoulli_higher_order,
     bernoulli_number,
     bernoulli_poly,
@@ -71,12 +75,10 @@ from .bernoulli import (
     zeta_neg,
     zeta_star_neg,
 )
-from .kernel import RationalPolynomial
+from .kernel import RationalPolynomial, horner
 from .stirling import (
+    _poly_coeffs,
     stirling_first,
-    stirling_poly_first_at,
-    stirling_poly_second,
-    stirling_poly_second_at,
     stirling_second,
     stirling_transform_apply,
 )
@@ -153,6 +155,14 @@ class _Recorder:
         if lhs != rhs:
             self.failures.append(f"{_text(description)}: {lhs} != {rhs}")
 
+    def same(self, description: Description, ok: bool, sides: Callable[[], tuple]) -> None:
+        """An equality already decided (on integers): ``sides()`` builds its
+        two sides for the failure text, and only runs when it failed."""
+        self.checked += 1
+        if not ok:
+            lhs, rhs = sides()
+            self.failures.append(f"{_text(description)}: {lhs} != {rhs}")
+
     def true(self, description: Description, ok: bool) -> None:
         self.checked += 1
         if not ok:
@@ -188,118 +198,127 @@ def _unit_interval_shift(rng: random.Random, r: int) -> Tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _exp_minus_one_pow_series(k: int, y: Fraction, order: int) -> List[Fraction]:
-    """Coefficients of (e^X - 1)^k e^{yX} / k! up to X^order."""
-    base = [Fraction(0)] + [Fraction(1, factorial(j)) for j in range(1, order + 1)]
-    acc = [Fraction(1)] + [Fraction(0)] * order
+def _exp_minus_one_pow_series(k: int, y: Fraction, order: int) -> List[int]:
+    """q^n n! [X^n] (e^X - 1)^k e^{yX} at y = p/q, for n <= order, as ints.
+
+    An exponential series sum_n c_n X^n / n! is kept as its list c, so a
+    product is the binomial convolution c_n = sum_j C(n, j) a_j b_(n-j); the
+    coefficients of (e^X - 1)^k are integers, and those of e^{yX} times q^n
+    are the powers of p.
+    """
+    p, q = y.numerator, y.denominator
+    acc = [1] + [0] * order
     for _ in range(k):
-        nxt = [Fraction(0)] * (order + 1)
-        for i, ci in enumerate(acc):
-            if ci == 0:
-                continue
-            for j in range(1, order - i + 1):
-                nxt[i + j] += ci * base[j]
-        acc = nxt
-    out = [Fraction(0)] * (order + 1)
-    for i, ci in enumerate(acc):
-        if ci == 0:
-            continue
-        for j in range(order - i + 1):
-            out[i + j] += ci * y**j / factorial(j)
-    kinv = Fraction(1, factorial(k))
-    return [c * kinv for c in out]
+        acc = [sum(comb(n, j) * acc[n - j] for j in range(1, n + 1)) for n in range(order + 1)]
+    return [
+        sum(comb(n, j) * acc[n - j] * q ** (n - j) * p**j for j in range(n + 1))
+        for n in range(order + 1)
+    ]
+
+
+def _kernel_values(top: int, y: Fraction, first: bool) -> List[List[int]]:
+    """Row a, entry b: q^(a-b) s(a,b,y) (``first``) or q^(a-b) S(a,b,y) at
+    y = p/q as an int, for a, b <= top (0 where b > a)."""
+    p, q = y.numerator, y.denominator
+    return [
+        [horner(_poly_coeffs(a, b, first), p, q) if b <= a else 0 for b in range(top + 1)]
+        for a in range(top + 1)
+    ]
+
+
+def _shift_by_one(coeffs: Sequence[int]) -> List[int]:
+    """Coefficients of P(Y + 1) from those of P, lowest degree first."""
+    return [
+        sum(comb(i, j) * coeffs[i] for i in range(j, len(coeffs))) for j in range(len(coeffs))
+    ]
+
+
+def _same_coeffs(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Equal coefficient lists, up to trailing zeros."""
+    return all(x == y for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def _suite_stirling(bounds: Bounds, rng: random.Random) -> SuiteResult:
     rec = _Recorder()
     y_values = [Fraction(0), Fraction(1), Fraction(-2), Fraction(7, 3)]
-    # Orthogonality of the two kernels, both compositions, n <= 12.
+    # Orthogonality of the two kernels, both compositions, n <= 12.  At
+    # y = p/q, horner gives q^(n-k) S(n,k,y) and q^(k-m) s(k,m,y) as ints,
+    # so each sum times q^(n-m) is an integer.
     for y in y_values:
+        second = _kernel_values(12, y, False)
+        first = _kernel_values(12, y, True)
         for n in range(13):
             for m in range(n + 1):
-                want = Fraction(1 if n == m else 0)
-                lhs = sum(
-                    (
-                        stirling_poly_second_at(n, k, y)
-                        * stirling_poly_first_at(k, m, y)
-                        for k in range(m, n + 1)
-                    ),
-                    Fraction(0),
-                )
-                rec.equal(
-                    lambda: f"orthogonality sum_k S(n,k,y) s(k,m,y), n={n}, m={m}, y={y}",
-                    lhs,
-                    want,
-                )
-                lhs = sum(
-                    (
-                        stirling_poly_first_at(n, k, y)
-                        * stirling_poly_second_at(k, m, y)
-                        for k in range(m, n + 1)
-                    ),
-                    Fraction(0),
-                )
-                rec.equal(
-                    lambda: f"orthogonality sum_k s(n,k,y) S(k,m,y), n={n}, m={m}, y={y}",
-                    lhs,
-                    want,
-                )
-    # Generating function: n! * [X^n] (e^X-1)^k e^{yX} / k! = S(n, k, y).
+                want = 1 if n == m else 0
+                for outer, inner, name in ((second, first, "S(n,k,y) s(k,m,y)"),
+                                           (first, second, "s(n,k,y) S(k,m,y)")):
+                    lhs = sum(outer[n][k] * inner[k][m] for k in range(m, n + 1))
+                    rec.same(
+                        lambda: f"orthogonality sum_k {name}, n={n}, m={m}, y={y}",
+                        lhs == want,
+                        lambda: (Fraction(lhs, y.denominator ** (n - m)), want),
+                    )
+    # Generating function: n! * [X^n] (e^X-1)^k e^{yX} / k! = S(n, k, y).  At
+    # y = p/q the left side is series[n] / (k! q^n) and the right side
+    # kernel[n][k] / q^d, d = max(n - k, 0).
     for y in (Fraction(0), Fraction(1), Fraction(5, 2)):
+        q = y.denominator
+        kernel = _kernel_values(10, y, False)
         for k in range(7):
             series = _exp_minus_one_pow_series(k, y, 10)
             for n in range(11):
-                rec.equal(
+                lhs, rhs, d = series[n], kernel[n][k], max(n - k, 0)
+                rec.same(
                     lambda: f"generating function n={n}, k={k}, y={y}",
-                    series[n] * factorial(n),
-                    stirling_poly_second_at(n, k, y),
+                    lhs * q**d == rhs * factorial(k) * q**n,
+                    lambda: (Fraction(lhs, factorial(k) * q**n), Fraction(rhs, q**d)),
                 )
-    # Shifted recurrence: Y*S(n,m,Y) = S(n+1,m,Y) - S(n,m-1,Y+1), polynomials.
-    shift = RationalPolynomial((1, 1))  # Y + 1
-    yvar = RationalPolynomial.variable()
+    # Shifted recurrence: Y*S(n,m,Y) = S(n+1,m,Y) - S(n,m-1,Y+1), polynomials,
+    # on their integer coefficients.
     for n in range(13):
         for m in range(13):
-            lhs = yvar * stirling_poly_second(n, m)
-            rhs = stirling_poly_second(n + 1, m)
+            lhs = (0,) + _poly_coeffs(n, m, False)
+            rhs = _poly_coeffs(n + 1, m, False)
             if m >= 1:
-                rhs = rhs - stirling_poly_second(n, m - 1).compose(shift)
-            rec.equal(
+                shifted = _shift_by_one(_poly_coeffs(n, m - 1, False))
+                rhs = [a - b for a, b in zip_longest(rhs, shifted, fillvalue=0)]
+            rec.same(
                 lambda: f"shifted recurrence Y*S(n,m,Y) = S(n+1,m,Y) - S(n,m-1,Y+1), "
                 f"n={n}, m={m}",
-                lhs,
-                rhs,
+                _same_coeffs(lhs, rhs),
+                lambda: (RationalPolynomial(lhs), RationalPolynomial(rhs)),
             )
     # Convolution at sample points:
-    # S(n,k,x) = sum_i S(m,i,x+k-i) S(n-m,k-i,x).
+    # S(n,k,x) = sum_i S(m,i,x+k-i) S(n-m,k-i,x).  Both sides times q^(n-k)
+    # are integers at x = p/q: at[t][a][b] is q^(a-b) S(a,b,x+t).
     for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 4)):
+        at = [_kernel_values(10, x + t, False) for t in range(11)]
         for n in range(11):
             for m in range(n + 1):
                 for k in range(n + 1):
+                    lhs = at[0][n][k]
                     rhs = sum(
-                        (
-                            stirling_poly_second_at(m, i, x + k - i)
-                            * stirling_poly_second_at(n - m, k - i, x)
-                            for i in range(min(m, k) + 1)
-                        ),
-                        Fraction(0),
+                        at[k - i][m][i] * at[0][n - m][k - i] for i in range(min(m, k) + 1)
                     )
-                    rec.equal(
+                    rec.same(
                         lambda: f"convolution n={n}, m={m}, k={k}, x={x}",
-                        stirling_poly_second_at(n, k, x),
-                        rhs,
+                        lhs == rhs,
+                        lambda: (Fraction(lhs, x.denominator ** (n - k)),
+                                 Fraction(rhs, x.denominator ** (n - k))),
                     )
     # Specialization at Y=0 recovers the classical numbers, n,m <= 15.
+    first, second = (_kernel_values(15, Fraction(0), kind) for kind in (True, False))
     for n in range(16):
         for m in range(16):
             rec.equal(
                 lambda: f"first-kind specialization n={n}, m={m}",
-                stirling_poly_first_at(n, m, 0),
-                Fraction(stirling_first(n, m)),
+                first[n][m],
+                stirling_first(n, m),
             )
             rec.equal(
                 lambda: f"second-kind specialization n={n}, m={m}",
-                stirling_poly_second_at(n, m, 0),
-                Fraction(stirling_second(n, m)),
+                second[n][m],
+                stirling_second(n, m),
             )
     # Transform round-trips on random sequences and parameters.
     for _ in range(8):
@@ -316,26 +335,49 @@ def _suite_stirling(bounds: Bounds, rng: random.Random) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+def _poly_over(nums: Sequence[int], den: int) -> RationalPolynomial:
+    """The polynomial with coefficients nums[k] / den."""
+    return RationalPolynomial(Fraction(c, den) for c in nums)
+
+
 def _suite_bernoulli(bounds: Bounds, rng: random.Random) -> SuiteResult:
     rec = _Recorder()
-    one_minus_z = RationalPolynomial((1, -1))
+    # Reflection on the integer numerators of B_n over their common
+    # denominator: P(1 - z) has coefficients (-1)^j [z^j] P(z + 1).
     for n in range(21):
-        poly = bernoulli_poly(n)
-        reflected = poly.compose(one_minus_z)
-        expected = poly if n % 2 == 0 else -poly
-        rec.equal(lambda: f"reflection B_{n}(1-z) = (-1)^{n} B_{n}(z)", reflected, expected)
+        den, nums = bernoulli_poly(n).scaled()
+        reflected = [(-1) ** j * c for j, c in enumerate(_shift_by_one(nums))]
+        expected = [c if n % 2 == 0 else -c for c in nums]
+        rec.same(
+            lambda: f"reflection B_{n}(1-z) = (-1)^{n} B_{n}(z)",
+            _same_coeffs(reflected, expected),
+            lambda: (_poly_over(reflected, den), _poly_over(expected, den)),
+        )
     # Order additivity via the generating-function product rule with the
-    # polynomial argument kept on the first factor.
+    # polynomial argument kept on the first factor:
+    # B_n^(m1+m2)(z) = sum_j C(n,j) B_j^(m1)(z) B_{n-j}^(m2)(0), every term over
+    # one common denominator.
     for m1 in range(4):
         for m2 in range(4):
             for n in range(11):
-                rhs = RationalPolynomial.zero()
+                den, nums = bernoulli_higher_order(n, m1 + m2).scaled()
+                terms = []  # (den, nums) of C(n,j) B_j^(m1)(z) B_{n-j}^(m2)(0)
                 for j in range(n + 1):
-                    rhs = rhs + comb(n, j) * bernoulli_higher_order(j, m1) * bernoulli_higher_at(
-                        n - j, m2, 0
-                    )
-                lhs = bernoulli_higher_order(n, m1 + m2)
-                rec.equal(lambda: f"order additivity n={n}, m1={m1}, m2={m2}", lhs, rhs)
+                    den_j, nums_j = bernoulli_higher_order(j, m1).scaled()
+                    den_0, nums_0 = bernoulli_higher_order(n - j, m2).scaled()
+                    at_0 = comb(n, j) * nums_0[0] if nums_0 else 0
+                    terms.append((den_j * den_0, [at_0 * c for c in nums_j]))
+                common = lcm(den, *(d for d, _ in terms))
+                lhs = [c * (common // den) for c in nums]
+                rhs = [0] * max((len(t) for _, t in terms), default=0)
+                for d, t in terms:
+                    for i, c in enumerate(t):
+                        rhs[i] += c * (common // d)
+                rec.same(
+                    lambda: f"order additivity n={n}, m1={m1}, m2={m2}",
+                    _same_coeffs(lhs, rhs),
+                    lambda: (_poly_over(lhs, common), _poly_over(rhs, common)),
+                )
     # Order 0 and order 1 reductions.
     for n in range(11):
         rec.equal(

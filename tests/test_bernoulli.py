@@ -3,11 +3,13 @@ depth-one zeta values built from them."""
 
 from fractions import Fraction
 from math import comb, factorial, lcm
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzv import bernoulli
 from mzv.asymptotic import asym_coeff
 from mzv.bernoulli import (
     bernoulli_higher_at,
@@ -165,6 +167,39 @@ def test_choi_identity_examples():
 def test_choi_identity_random(r, l, z):
     for m in range(1, r):
         assert choi_identity_check(r, l, z, m)
+
+
+def _choi_by_fractions(r, l, z, m):
+    """The contiguous-shift reduction as a sum of Fraction values."""
+    rhs = sum((comb(m, k) * choi_value(r - m + k, l, z + k) for k in range(m + 1)), Fraction(0))
+    return choi_value(r, l, z) == rhs
+
+
+@st.composite
+def choi_arguments(draw):
+    r = draw(st.integers(min_value=2, max_value=7))
+    m = draw(st.integers(min_value=1, max_value=r - 1))
+    l = draw(st.integers(min_value=0, max_value=8))
+    q = draw(st.integers(min_value=2, max_value=40))
+    p = draw(st.integers(min_value=1, max_value=200).filter(lambda p: p % q))
+    return r, l, Fraction(p, q), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(choi_arguments(), st.integers(min_value=1, max_value=10**6))
+def test_integer_choi_check_agrees_with_the_fraction_sum(args, bump):
+    r, l, z, m = args
+    assert choi_identity_check(r, l, z, m) is _choi_by_fractions(r, l, z, m) is True
+    # Perturb B^(r-m)_{r-m+l}, which only the k = 0 term of the right side
+    # reads: both forms must then report the reduction as failed.
+    honest = bernoulli.bernoulli_higher_order
+
+    def perturbed(n, order):
+        poly = honest(n, order)
+        return poly + Fraction(1, bump) if (n, order) == (r - m + l, r - m) else poly
+
+    with patch.object(bernoulli, "bernoulli_higher_order", perturbed):
+        assert choi_identity_check(r, l, z, m) is _choi_by_fractions(r, l, z, m) is False
 
 
 def test_shift_ratios_windows_in_any_order():

@@ -92,6 +92,39 @@ def test_value_unavailable_path_computes_nothing(capsys, monkeypatch):
     assert "not available" in err
 
 
+_VALUE_ROUTES = ("value", "rev_via_gregory", "mzf_rev_stirling", "mzsf_rev_stirling")
+
+
+def test_value_over_the_size_cap_is_refused_before_any_compute(capsys, monkeypatch):
+    for name in _VALUE_ROUTES:
+        monkeypatch.setattr(mzv.cli, name, _refuse)
+    assert mzv.cli.VALUE_MAX_SIZE == 300
+    for kind in ("mzf-reg", "mzf-rev", "mzsf-reg", "mzsf-rev"):
+        for index in ("300", ",".join(["0"] * 301), "100,100,98"):
+            code, out, err = run(capsys, "value", "--kind", kind, "--index", index, "--path", "all")
+            assert (code, out) == (2, ""), (kind, index)
+            assert err == "error: the index has r + |l| = 301; the cap is 300\n"
+
+
+def test_value_gregory_cap_applies_only_to_the_gregory_route(capsys, monkeypatch):
+    # Stubbed routes: the real --path all at 118 zeros takes about 12 s.
+    for name in _VALUE_ROUTES:
+        monkeypatch.setattr(mzv.cli, name, lambda *args: Fraction(1))
+    over, under = ",".join(["0"] * 119), ",".join(["0"] * 118)
+    for path in ("gregory", "all"):
+        code, out, err = run(capsys, "value", "--kind", "mzf-rev", "--index", over, "--path", path)
+        assert (code, out) == (2, ""), path
+        assert err == "error: the Gregory route needs order r + |l| + 2 = 121; the cap is 120\n"
+        code, out, err = run(capsys, "value", "--kind", "mzf-rev", "--index", under, "--path", path)
+        assert (code, err) == (0, ""), path
+    for kind, path in (("mzf-rev", "recurrence"), ("mzf-rev", "stirling"), ("mzsf-rev", "all")):
+        code, out, err = run(capsys, "value", "--kind", kind, "--index", over, "--path", path)
+        assert (code, err) == (0, ""), (kind, path)
+    # Both caps admit the largest index of its size.
+    code, out, err = run(capsys, "value", "--kind", "mzf-reg", "--index", ",".join(["0"] * 300))
+    assert (code, err) == (0, "")
+
+
 def test_value_bad_index_is_usage_error(capsys):
     code, _, err = run(capsys, "value", "--kind", "mzf-reg", "--index", "1,x")
     assert code == 2
@@ -321,6 +354,22 @@ def test_stirling_number_prints_every_digit(capsys):
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("kind, extra", [("s", []), ("S", []), ("s-poly", []), ("S-poly", ["--y", "1/2"])])
+def test_stirling_over_the_n_cap_exits_2_before_any_compute(capsys, monkeypatch, kind, extra):
+    for name in (
+        "stirling_first",
+        "stirling_second",
+        "stirling_poly_first",
+        "stirling_poly_second",
+        "stirling_poly_first_at",
+        "stirling_poly_second_at",
+    ):
+        monkeypatch.setattr(mzv.cli, name, _refuse)
+    assert mzv.cli.STIRLING_MAX_N == 2_000
+    code, out, err = run(capsys, "stirling", "--kind", kind, "--n", "2001", "--m", "3", *extra)
+    assert (code, out, err) == (2, "", "error: --n is 2,001; the cap is 2,000\n")
 
 
 def test_stirling_y_with_number_kind_is_usage_error(capsys):

@@ -1,11 +1,13 @@
 """Tests for the verification-suite runner."""
 
+import hashlib
 import json
+import sys
 import threading
 
 import pytest
 
-from mzv import verify
+from mzv import bernoulli, stirling, verify
 from mzv.cli import main
 from mzv.verify import SUITE_NAMES, Bounds, run_suite, run_suites
 
@@ -151,3 +153,60 @@ def test_planted_wrong_routes_report_pinned_counterexamples(monkeypatch, capsys)
     results = json.loads(capsys.readouterr().out)["results"]
     found = {res["suite"]: res["first_counterexample"] for res in results}
     assert found == {name: PLANTED_COUNTEREXAMPLES.get(name) for name in SUITE_NAMES}
+
+
+# Two faults planted in the kernels the fixed grids read: the constant term of
+# S(7,3,Y) raised by one, and B_4^(2) raised by one.  For each suite at the
+# default bounds: the failure count, the first failure and the SHA-256 of all
+# failure texts joined by newlines, recorded when both sides of every check
+# were built as Fractions.
+PLANTED_KERNEL_FAULTS = {
+    "stirling": (
+        137,
+        "orthogonality sum_k S(n,k,y) s(k,m,y), n=7, m=1, y=0: 2 != 0",
+        "b378c20e0d230ecaef0713074c9d671000f43158e9936345e25c3f868b50ba92",
+    ),
+    "bernoulli": (
+        40,
+        "order additivity n=5, m1=0, m2=2: x^5 - 5*x^4 + 25/3*x^3 - 5*x^2 + 1/2*x + 1/6 "
+        "!= x^5 - 5*x^4 + 25/3*x^3 - 5*x^2 + 11/2*x + 1/6",
+        "88f2fd4260aae05ad49de8e8a02fa8699ae6944956fc7be977e0285a72ff6089",
+    ),
+    "choi": (
+        30,
+        "contiguous-shift reduction r=3, m=1, l=2, z=1 (depth-3 value 1/240)",
+        "5d2762046cf0f7fd2cdabc63d28a8d206b52a75203f07d1fe125d82435e705c7",
+    ),
+}
+
+
+def _plant(monkeypatch, original, faulty):
+    """Put ``faulty`` under every name an mzv module binds ``original`` to."""
+    for name, module in list(sys.modules.items()):
+        if name == "mzv" or name.startswith("mzv."):
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, faulty)
+
+
+@pytest.mark.parametrize("suite", sorted(PLANTED_KERNEL_FAULTS))
+def test_planted_kernel_faults_give_the_recorded_failures(monkeypatch, suite):
+    if suite == "stirling":
+        original = stirling._poly_coeffs
+        uncached = original.__wrapped__
+
+        def faulty(n, m, first):
+            coeffs = uncached(n, m, first)
+            return (coeffs[0] + 1,) + coeffs[1:] if (n, m, first) == (7, 3, False) else coeffs
+
+    else:
+        original = bernoulli.bernoulli_higher_order
+
+        def faulty(n, m):
+            return original(n, m) + 1 if (n, m) == (4, 2) else original(n, m)
+
+    _plant(monkeypatch, original, faulty)
+    failures = run_suite(suite).failures
+    count, first, digest = PLANTED_KERNEL_FAULTS[suite]
+    assert (len(failures), failures[0]) == (count, first)
+    assert hashlib.sha256("\n".join(failures).encode()).hexdigest() == digest
