@@ -5,17 +5,17 @@ A depth-r point is indexed by a tuple l of non-negative integers (the point is
 (-l_1, ..., -l_r)), a direction vector d in {0,1}^(r-1), and a shift vector a
 of rationals.  The coefficient C^(d)(-l; a) is a finite sum of products of
 Bernoulli polynomial values B_n(a_j)/n! and falling factorials, taken over an
-admissible set of exponent tuples n cut out by d, one window per tail sum of n.
-Each d_j only picks one of two disjoint windows for its tail sum, so the sum
-over all 2^(r-1) directions, which gives the reverse values at the all-ones
-shift, is one definition-sum pass over the union of the windows.
+admissible set of exponent tuples n cut out by d, one window per partial sum
+of n.  Each d_j only picks one of two disjoint windows for its partial sum, so
+the sum over all 2^(r-1) directions, which gives the reverse values at the
+all-ones shift, is one definition-sum pass over the union of the windows.
 
 Three independent computation paths are provided for the staircase directions
 d = (1,...,1,0,...,0):
 
 * :func:`c_ir` — the definition sum itself, over the same admissible set and
-  with the same terms, carried slot by slot over the tail sums of n from the
-  last slot back to the first (:func:`_asym_sum`);
+  with the same terms, carried slot by slot over the partial sums of n from
+  the first slot to the last (:func:`_asym_sum`);
 * :func:`c_ir_recurrence` — depth reduction: one recurrence peels the last
   index slot, a second peels the first slot, with a closed depth-2 base case;
 * :func:`c_ir_explicit` — the fully expanded nested sum obtained by unrolling
@@ -26,11 +26,14 @@ integer numerators over one denominator per (shift, top)
 (:func:`mzv.bernoulli.shift_ratios`).  Each path keeps its own formula and
 adds its terms as integers, building one Fraction per sum.  Each path also
 keeps its own memo, passed in by the caller and never held by the module:
-the definition sum keeps its rows under the suffix of slots they read and
-their cap, the explicit path its chains under their links, and the
-recurrence its nodes per (i, r, shift).  A grid of calls can share one memo
-per path (the ``asym`` suite does, for one run); a single public call starts
-from an empty one.
+the definition sum keeps one path of prefix rows per stream (top, d,
+a_1..a_{r-1}), the rows of the last prefix l_1..l_{r-1} that stream
+computed, each row kept up to the stream's largest partial sum ``top``; the
+explicit path keeps its chains under their links, and the recurrence its
+nodes per (i, r, shift).  A grid of calls can share one memo per path (the
+``asym`` suite does, for one run, with one top per depth, so each step of
+the last index entry costs the definition sum one dot product); a single
+public call starts from an empty one.
 
 The module also computes generalized Gregory coefficients G_{m,n} as
 coefficients of the bivariate series
@@ -122,84 +125,80 @@ def _ones_shift(r: int) -> Shift:
 # ---------------------------------------------------------------------------
 
 
-def _asym_sum(l: IndexTuple, d: "Direction | None", a: Shift, memo: dict) -> Fraction:
+def _asym_sum(
+    l: IndexTuple, d: "Direction | None", a: Shift, memo: dict, top: "int | None" = None
+) -> Fraction:
     """Definition sum, assuming validated inputs; ``d=None`` sums C^(d)(-l; a)
     over all 2^(r-1) directions d in the same single pass.
 
     The coefficient is (-1)^(r+|l|) times the sum over the admissible n of
-    prod_j B_{n_j}(a_j)/n_j! * (prefix_j + j - 1)_{l_j}, with (x)_k the falling
-    factorial and prefix_j = (l_1 - n_1) + ... + (l_j - n_j).  In the tail sums
-    t_j = n_{j+1} + ... + n_r (t_0 = r + |l|, t_r = 0), slot j's Bernoulli factor
-    depends on n_j = t_{j-1} - t_j and admissibility is one window per t_j.
-    With S_{>j} = l_{j+1} + ... + l_r, slot j's falling factorial reads
-    x = t_j - S_{>j} - (r - j) - 1, the d_j = 0 window is [0, r - j + S_{>j}]
-    and the d_j = 1 window starts at r - j + 1 + l_j + S_{>j}; the two are
-    disjoint, so ``d=None`` lets t_j range over both.
+    prod_j B_{n_j}(a_j)/n_j! * (H_j - u_j + j - 1)_{l_j}, with (x)_k the
+    falling factorial, u_j = n_1 + ... + n_j (u_0 = 0, u_r = r + |l|) and
+    H_j = l_1 + ... + l_j.  Slot j's Bernoulli factor depends on
+    n_j = u_j - u_{j-1} and admissibility is one window per u_j: u_j >= H_j + j
+    when d_j = 0, u_j <= H_{j-1} + j - 1 when d_j = 1.  The two are disjoint
+    (the falling factorial vanishes between them), so ``d=None`` lets u_j
+    range over both.
 
-    So the sum runs from the last slot back to the first.  Row j maps each
-    t_j to ff_j(t_j) times the sum over t_{j+1} <= t_j of
-    B_{t_j - t_{j+1}}(a_{j+1})/(t_j - t_{j+1})! times row j+1 at t_{j+1}, and
-    the result is read from row 1 at t_0.  Row j depends only on the suffix
-    (l_j..l_r, d_j..d_{r-1}, a_{j+1}..a_r) and on its cap, the largest t_j
-    the prefix allows: t_0, lowered to r - k + S_{>k} by each d_k = 0 with
-    k <= j.  ``memo`` keeps row j >= 2 under that key once a zero bit has
-    lowered its cap below t_0.  Calls with a common suffix after a zero bit
-    then share its rows: the staircase directions i and i + 1, and grid
-    tuples that differ only in their first entries.  A row capped at t_0 is
-    tied to the weight of the prefix, and row 1 to the whole tuple, so they
-    are seldom read twice and are not kept.  Each entry is a function of its
-    key alone, so any calls may share a memo and no value depends on which
-    calls came first.  Each row is integers over one denominator, the
-    product of its slots' B_n(a)/n! table denominators.
+    So the sum runs from the first slot to the last.  Row j maps each u_j to
+    (H_j - u_j + j - 1)_{l_j} times the sum over u_{j-1} <= u_j of row j-1 at
+    u_{j-1} times B_{u_j - u_{j-1}}(a_j)/(u_j - u_{j-1})!, from row 0 = {0: 1}.
+    At u_r = r + |l| the falling factorial is (-1)^{l_r} l_r!, so the value is
+    (-1)^(r+|l|+l_r) l_r! times the sum over u of row r-1 at u times
+    B_{r+|l|-u}(a_r)/(r+|l|-u)!.  Row j depends only on the prefix
+    (l_1..l_j, d_1..d_j, a_1..a_j), on d_{j+1} (a one there caps u_j at
+    H_j + j) and on ``top`` (at least r + |l|), the largest u a row keeps.
+    Each row is integers over one denominator, the product of its slots'
+    B_n(a)/n! table denominators, each read at the span its row needs.
+
+    ``memo`` keeps, per stream (top, d, a_1..a_{r-1}), the r - 1 rows along
+    the last prefix l_1..l_{r-1} the stream computed; a call rebuilds rows
+    from the first slot where its prefix differs.  Calls that share a top
+    and differ only in l_r, such as siblings in :func:`iter_index_tuples`
+    order, then cost one dot product each.  Each kept path is a function of
+    its stream and prefix alone, so any calls may share a memo and no value
+    depends on which calls came first, while the memo holds at most r - 1
+    rows per stream.
     """
     r, total = len(l), len(l) + sum(l)
+    top = total if top is None else top
     dirs = (None,) * (r - 1) if d is None else d
-    # Slot k adds (l_k, d_k, a_{k+1}) to a key, a_{k+1} as two ints that hash
-    # faster than a Fraction, so the suffix of row j is one slice.
-    suffix = [None] * (4 * r - 3)
-    suffix[::4] = l
-    suffix[1::4] = dirs
-    suffix[2::4] = [c.numerator for c in a[1:]]
-    suffix[3::4] = [c.denominator for c in a[1:]]
-    suffix = tuple(suffix)
-    # Walk forward to the first kept row, noting the caps and keys before it.
-    caps, keys, cap, head = [], [], total, 0
-    for j in range(1, r + 1):
-        head += l[j - 1]  # r - j + S_{>j} = total - head - j
-        cap = 0 if j == r else min(cap, total - head - j) if dirs[j - 1] == 0 else cap
-        key = (cap, suffix[4 * j - 4 :])
-        if j > 1 and cap < total and key in memo:
-            den, low, row = memo[key]
-            break
-        caps.append(cap)
-        keys.append(key)
-    else:
-        den, low, row = 1, 0, [-factorial(l[-1]) if l[-1] % 2 else factorial(l[-1])]
-        if r > 1:
-            memo[key] = den, low, row
-    rest = total - r - head  # S_{>j}, for the row just read
-    for j in range(j - 1, 0, -1):
-        rest += l[j]
-        cap, bit, hi = caps[j - 1], dirs[j - 1], r - j + rest
-        ts = [] if bit == 1 else list(range(low, min(cap, hi) + 1))
-        if bit != 0:
-            ts += range(max(low, hi + 1 + l[j - 1]), cap + 1)
-        if row and ts:
-            slot_den, bern = shift_ratios(a[j], ts[-1] - low)
-            nxt = [0] * (ts[-1] - ts[0] + 1)
-            for t in ts:
-                ff = prod(range(t - hi - 1, t - hi - 1 - l[j - 1], -1))
-                nxt[t - ts[0]] = ff * sum(map(mul, row, bern[t - low :: -1]))
-            den, low, row = den * slot_den, ts[0], nxt
+    # The shift entries as ints, which hash faster than Fractions.
+    stream = (top, d, *[(c.numerator, c.denominator) for c in a[:-1]])
+    prefix = l[:-1]
+    kept_prefix, rows = memo.get(stream, ((), []))
+    k = 0
+    while k < len(kept_prefix) and kept_prefix[k] == prefix[k]:
+        k += 1
+    rows = rows[:k]
+    den, low, row = rows[-1] if rows else (1, 0, [1])
+    head = sum(prefix[:k])
+    for j in range(k + 1, r):
+        lj, bit = l[j - 1], dirs[j - 1]
+        one_hi = head + j - 1  # d_j = 1: u_j <= H_{j-1} + j - 1
+        head += lj
+        # d_{j+1} = 1 bounds u_j <= u_{j+1} <= H_j + j.
+        cap = min(top, head + j) if j < r - 1 and dirs[j] == 1 else top
+        us = [] if bit == 0 else list(range(low, min(cap, one_hi) + 1))
+        if bit != 1:
+            us += range(max(low, head + j), cap + 1)  # d_j = 0: u_j >= H_j + j
+        if row and us:
+            slot_den, bern = shift_ratios(a[j - 1], us[-1] - low)
+            nxt = [0] * (us[-1] - us[0] + 1)
+            for u in us:
+                x = head - u + j - 1
+                ff = prod(range(x, x - lj, -1))
+                nxt[u - us[0]] = ff * sum(map(mul, row, bern[u - low :: -1]))
+            den, low, row = den * slot_den, us[0], nxt
         else:
             den, low, row = 1, 0, []
-        if j > 1 and cap < total:
-            memo[keys[j - 1]] = den, low, row
+        rows.append((den, low, row))
+    memo[stream] = prefix, rows
     if not row:
         return Fraction(0)
-    slot_den, bern = shift_ratios(a[0], total - low)
-    acc = sum(map(mul, row, bern[total - low :: -1]))
-    return Fraction(-acc if total % 2 else acc, den * slot_den)
+    slot_den, bern = shift_ratios(a[-1], total - low)
+    acc = factorial(l[-1]) * sum(map(mul, row, bern[total - low :: -1]))
+    return Fraction(-acc if (total + l[-1]) % 2 else acc, den * slot_den)
 
 
 def asym_coeff(
@@ -668,15 +667,23 @@ def origin_rev_gregory(r: int) -> Fraction:
     return _origin_rev_table(r)[r]
 
 
+def _rev_via_gregory(lt: IndexTuple, origin: Sequence[Fraction]) -> Fraction:
+    """:func:`rev_via_gregory` on a validated index, reading an origin table
+    of order at least r + |l| (:func:`_origin_rev_table`)."""
+    boxed = stirling_kernel_box(lt, 0)
+    return sum((w * origin[len(lt) + k] for k, w in boxed.items()), Fraction(0))
+
+
 def rev_via_gregory(l: Sequence[int]) -> Fraction:
     """Reverse value at (-l_1, ..., -l_r) computed without any zeta
     recurrence: Stirling-polynomial weights move the point to the origin, and
-    each origin value (at its padded depth r + k_1 + ... + k_r) is expanded
-    into Gregory coefficients, all from one origin table."""
+    each origin value (at its padded depth r + k_1 + ... + k_r, at most
+    r + |l|) is expanded into Gregory coefficients, all read from one origin
+    table built to order r + |l|.  Every table is a prefix of any larger one,
+    so a grid of calls can share one (the ``gregory`` suite does, through
+    :func:`_rev_via_gregory`)."""
     lt = as_index_tuple(l)
-    boxed = stirling_kernel_box(lt, 0)
-    origin = _origin_rev_table(len(lt) + max(boxed, default=0))
-    return sum((w * origin[len(lt) + k] for k, w in boxed.items()), Fraction(0))
+    return _rev_via_gregory(lt, _origin_rev_table(len(lt) + sum(lt)))
 
 
 # ---------------------------------------------------------------------------

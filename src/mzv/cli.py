@@ -66,9 +66,10 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer that lost i
 TABLE_MAX_TUPLES = 250_000
 # `mzv coeff` refuses an index with r * (r + |l|) over this up front: the definition
 # sum fills r rows of up to r + |l| + 1 entries.  The slowest shape at the cap, depth 1
-# with r + |l| = 1,000, takes 5 s at a = 3/7 and 10 s at a = 997/1000 on a 2.1 GHz
-# Xeon; (100, 100, 100) has 909.  A cap on r + |l| alone would not do: at
-# r + |l| = 300, depth 20 takes 22 s and depth 40 takes 81 s.
+# with r + |l| = 1,000, takes 4-5 s at a = 3/7 and 9-10 s at a = 997/1000 on a 2.1 GHz
+# Xeon; (100, 100, 100) has 909 and takes 0.1 s in-process at a = (3/7, 1, 2), 0.3-0.5 s
+# wall.  A cap on r + |l| alone would not do: at r + |l| = 300, depth 20 (every entry
+# 14, every a_j = 3/7) takes 12 s.
 COEFF_MAX_SIZE = 1_000
 # The Bernoulli rows also grow with the shift, so r * (r + |l|) times the bit length of
 # the largest numerator or denominator in the shift has its own cap.  On the same Xeon,
@@ -91,6 +92,11 @@ VALUE_MAX_SIZE = 300
 # rows.  On the same Xeon, the slowest kind at the cap, s-poly --n 2000 --m 3, takes
 # 4 s wall, and S --n 2000 --m 1000 takes 2 s.
 STIRLING_MAX_N = 2_000
+# With --y = p/q, the polynomial is evaluated on numbers of about (n - m) times the bit
+# length of max(|p|, q) bits, so that product has its own cap.  On the same Xeon, at the
+# cap, s-poly --n 2000 --m 1 --y=1/(2^50 - 1) (99,950) takes 3.4 s wall and S-poly 0.7 s;
+# --y=1/10^300 (997 bits, 1,993,003) was still running after 30 s.
+STIRLING_MAX_Y_BITS = 100_000
 
 
 # One output record: (query, exact value, provenance).  The value is an int or a
@@ -338,6 +344,12 @@ def _cmd_stirling(args: argparse.Namespace) -> int:
         exact = poly.coefficient(0) if poly.degree < 1 else poly.to_string("Y")
         record = (f"{kind}({n},{m})", exact, "closed-form")
     else:
+        y_bits = max(abs(y.numerator), y.denominator).bit_length()
+        if (n - m) * y_bits > STIRLING_MAX_Y_BITS:
+            raise _UsageError(
+                f"--n minus --m is {n - m:,} and --y has {y_bits}-bit terms; "
+                f"the cap on their product is {STIRLING_MAX_Y_BITS:,}"
+            )
         at = (
             stirling_poly_first_at(n, m, y)
             if kind == "s-poly"

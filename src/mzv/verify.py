@@ -51,6 +51,8 @@ from .asymptotic import (
     _asym_sum,
     _c_explicit,
     _c_rec,
+    _origin_rev_table,
+    _rev_via_gregory,
     as_shift,
     asym_coeff,
     direction_partition_check,
@@ -60,7 +62,6 @@ from .asymptotic import (
     origin_decomposition_check,
     origin_rev_gregory,
     parity_check,
-    rev_via_gregory,
     staircase_direction,
     star_coeff_relation_check,
 )
@@ -525,11 +526,15 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
     )
     # The definition sum and the explicit path each keep one memo for the
     # suite: their keys name everything a row or chain reads, so any calls
-    # may share them (see _asym_sum and _chain_links).
+    # may share them (see _asym_sum and _chain_links).  The definition memo
+    # keeps one path of prefix rows per stream (top, d, a_1..a_{r-1}); with
+    # one top per depth, r + max_weight, each step of l_r in the l loop's
+    # iter_index_tuples order costs one dot product.
     definition: dict = {}
     chains: dict = {}
     max_r = max(2, min(4, bounds.max_depth + 1))
     for r in range(1, max_r + 1):
+        top = r + bounds.max_weight
         shifts = [(Fraction(1),) * r, (Fraction(1),) + (Fraction(0),) * (r - 1)]
         shifts.append(_positive_shift(rng, r))
         # Validated once here; the grid tuples are valid by construction, so
@@ -542,7 +547,7 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
             for i in range(1, r + 1):
                 d = staircase_direction(i, r)
                 for s, a in enumerate(shifts):
-                    reference = _asym_sum(l, d, a, definition)
+                    reference = _asym_sum(l, d, a, definition, top)
                     rec.equal(
                         lambda: f"recurrence path i={i}, r={r}, l={l}, a={a}",
                         _c_rec(i, r, l, a, memos[i, s]),
@@ -574,6 +579,7 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
         ones = as_shift((1,) * r, r)
         star_shift = as_shift((1,) + (0,) * (r - 1), r)
         flat = (0,) * (r - 1)
+        top = r + bounds.max_weight
         for l in iter_index_tuples(r, bounds.max_weight, min_depth=r):
             # d=None: the reverse bridge sums all 2^(r-1) directions in one pass.
             for kind, d, a, value in (
@@ -582,7 +588,7 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
                 ("star", flat, star_shift, mzsf_reg),
             ):
                 rec.equal(
-                    lambda: f"{kind} bridge l={l}", _asym_sum(l, d, a, definition), value(l)
+                    lambda: f"{kind} bridge l={l}", _asym_sum(l, d, a, definition, top), value(l)
                 )
     return rec.result("asym")
 
@@ -609,8 +615,14 @@ def _suite_gregory(bounds: Bounds, rng: random.Random) -> SuiteResult:
     for r in range(1, min(bounds.max_r, 5) + 1):
         rec.true(lambda: f"origin product decomposition r={r}", origin_decomposition_check(r))
         rec.true(lambda: f"Gregory bundling r={r}", gregory_bundling_check(r))
-    for l in iter_index_tuples(min(bounds.max_depth, 3), bounds.max_weight):
-        rec.equal(lambda: f"reverse value via Gregory l={l}", rev_via_gregory(l), mzf_rev(l))
+    # One origin table serves every reverse value: a table is a prefix of
+    # any larger one, and depth r, weight |l| reads it up to r + |l|.
+    depth = min(bounds.max_depth, 3)
+    origin = _origin_rev_table(depth + bounds.max_weight)
+    for l in iter_index_tuples(depth, bounds.max_weight):
+        rec.equal(
+            lambda: f"reverse value via Gregory l={l}", _rev_via_gregory(l, origin), mzf_rev(l)
+        )
     return rec.result("gregory")
 
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -66,8 +67,9 @@ def _tail_window(l, bit, j):
 
 def _forward_asym_sum(l, d, a):
     """The definition sum carried forward from the first slot to the last, one
-    dict of integer weights per tail sum t_j; the oracle of the memoized
-    backward sum ``_asym_sum``.  It reads only ``shift_ratios``."""
+    dict of integer weights per tail sum t_j, with no memo: an oracle of
+    ``_asym_sum``, which runs forward over the partial sums u_j = r + |l| - t_j
+    on dense rows.  It reads only ``shift_ratios``."""
     r, total = len(l), len(l) + sum(l)
     row = {total: 1}
     den = 1
@@ -97,6 +99,54 @@ def _forward_asym_sum(l, d, a):
         row = nxt
         den *= slot_den
     return Fraction(-row[0] if total % 2 else row[0], den)
+
+
+def _backward_asym_sum(l, d, a):
+    """The definition sum carried from the last slot back to the first over
+    the tail sums t_j = n_{j+1} + ... + n_r (t_0 = r + |l|, t_r = 0), the
+    reverse of the order ``_asym_sum`` runs in, on dense suffix rows; an
+    oracle with no memo.  It reads only ``shift_ratios``.
+
+    With S_{>j} = l_{j+1} + ... + l_r, slot j's falling factorial reads
+    x = t_j - S_{>j} - (r - j) - 1, the d_j = 0 window is [0, r - j + S_{>j}]
+    and the d_j = 1 window starts at r - j + 1 + l_j + S_{>j}.  Row j maps each
+    t_j to ff_j(t_j) times the sum over t_{j+1} <= t_j of
+    B_{t_j - t_{j+1}}(a_{j+1})/(t_j - t_{j+1})! times row j+1 at t_{j+1}, up to
+    its cap, the largest t_j the prefix allows: t_0, lowered to r - k + S_{>k}
+    by each d_k = 0 with k <= j.  The result is read from row 1 at t_0.
+    """
+    r, total = len(l), len(l) + sum(l)
+    dirs = (None,) * (r - 1) if d is None else d
+    caps, cap, head = [], total, 0
+    for j in range(1, r):
+        head += l[j - 1]  # r - j + S_{>j} = total - head - j
+        if dirs[j - 1] == 0:
+            cap = min(cap, total - head - j)
+        caps.append(cap)
+    den, low, row = 1, 0, [-factorial(l[-1]) if l[-1] % 2 else factorial(l[-1])]
+    rest = 0  # S_{>j}
+    for j in range(r - 1, 0, -1):
+        rest += l[j]
+        cap, bit, hi = caps[j - 1], dirs[j - 1], r - j + rest
+        ts = [] if bit == 1 else list(range(low, min(cap, hi) + 1))
+        if bit != 0:
+            ts += range(max(low, hi + 1 + l[j - 1]), cap + 1)
+        if not (row and ts):
+            return Fraction(0)
+        slot_den, bern = shift_ratios(a[j], ts[-1] - low)
+        nxt = [0] * (ts[-1] - ts[0] + 1)
+        for t in ts:
+            ff = prod(range(t - hi - 1, t - hi - 1 - l[j - 1], -1))
+            nxt[t - ts[0]] = ff * sum(map(mul, row, bern[t - low :: -1]))
+        den, low, row = den * slot_den, ts[0], nxt
+    slot_den, bern = shift_ratios(a[0], total - low)
+    acc = sum(map(mul, row, bern[total - low :: -1]))
+    return Fraction(-acc if total % 2 else acc, den * slot_den)
+
+
+def _assert_matches_both_oracles(l, d, a, value):
+    assert value == _backward_asym_sum(l, d, a), (l, d, a)
+    assert value == _forward_asym_sum(l, d, a), (l, d, a)
 
 
 def admissible_n_set(l, d):
@@ -205,7 +255,7 @@ def test_definition_sum_matches_term_by_term_oracle(point):
     a = tuple(Fraction(c) for c in a)  # partial sums >= 0, which as_shift refuses
     expected = _definition_sum_oracle(l, d, a)
     assert _asym_sum(l, d, a, {}) == expected
-    assert _forward_asym_sum(l, d, a) == expected
+    _assert_matches_both_oracles(l, d, a, expected)
     if a[0] > 0:  # every family has positive partial sums once a_1 > 0
         assert asym_coeff(l, d, a) == expected
 
@@ -304,24 +354,69 @@ def test_shared_definition_memo_matches_the_forward_oracle(points):
         assert _asym_sum(l, d, a, memo) == _forward_asym_sum(l, d, a), (l, d, a)
 
 
-def test_two_fill_orders_leave_equal_memos():
-    # Each kept row is a function of its key, and a call keeps every row it
-    # computes that may be kept, so the memo a grid leaves does not depend
-    # on the order of its calls.
+@st.composite
+def _shared_prefix_points(draw):
+    """Points (l, d, a, top) in a random order that share prefixes: tuples of
+    one drawn depth r with entries up to 2, each at d=None, at every staircase
+    direction and at one more drawn direction, with the first r entries of
+    one depth-5 shift (all ones, a basis vector e_p or random positive
+    entries), and one top for all: 3r, which serves every such tuple, or the
+    default r + |l|."""
+    family = draw(st.sampled_from(["ones", "basis", "positive"]))
+    if family == "ones":
+        master = (Fraction(1),) * 5
+    elif family == "basis":
+        p = draw(st.integers(min_value=0, max_value=4))
+        master = tuple(Fraction(int(t == p)) for t in range(5))
+    else:
+        positive = st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
+        master = tuple(draw(st.lists(positive, min_size=5, max_size=5)))
+    r = draw(st.integers(min_value=1, max_value=5))
+    top = draw(st.sampled_from([None, 3 * r]))
+    entries = st.lists(st.integers(min_value=0, max_value=2), min_size=r, max_size=r)
+    bits = st.lists(st.integers(min_value=0, max_value=1), min_size=r - 1, max_size=r - 1)
+    points = []
+    for l in draw(st.lists(entries, min_size=1, max_size=8)):
+        dirs = [None, tuple(draw(bits))] + [staircase_direction(i, r) for i in range(1, r + 1)]
+        points += [(tuple(l), d, master[:r], top) for d in dict.fromkeys(dirs)]
+    return draw(st.permutations(points))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_shared_prefix_points())
+def test_shared_prefix_memo_matches_the_forward_oracle(points):
+    # One memo, filled in a random order by calls that share prefix rows.
+    memo = {}
+    for l, d, a, top in points:
+        assert _asym_sum(l, d, a, memo, top) == _forward_asym_sum(l, d, a), (l, d, a, top)
+
+
+def test_two_fill_orders_give_equal_values_and_bounded_memos():
+    # A memo keeps one path of prefix rows per stream, so the rows it holds
+    # depend on the order of the calls; the values must not.  At top = 8,
+    # r + 4 or more for every depth, each stream serves every l of its depth.
     grid = [
         (l, d, make_shift(len(l)))
         for l in iter_index_tuples(4, 4)
         for d in (None, *product((0, 1), repeat=len(l) - 1))
         for make_shift in _SUITE_SHIFTS
     ]
-    in_order, shuffled = {}, {}
-    values = [_asym_sum(l, d, a, in_order) for l, d, a in grid]
+    values = [_forward_asym_sum(l, d, a) for l, d, a in grid]
+    for (l, d, a), value in zip(grid, values):
+        assert _backward_asym_sum(l, d, a) == value, (l, d, a)
     order = list(range(len(grid)))
     random.Random(0).shuffle(order)
-    for k in order:
-        assert _asym_sum(*grid[k], shuffled) == values[k], grid[k]
-    assert in_order and shuffled == in_order
-    assert values == [_forward_asym_sum(l, d, a) for l, d, a in grid]
+    for top in (None, 8):
+        in_order, shuffled = {}, {}
+        for k in range(len(grid)):
+            assert _asym_sum(*grid[k], in_order, top) == values[k], (grid[k], top)
+        for k in order:
+            assert _asym_sum(*grid[k], shuffled, top) == values[k], (grid[k], top)
+        for memo in (in_order, shuffled):
+            assert memo
+            for stream, (prefix, rows) in memo.items():
+                # (top, d, one pair per shift entry but the last): r - 1 pairs.
+                assert len(rows) == len(prefix) == len(stream) - 2, stream
 
 
 def test_shared_chain_memo_matches_fresh_explicit_path(monkeypatch):
@@ -395,6 +490,16 @@ def test_pinned_coefficients():
                 ):
                     digest.update(f"{name} {i} {l} {a}={path(i, r, l, a)}\n".encode())
     assert digest.hexdigest() == PINNED_COEFFICIENT_DIGEST
+
+
+def test_pinned_grid_matches_both_oracles():
+    for l in iter_index_tuples(4, 5):
+        r = len(l)
+        shifts = [(Fraction(1),) * r, _PINNED_SIGNED_SHIFT[:r]]
+        shifts += [tuple(Fraction(int(t == p)) for t in range(r)) for p in range(r)]
+        for a in shifts:
+            for d in product((0, 1), repeat=r - 1):
+                _assert_matches_both_oracles(l, d, a, _asym_sum(l, d, a, {}))
 
 
 # asym_coeff((100, 100, 100), (0, 0), (3/7, 1, 2)), recorded before the
@@ -654,6 +759,39 @@ def test_rev_via_gregory_builds_the_series_once(monkeypatch):
             gregory(m, total - m)
     assert built == list(range(27))
     assert rev_via_gregory((2, 2)) == mzf_rev((2, 2))
+
+
+def test_origin_tables_are_prefixes_of_larger_ones():
+    # What lets one table serve a whole grid of reverse values.
+    tables = [asymptotic._origin_rev_table(n) for n in range(21)]
+    for n in range(21):
+        for m in range(n + 1):
+            assert tables[n][: m + 1] == tables[m], (m, n)
+
+
+def test_rev_via_gregory_reads_one_shared_origin_table():
+    origin = asymptotic._origin_rev_table(3 + 6)
+    for l in iter_index_tuples(3, 6):
+        assert asymptotic._rev_via_gregory(l, origin) == rev_via_gregory(l), l
+
+
+def test_gregory_suite_builds_one_origin_table_for_its_grid(monkeypatch):
+    # One table for the reverse-value grid and one per origin_rev_gregory(r)
+    # check, r <= max_r = 7: 8 builds, not one per grid tuple.
+    from mzv import verify
+
+    built = []
+    table = asymptotic._origin_rev_table
+
+    def counted(top):
+        built.append(top)
+        return table(top)
+
+    monkeypatch.setattr(asymptotic, "_origin_rev_table", counted)
+    monkeypatch.setattr(verify, "_origin_rev_table", counted)
+    result = verify.run_suite("gregory", verify.Bounds(max_depth=4, max_weight=6, max_r=7))
+    assert result.ok
+    assert len(built) == 8, built
 
 
 def test_rev_via_gregory_examples():

@@ -372,6 +372,33 @@ def test_stirling_over_the_n_cap_exits_2_before_any_compute(capsys, monkeypatch,
     assert (code, out, err) == (2, "", "error: --n is 2,001; the cap is 2,000\n")
 
 
+def test_stirling_y_over_the_size_cap_exits_2_before_any_compute(capsys, monkeypatch):
+    # (n - m) times the bit length of y's larger term: 1,999 * 997 for a
+    # denominator of 10^300, which was still running after 30 s uncapped.
+    assert mzv.cli.STIRLING_MAX_Y_BITS == 100_000
+    for name in ("stirling_poly_first_at", "stirling_poly_second_at"):
+        monkeypatch.setattr(mzv.cli, name, _refuse)
+    for kind in ("s-poly", "S-poly"):
+        code, out, err = run(
+            capsys, "stirling", "--kind", kind, "--n", "2000", "--m", "1", f"--y=1/{10**300}"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --n minus --m is 1,999 and --y has 997-bit terms; "
+            "the cap on their product is 100,000\n"
+        )
+
+
+def test_stirling_y_under_the_size_cap_is_computed(capsys):
+    # 1,999 * 3 bits for y = -7/3; S(n, 1, Y) = (1 + Y)^n - Y^n.
+    code, out, err = run(
+        capsys, "stirling", "--kind", "S-poly", "--n", "2000", "--m", "1", "--y=-7/3"
+    )
+    assert (code, err) == (0, "")
+    value = Fraction(4**2000 - 7**2000, 3**2000)
+    assert out == f"S-poly(2000,1; Y=-7/3) = {value}  [closed-form]\n"
+
+
 def test_stirling_y_with_number_kind_is_usage_error(capsys):
     code, _, err = run(
         capsys, "stirling", "--kind", "s", "--n", "2", "--m", "1", "--y", "3"
