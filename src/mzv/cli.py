@@ -80,12 +80,13 @@ COEFF_MAX_SIZE_BITS = 10_000
 # M + N, and on a 2.1 GHz Xeon --max 60 60 and --max 1 119 each take 8-10 s wall.
 GREGORY_MAX_ORDER = 120
 # `mzv value` refuses an index with r + |l| over this up front.  The recurrence fills
-# rows of up to r + |l| values at up to r + |l| terms each (cost about (r + |l|)^3), and
-# the Stirling route reads the reverse origin value at depth r + |l| after a box of
-# Stirling kernels of degree up to |l|.  On a 2.1 GHz Xeon, 300 zeros take 3-5 s wall
-# by the recurrence (any kind), and depth 1 with l = 299 takes 7 s by the Stirling
-# route.  The Gregory route (mzf-rev, --path gregory or all) builds the Gregory table to
-# order r + |l| + 2, so past GREGORY_MAX_ORDER it is refused too: 118 zeros take 12 s
+# rows of up to r + |l| values at up to r + |l| terms each (cost about (r + |l|)^3) and
+# holds two rows at a time, and the Stirling route reads every origin value up to depth
+# r + |l| off one such walk after a box of Stirling kernels of degree up to |l|.  On a
+# 2.1 GHz Xeon, 300 zeros take 2-4 s wall by the recurrence (any kind) and peak at
+# 19 MB RSS, and depth 1 with l = 299 takes 5-7 s by the Stirling route and peaks at
+# 26 MB.  The Gregory route (mzf-rev, --path gregory or all) builds the Gregory table to
+# order r + |l| + 2, so past GREGORY_MAX_ORDER it is refused too: 118 zeros take 8-11 s
 # wall with --path all.
 VALUE_MAX_SIZE = 300
 # `mzv stirling` refuses --n over this up front: the triangle of plain numbers has n

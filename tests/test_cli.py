@@ -14,7 +14,7 @@ import pytest
 
 import mzv.cli
 from mzv.cli import main
-from mzv.values import clear_memo, iter_index_tuples
+from mzv.values import iter_index_tuples
 
 
 def run(capsys, *argv):
@@ -484,7 +484,6 @@ TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("kind", sorted(TABLE_DIGESTS))
 def test_table_digests_are_pinned(capsys, kind):
-    clear_memo()
     code, out, _ = run(
         capsys,
         "table", "--kind", kind, "--max-depth", "6", "--max-weight", "7", "--json",
@@ -624,7 +623,6 @@ def test_cache_dir_is_ignored(tmp_path, monkeypatch, capsys):
     poisoned.write_text("#mzv-values v1\nmzf-reg|3|5\n", encoding="ascii")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     monkeypatch.setenv("MZV_CACHE_DIR", str(tmp_path))
-    clear_memo()
     code, out, err = run(capsys, "value", "--kind", "mzf-reg", "--index", "3")
     assert code == 0
     assert err == ""

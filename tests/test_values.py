@@ -1,4 +1,4 @@
-"""Tests for the four value families, their closed forms, and the in-memory memo."""
+"""Tests for the four value families, their closed forms and the value grid."""
 
 import hashlib
 import os
@@ -13,15 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mzv
+from mzv import values
 from mzv.asymptotic import asym_coeff
 from mzv.bernoulli import zeta_neg, zeta_star_neg
 from mzv.values import (
-    _MEMO,
     ValueKind,
+    _origin_values,
     akiyama_tanigawa_reg,
     akiyama_tanigawa_rev,
     as_index_tuple,
-    clear_memo,
     iter_index_tuples,
     mzf_reg,
     mzf_rev,
@@ -233,15 +233,6 @@ def test_iter_index_tuples_does_not_recurse():
     assert done.returncode == 0, done.stderr
 
 
-def test_memo_determinism():
-    clear_memo()
-    first = mzf_rev((1, 2, 1))
-    second = mzf_rev((1, 2, 1))
-    assert first is second
-    clear_memo()
-    assert mzf_rev((1, 2, 1)) == first
-
-
 # SHA-256 of the lines "l_1,...,l_r=value" over iter_index_tuples(5, 6), one
 # digest per kind, recorded from the recursive recurrences this engine
 # replaced.
@@ -255,7 +246,6 @@ PINNED_DIGESTS = {
 
 @pytest.mark.parametrize("kind", sorted(PINNED_DIGESTS))
 def test_pinned_values(kind):
-    clear_memo()
     digest = hashlib.sha256()
     for t in iter_index_tuples(5, 6):
         digest.update(f"{','.join(map(str, t))}={value(kind, t)}\n".encode())
@@ -284,39 +274,38 @@ def test_values_do_not_recurse():
 @pytest.mark.parametrize("kind", list(ValueKind))
 @pytest.mark.parametrize("grid", [(1, 0), (1, 12), (2, 3), (5, 6), (6, 7), (7, 5)])
 def test_value_grid_matches_per_tuple_engine(kind, grid):
-    clear_memo()
     expected = [(l, value(kind, l)) for l in iter_index_tuples(*grid)]
-    if grid == (6, 7):
-        assert len(_MEMO[kind]) == 3717
-    clear_memo()
     assert list(value_grid(kind, *grid)) == expected
 
 
 @pytest.mark.parametrize("kind", list(ValueKind))
 @pytest.mark.parametrize("grid", [(3, 9), (6, 7)])
 def test_value_grid_leaves_the_memo_per_tuple_calls_leave(kind, grid):
-    # The grid neither reads nor writes the memo: it leaves an empty memo
-    # empty, and the memo the per-tuple calls filled holds the same objects.
-    clear_memo()
-    for _ in value_grid(kind, *grid):
-        pass
-    assert not any(_MEMO.values())
-    for l in iter_index_tuples(*grid):
-        value(kind, l)
-    before = {k: dict(memo) for k, memo in _MEMO.items()}
-    for _ in value_grid(kind, *grid):
-        pass
-    assert _MEMO.keys() == before.keys()
-    for k, memo in _MEMO.items():
-        assert memo.keys() == before[k].keys()
-        assert all(v is before[k][l] for l, v in memo.items())
+    # No value is kept between calls, so no call order changes a value: a
+    # grid read before the per-tuple calls and one read after them both give
+    # what the per-tuple calls give.
+    before = list(value_grid(kind, *grid))
+    per_tuple = [(l, value(kind, l)) for l in iter_index_tuples(*grid)]
+    assert before == per_tuple == list(value_grid(kind, *grid))
 
 
-def test_value_grid_of_an_empty_grid_computes_nothing():
-    clear_memo()
+def test_value_grid_of_an_empty_grid_computes_nothing(monkeypatch):
+    def unused(*args):
+        raise AssertionError("an empty grid computed a value")
+
+    for name in ("zeta_neg", "_as_ints", "_reg_step", "_rev_step"):
+        monkeypatch.setattr(values, name, unused)
     for kind in ValueKind:
         assert list(value_grid(kind, 0, 3)) == list(value_grid(kind, 3, -1)) == []
-    assert not any(_MEMO.values())
+
+
+@pytest.mark.parametrize("kind", list(ValueKind))
+def test_origin_values_are_the_origin_values_of_value(kind):
+    # Row d of the walk at (0,) * n starts at the depth-d origin value.
+    origin = _origin_values(kind, 40)
+    assert origin == [value(kind, (0,) * k) for k in range(1, 41)]
+    assert _origin_values(kind, 1) == [value(kind, (0,))] == [zeta_neg(0)]
+    assert _origin_values(kind, 0) == []
 
 
 small_tuples = st.lists(
@@ -419,7 +408,6 @@ def _oracle_tuples(draw):
 @given(_oracle_tuples())
 def test_integer_steps_match_the_fraction_oracle(l):
     for kind in ValueKind:
-        clear_memo()
         assert value(kind, l) == _oracle_value(kind, l, {})
 
 
@@ -435,6 +423,5 @@ PINNED_DEEP_ZERO_DIGESTS = {
 
 @pytest.mark.parametrize("kind", sorted(PINNED_DEEP_ZERO_DIGESTS))
 def test_pinned_deep_zero_values(kind):
-    clear_memo()
     digest = hashlib.sha256(str(value(kind, (0,) * 120)).encode()).hexdigest()
     assert digest == PINNED_DEEP_ZERO_DIGESTS[kind]

@@ -133,7 +133,7 @@ PLANTED_COUNTEREXAMPLES = {
 def test_planted_wrong_routes_report_pinned_counterexamples(monkeypatch, capsys):
     c_explicit = verify._c_explicit
     choi_check = verify.choi_identity_check
-    sign_check = verify.sign_theorem_check
+    sign_holds = verify._sign_holds
 
     def wrong_explicit(i, r, l, a, memo):
         value = c_explicit(i, r, l, a, memo)
@@ -146,13 +146,43 @@ def test_planted_wrong_routes_report_pinned_counterexamples(monkeypatch, capsys)
         lambda r, l, z, m: choi_check(r, l, z, m) and (r, m, l) != (3, 2, 1),
     )
     monkeypatch.setattr(
-        verify, "sign_theorem_check", lambda order, l: sign_check(order, l) and l != (1, 1)
+        verify, "_sign_holds", lambda l, plain, star: sign_holds(l, plain, star) and l != (1, 1)
     )
     argv = ["verify", "--suite", "all", "--json", "--max-depth", "2", "--max-weight", "3"]
     assert main(argv + ["--max-r", "3"]) == 1
     results = json.loads(capsys.readouterr().out)["results"]
     found = {res["suite"]: res["first_counterexample"] for res in results}
     assert found == {name: PLANTED_COUNTEREXAMPLES.get(name) for name in SUITE_NAMES}
+
+
+# The recurrence grids each suite reads, by kind.
+GRID_READERS = {
+    "mzf-reg": ("asym", "sign"),
+    "mzf-rev": ("asym", "gregory", "sign", "values"),
+    "mzsf-reg": ("asym", "sign"),
+    "mzsf-rev": ("sign", "values"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_READERS))
+def test_a_planted_wrong_grid_value_is_reported_at_its_tuple(monkeypatch, kind):
+    # One grid value off by one: every suite that reads that grid must fail
+    # at that tuple and nowhere else, so each suite reads its grid in step
+    # with its own loop over the tuples.
+    grid = verify.value_grid
+
+    def wrong_grid(grid_kind, max_depth, max_weight):
+        for l, v in grid(grid_kind, max_depth, max_weight):
+            yield l, v + 1 if (grid_kind, l) == (kind, (1, 1)) else v
+
+    monkeypatch.setattr(verify, "value_grid", wrong_grid)
+    bounds = Bounds(max_depth=3, max_weight=3, max_r=3)
+    for suite in ("asym", "gregory", "sign", "values"):
+        failures = run_suite(suite, bounds).failures
+        if suite in GRID_READERS[kind]:
+            assert failures and all("l=(1, 1)" in text for text in failures), failures
+        else:
+            assert failures == ()
 
 
 # Two faults planted in the kernels the fixed grids read: the constant term of
