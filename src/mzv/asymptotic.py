@@ -29,8 +29,9 @@ keeps its own memo, passed in by the caller and never held by the module:
 the definition sum keeps one path of prefix rows per stream (top, d,
 a_1..a_{r-1}), the rows of the last prefix l_1..l_{r-1} that stream
 computed, each row kept up to the stream's largest partial sum ``top``; the
-explicit path keeps its chains under their links, and the recurrence its
-nodes per (i, r, shift).  A grid of calls can share one memo per path (the
+explicit path keeps its chains under their links, and the recurrence one
+row of sub-values per parent, as integer numerators over one denominator,
+per (i, r, shift).  A grid of calls can share one memo per path (the
 ``asym`` suite does, for one run, with one top per depth, so each step of
 the last index entry costs the definition sum one dot product); a single
 public call starts from an empty one.
@@ -55,7 +56,7 @@ from fractions import Fraction
 from itertools import product as _product
 from math import factorial, lcm, perm, prod
 from operator import mul
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .bernoulli import shift_ratios
 from .kernel import BivariateSeries, RationalLike, rat
@@ -248,58 +249,91 @@ def _c22_closed(l1: int, l2: int, a2: Fraction) -> Fraction:
     return Fraction(sign * factorial(l1) * factorial(l2) * bern[s], den)
 
 
-def _peel(sign: int, subs: List[Fraction], l: int, a: Fraction) -> Fraction:
-    """sign * sum_k C(l+1, k) B_{l+1-k}(a) subs[k] / (l+1), reduced once.
+def _peel(sign: int, row: Tuple[Sequence[int], int], l: int, a: Fraction) -> Fraction:
+    """sign * sum_k C(l+1, k) B_{l+1-k}(a) subs[k] / (l+1), reduced once, with
+    row = (nums, den) and subs[k] = nums[k] / den for k <= l + 1.
 
     C(l+1, k) B_m(a) = (l+1)!/k! * B_m(a)/m! with m = l+1-k, an integer times
-    a table numerator; the sub-values go over the lcm of their denominators.
+    a table numerator, so the sum is one integer sum, by Horner's rule in k.
     """
-    den, bern = shift_ratios(a, l + 1)
-    common = lcm(*(v.denominator for v in subs))
-    total = sum(
-        perm(l + 1, l + 1 - k) * bern[l + 1 - k] * v.numerator * (common // v.denominator)
-        for k, v in enumerate(subs)
-    )
-    return Fraction(sign * total, common * den * (l + 1))
+    nums, den = row
+    bden, bern = shift_ratios(a, l + 1)
+    total = 0
+    for k in range(l + 2):  # Horner in k: term k gathers the factors k+1..l+1
+        total = total * k + bern[l + 1 - k] * nums[k]
+    return Fraction(sign * total, den * bden * (l + 1))
+
+
+def _rec_row(
+    memo: dict, key: tuple, lo: int, count: int, entry: Callable[[int], Fraction]
+) -> Tuple[List[int], int]:
+    """Entries y = lo..lo+count-1 of the recurrence row under ``key``, the
+    row's entry at y being ``entry(y)``, as (nums, den) over the row's one
+    denominator.
+
+    The memo keeps each row as (y0, nums, den), its entries from y0 up as
+    integer numerators over den.  A row starts at the smallest y asked of it
+    and grows to the largest; an entry is computed once, and a growth that
+    brings a larger denominator rescales the numerators already kept.
+    """
+    y0, nums, den = memo.get(key) or (lo, [], 1)
+    if lo < y0 or lo + count > y0 + len(nums):
+        below = [entry(y) for y in range(lo, y0)]
+        above = [entry(y) for y in range(y0 + len(nums), lo + count)]
+        grown = lcm(den, *(v.denominator for v in below + above))
+        scale = grown // den
+        nums = (
+            [v.numerator * (grown // v.denominator) for v in below]
+            + [n * scale for n in nums]
+            + [v.numerator * (grown // v.denominator) for v in above]
+        )
+        y0, den = min(y0, lo), grown
+        memo[key] = y0, nums, den
+    return nums[lo - y0 : lo - y0 + count], den
 
 
 def _c_rec(i: int, r: int, l: IndexTuple, a: Shift, memo: dict) -> Fraction:
-    """Depth reduction; memo maps (i, r, l) to the value.
+    """Depth reduction; memo maps a parent to its row of sub-values.
 
-    The key leaves out the shift, which the top-level (i, r, a) fixes at each
-    level: a[:r'] at (i, r') while i < r', the last r' entries of a[:i] at
-    (r', r') once the first slot is peeled.  So a memo may be shared by
-    top-level calls with the same i, r and a, whatever their l, and by no
-    others: top-level calls with different i reach one (r', r') with
-    different shifts.
+    A last-slot peel of (i, r, head + (x, l_r)) reads C(i, r-1, head + (y,))
+    for y = x..x+l_r+1, a run of the row under (i, r-1, head); a first-slot
+    peel of (r, r, (l_1, x) + tail) reads C(r-1, r-1, (y,) + tail), a run of
+    the row under (r-1, r-1, tail) (:func:`_rec_row`).  The two kinds never
+    share a key: last-slot rows sit at levels (i, r') with r' >= i, first-slot
+    rows at (r', r') with r' < i.  The key leaves out the shift, which the
+    top-level (i, r, a) fixes at each level: a[:r'] at (i, r') while i < r',
+    the last r' entries of a[:i] at (r', r') once the first slot is peeled.
+    So a memo may be shared by top-level calls with the same i, r and a,
+    whatever their l, and by no others: top-level calls with different i
+    reach one (r', r') with different shifts.
     """
-    key = (i, r, l)
-    if key in memo:
-        return memo[key]
     if r == 1:
         # -B_{l+1}(a)/(l+1) = -l! * B_{l+1}(a)/(l+1)!
         den, bern = shift_ratios(a[0], l[0] + 1)
-        value = Fraction(-factorial(l[0]) * bern[l[0] + 1], den)
-    elif i < r:
+        return Fraction(-factorial(l[0]) * bern[l[0] + 1], den)
+    if i < r:
         # Peel the last slot: the tail exponent is confined to a window of
         # width l_r + 2, and each choice shifts the next-to-last index.
-        lr = l[-1]
-        subs = [_c_rec(i, r - 1, l[:-2] + (l[-2] + k,), a[:-1], memo) for k in range(lr + 2)]
-        value = _peel(-1, subs, lr, a[-1])
-    elif r == 2:
+        head = l[:-2]
+        row = _rec_row(
+            memo, (i, r - 1, head), l[-2], l[-1] + 2,
+            lambda y: _c_rec(i, r - 1, head + (y,), a[:-1], memo),
+        )
+        return _peel(-1, row, l[-1], a[-1])
+    if r == 2:
         # i == r: all-ones staircase.
-        value = _c22_closed(l[0], l[1], a[1])
-    else:
-        # Peel the first slot: its exponent is forced to zero, the second
-        # slot's exponent is summed out against the complement shift 1 - a_2,
-        # and the remainder is the depth-(r-1) all-ones staircase.  The
-        # leading shift entry of the sub-call is irrelevant (its exponent is
-        # again forced to zero), so the shift tail is passed unchanged.
-        l1 = l[0]
-        subs = [_c_rec(r - 1, r - 1, (l[1] + k,) + l[2:], a[1:], memo) for k in range(l1 + 2)]
-        value = _peel(1, subs, l1, 1 - a[1])
-    memo[key] = value
-    return value
+        return _c22_closed(l[0], l[1], a[1])
+    # Peel the first slot: its exponent is forced to zero, the second slot's
+    # exponent is summed out against the complement shift 1 - a_2, and the
+    # remainder is the depth-(r-1) all-ones staircase.  The leading shift
+    # entry of the sub-call is irrelevant (its exponent is again forced to
+    # zero), so the shift tail is passed unchanged.
+    tail = l[2:]
+    row = _rec_row(
+        memo, (r - 1, r - 1, tail), l[1], l[0] + 2,
+        lambda y: _c_rec(r - 1, r - 1, (y,) + tail, a[1:], memo),
+    )
+    return _peel(1, row, l[0], 1 - a[1])
 
 
 def c_ir_recurrence(
@@ -667,11 +701,11 @@ def origin_rev_gregory(r: int) -> Fraction:
     return _origin_rev_table(r)[r]
 
 
-def _rev_via_gregory(lt: IndexTuple, origin: Sequence[Fraction]) -> Fraction:
-    """:func:`rev_via_gregory` on a validated index, reading an origin table
-    of order at least r + |l| (:func:`_origin_rev_table`)."""
-    boxed = stirling_kernel_box(lt, 0)
-    return sum((w * origin[len(lt) + k] for k, w in boxed.items()), Fraction(0))
+def _rev_via_gregory(r: int, box: Dict[int, int], origin: Sequence[Fraction]) -> Fraction:
+    """:func:`rev_via_gregory` at a depth-r tuple from its kernel box
+    (:func:`mzv.stirling.stirling_kernel_box`), reading an origin table of
+    order at least r + |l| (:func:`_origin_rev_table`)."""
+    return sum((w * origin[r + k] for k, w in box.items()), Fraction(0))
 
 
 def rev_via_gregory(l: Sequence[int]) -> Fraction:
@@ -683,7 +717,8 @@ def rev_via_gregory(l: Sequence[int]) -> Fraction:
     so a grid of calls can share one (the ``gregory`` suite does, through
     :func:`_rev_via_gregory`)."""
     lt = as_index_tuple(l)
-    return _rev_via_gregory(lt, _origin_rev_table(len(lt) + sum(lt)))
+    r = len(lt)
+    return _rev_via_gregory(r, stirling_kernel_box(lt, 0), _origin_rev_table(r + sum(lt)))
 
 
 # ---------------------------------------------------------------------------
@@ -720,20 +755,29 @@ def star_coeff_relation_check(
         raise ValueError(f"need 2 <= i <= r, got i={i}, r={r}")
     if not 1 <= p <= r:
         raise ValueError(f"need 1 <= p <= r, got p={p}")
+    return _star_relation_holds(i, r, p, lt, {} if memo is None else memo, None)
+
+
+def _star_relation_holds(
+    i: int, r: int, p: int, lt: IndexTuple, memo: dict, top: "int | None"
+) -> bool:
+    """:func:`star_coeff_relation_check` on validated inputs, reading the
+    definition sum at ``top`` and the merged depth-(r-1) tuple at top - 1
+    (both at their own r + |l| when ``top`` is None)."""
     d = staircase_direction(i, r)
     ones = _ones_shift(r)
     # The basis shift e_p has partial sums 0 before slot p; the definition sum
     # is well defined there, though asym_coeff refuses such a shift.
     e_p = tuple(Fraction(1 if t == p - 1 else 0) for t in range(r))
     sign = -1 if (r + sum(lt)) % 2 else 1
-    memo = {} if memo is None else memo
-    lhs = _asym_sum(lt, d, e_p, memo) - sign * _asym_sum(lt, d, ones, memo)
+    lhs = _asym_sum(lt, d, e_p, memo, top) - sign * _asym_sum(lt, d, ones, memo, top)
     if p == 1 or p == i:
         return lhs == 0
     merged = lt[: p - 2] + (lt[p - 2] + lt[p - 1],) + lt[p:]
     sub_i = i - 1 if p < i else i
+    sub_top = None if top is None else top - 1
     rhs = sign * _asym_sum(
-        merged, staircase_direction(sub_i, r - 1), _ones_shift(r - 1), memo
+        merged, staircase_direction(sub_i, r - 1), _ones_shift(r - 1), memo, sub_top
     )
     return lhs == rhs
 
@@ -763,8 +807,15 @@ def parity_check(
     for c in entries:
         if not 0 <= c <= 1:
             raise ValueError(f"shift entries must lie in [0, 1], got {c}")
+    return _parity_holds(i, r, lt, entries, {} if memo is None else memo, None)
+
+
+def _parity_holds(
+    i: int, r: int, lt: IndexTuple, a: Shift, memo: dict, top: "int | None"
+) -> bool:
+    """:func:`parity_check` on validated inputs, reading the definition sum
+    at ``top`` (at r + |l| when None)."""
     d = staircase_direction(i, r)
-    comp = tuple(Fraction(1) - c for c in entries)
+    comp = tuple(1 - c for c in a)
     sign = -1 if (r + sum(lt)) % 2 else 1
-    memo = {} if memo is None else memo
-    return _asym_sum(lt, d, entries, memo) == sign * _asym_sum(lt, d, comp, memo)
+    return _asym_sum(lt, d, a, memo, top) == sign * _asym_sum(lt, d, comp, memo, top)

@@ -82,12 +82,12 @@ GREGORY_MAX_ORDER = 120
 # `mzv value` refuses an index with r + |l| over this up front.  The recurrence fills
 # rows of up to r + |l| values at up to r + |l| terms each (cost about (r + |l|)^3) and
 # holds two rows at a time, and the Stirling route reads every origin value up to depth
-# r + |l| off one such walk after a box of Stirling kernels of degree up to |l|.  On a
-# 2.1 GHz Xeon, 300 zeros take 2-4 s wall by the recurrence (any kind) and peak at
-# 19 MB RSS, and depth 1 with l = 299 takes 5-7 s by the Stirling route and peaks at
-# 26 MB.  The Gregory route (mzf-rev, --path gregory or all) builds the Gregory table to
-# order r + |l| + 2, so past GREGORY_MAX_ORDER it is refused too: 118 zeros take 8-11 s
-# wall with --path all.
+# r + |l| off one such walk after a box of Stirling kernels of degree up to |l|, every
+# kernel of one entry l_j from one pass over the triangle.  On a 2.1 GHz Xeon, 300 zeros
+# take 2-4 s wall by the recurrence (any kind) and peak at 19 MB RSS, and depth 1 with
+# l = 299 takes 3-4 s by the Stirling route and peaks at 26 MB.  The Gregory route
+# (mzf-rev, --path gregory or all) builds the Gregory table to order r + |l| + 2, so
+# past GREGORY_MAX_ORDER it is refused too: 118 zeros take 8-11 s wall with --path all.
 VALUE_MAX_SIZE = 300
 # `mzv stirling` refuses --n over this up front: the triangle of plain numbers has n
 # rows.  On the same Xeon, the slowest kind at the cap, s-poly --n 2000 --m 3, takes

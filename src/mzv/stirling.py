@@ -22,7 +22,8 @@ the triangle of plain numbers, and every value is read by
 The two kernels are mutually inverse as lower-triangular transforms, which is
 what :func:`stirling_transform_apply` exposes.  :func:`stirling_kernel_box`
 sums the second-kind kernel over the box that the closed forms for reverse
-values run over.
+values run over, one slot at a time, reading every kernel of one entry from
+one pass over the triangle (:func:`_second_kernels`).
 """
 
 from __future__ import annotations
@@ -110,6 +111,39 @@ def stirling_poly_second_at(n: int, m: int, y: RationalLike) -> Fraction:
     return _poly_at(n, m, y, False)
 
 
+@lru_cache(maxsize=None)
+def _second_kernels(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """(_poly_coeffs(n, m, False) for m in 0..n), every column from one pass.
+
+    Row i of the second-kind triangle gives coefficient k = n - i of every
+    S(n, m, Y), namely binom(n, i) S(i, m), so one walk down the triangle,
+    holding one row, fills all n + 1 kernels.
+    """
+    kernels = [[0] * (n - m + 1) for m in range(n + 1)]
+    row = [1]  # S(i, j) for j = 0..i
+    for i in range(n + 1):
+        weight = comb(n, i)
+        for m, s in enumerate(row):
+            kernels[m][n - i] = weight * s
+        row = [0] + [row[j - 1] + j * row[j] for j in range(1, i + 1)] + [1]
+    return tuple(map(tuple, kernels))
+
+
+def _box_step(totals: Dict[int, int], lj: int, j: int, shift: int) -> Dict[int, int]:
+    """Carry the box totals over l_1..l_{j-1} through slot j (see
+    :func:`stirling_kernel_box`)."""
+    kernels = _second_kernels(lj)
+    grown: Dict[int, int] = {}
+    for prev, weight in totals.items():
+        for kj, coeffs in enumerate(kernels):
+            factor = horner(coeffs, prev + j - shift)
+            if shift and (lj - kj) % 2:
+                factor = -factor
+            term = weight * factor * perm(prev + kj + j - 1, kj)
+            grown[prev + kj] = grown.get(prev + kj, 0) + term
+    return {k: w for k, w in grown.items() if w}
+
+
 def stirling_kernel_box(l: Sequence[int], shift: int) -> Dict[int, int]:
     """The second-kind Stirling kernel summed over the box 0 <= k_j <= l_j.
 
@@ -121,22 +155,15 @@ def stirling_kernel_box(l: Sequence[int], shift: int) -> Dict[int, int]:
     with K_j = k_1 + ... + k_j: shift 0 is the kernel of the plain reverse
     values, shift 1 the signed kernel of the star ones.  The weight depends
     on k only through the running sums, so the box is summed one slot at a
-    time.  Every parameter K_{j-1} + j - shift is an integer, so every factor
-    and total is an integer.  Returns {K_r: total weight of the box points
-    with that sum}, as ints, leaving out zero totals.
+    time, each slot one step (:func:`_box_step`) from the totals of the
+    slots before it; a grid of boxes can share the totals of a common
+    prefix.  Every parameter K_{j-1} + j - shift is an integer, so every
+    factor and total is an integer.  Returns {K_r: total weight of the box
+    points with that sum}, as ints, leaving out zero totals.
     """
     totals: Dict[int, int] = {0: 1}
     for j, lj in enumerate(l, start=1):
-        kernels = [_poly_coeffs(lj, kj, False) for kj in range(lj + 1)]
-        grown: Dict[int, int] = {}
-        for prev, weight in totals.items():
-            for kj, coeffs in enumerate(kernels):
-                factor = horner(coeffs, prev + j - shift)
-                if shift and (lj - kj) % 2:
-                    factor = -factor
-                term = weight * factor * perm(prev + kj + j - 1, kj)
-                grown[prev + kj] = grown.get(prev + kj, 0) + term
-        totals = {k: w for k, w in grown.items() if w}
+        totals = _box_step(totals, lj, j, shift)
     return totals
 
 

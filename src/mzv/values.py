@@ -23,7 +23,8 @@ On top of the recurrences this module carries:
 
 * closed forms for the reverse values as Stirling-kernel transforms of
   origin values at larger depth (:func:`mzf_rev_stirling`,
-  :func:`mzsf_rev_stirling`);
+  :func:`mzsf_rev_stirling`): an integer kernel box dotted with the origin
+  values as integer numerators over one denominator;
 * single-nonzero-entry evaluations through signed sums of ordinary zeta
   values (:func:`akiyama_tanigawa_reg`, :func:`akiyama_tanigawa_rev`);
 * the sign relation between plain and star values when the leading entry is
@@ -34,7 +35,11 @@ On top of the recurrences this module carries:
 
 Every result is an exact Fraction, and no value is kept between calls: a
 walk holds only the row it builds and the one below it.  The closed forms
-read all their origin values off one walk (:func:`_origin_values`).
+read all their origin values off one walk (:func:`_origin_values`).  Grids
+share work the same way on each route: :func:`value_grid` builds each row
+from its parent's, and :func:`_box_grid` each kernel box from its parent's
+box, one slot step.  The zero-padding check reads the reverse values of its
+left side from a mapping, one grid for a whole grid of checks.
 """
 
 from __future__ import annotations
@@ -42,11 +47,12 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, lcm
-from typing import Dict, Iterator, List, Sequence, Tuple
+from math import comb, factorial, lcm, perm
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .bernoulli import zeta_neg, zeta_star_neg
-from .stirling import stirling_first, stirling_kernel_box, stirling_poly_first_at
+from .kernel import horner
+from .stirling import _box_step, _poly_coeffs, stirling_first, stirling_kernel_box
 
 IndexTuple = Tuple[int, ...]
 
@@ -231,11 +237,41 @@ def mzsf_rev(l: Sequence[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _rev_stirling(lt: IndexTuple, shift: int, origin: Sequence[Fraction]) -> Fraction:
-    """The Stirling closed form at a validated l (shift 0 plain, 1 star), with
-    origin[k - 1] the depth-k origin value for k <= r + |l| (:func:`_origin_values`)."""
-    boxed = stirling_kernel_box(lt, shift)
-    return sum((w * origin[len(lt) + k - 1] for k, w in boxed.items()), Fraction(0))
+def _box_grid(
+    max_depth: int, max_weight: int, shift: int
+) -> Iterator[Tuple[IndexTuple, Dict[int, int]]]:
+    """Yield (l, stirling_kernel_box(l, shift)) for l in
+    iter_index_tuples(max_depth, max_weight).
+
+    The box of l is one slot step (:func:`mzv.stirling._box_step`) from the
+    box of its parent l[:-1], built one depth earlier; as in
+    :func:`value_grid`, a parent's full-weight child is its last and drops it.
+    """
+    boxes: Dict[IndexTuple, Dict[int, int]] = {(): {0: 1}}
+    for l in iter_index_tuples(max_depth, max_weight):
+        p = l[:-1]
+        parent = boxes[p] if sum(l) < max_weight else boxes.pop(p)
+        box = _box_step(parent, l[-1], len(l), shift)
+        yield l, box
+        if len(l) < max_depth:
+            boxes[l] = box
+
+
+def _rev_stirling(r: int, box: Dict[int, int], origin: Tuple[List[int], int]) -> Fraction:
+    """The Stirling closed form at a depth-r tuple from its kernel box
+    (:func:`mzv.stirling.stirling_kernel_box`), with origin = (nums, den) and
+    nums[k - 1] / den the depth-k origin value for k <= r + |l|
+    (:func:`_origin_values` through :func:`_as_ints`): one integer sum."""
+    nums, den = origin
+    return Fraction(sum(w * nums[r + k - 1] for k, w in box.items()), den)
+
+
+def _rev_stirling_at(l: Sequence[int], kind: ValueKind, shift: int) -> Fraction:
+    """The closed form at any l: its kernel box and one origin walk."""
+    lt = as_index_tuple(l)
+    r = len(lt)
+    origin = _as_ints(_origin_values(kind, r + sum(lt)))
+    return _rev_stirling(r, stirling_kernel_box(lt, shift), origin)
 
 
 def mzf_rev_stirling(l: Sequence[int]) -> Fraction:
@@ -250,8 +286,7 @@ def mzf_rev_stirling(l: Sequence[int]) -> Fraction:
     with K_j = k_1 + ... + k_j, times the reverse origin value of depth
     r + K_r.  Must agree exactly with :func:`mzf_rev`.
     """
-    lt = as_index_tuple(l)
-    return _rev_stirling(lt, 0, _origin_values(ValueKind.MZF_REV, len(lt) + sum(lt)))
+    return _rev_stirling_at(l, ValueKind.MZF_REV, 0)
 
 
 def mzsf_rev_stirling(l: Sequence[int]) -> Fraction:
@@ -266,8 +301,7 @@ def mzsf_rev_stirling(l: Sequence[int]) -> Fraction:
     against reverse star origin values of depth r + K_r.  Must agree exactly
     with :func:`mzsf_rev`.
     """
-    lt = as_index_tuple(l)
-    return _rev_stirling(lt, 1, _origin_values(ValueKind.MZSF_REV, len(lt) + sum(lt)))
+    return _rev_stirling_at(l, ValueKind.MZSF_REV, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,26 +395,31 @@ def prop_zero_padding_check(l: Sequence[int], s_int: int) -> bool:
     lt = as_index_tuple(l)
     if s_int > 0:
         raise ValueError(f"the padded argument must satisfy s_int <= 0, got {s_int}")
-    r = len(lt)
+    rev = dict(value_grid(ValueKind.MZF_REV, len(lt), sum(lt) - s_int))
+    padded = (0,) * (len(lt) + sum(lt) - 1) + (-s_int,)
+    rev[padded] = mzf_rev(padded)
+    return _zero_padding_holds(lt, s_int, rev)
+
+
+def _zero_padding_holds(lt: IndexTuple, s_int: int, rev: Mapping[IndexTuple, Fraction]) -> bool:
+    """:func:`prop_zero_padding_check` on validated inputs, reading every
+    reverse value from ``rev``.  The first-kind weights are integers: every
+    parameter L_{j-1} + j is one."""
     lhs = Fraction(0)
     for ks in product(*(range(e + 1) for e in lt)):
-        weight = Fraction(1)
+        weight = 1
         running = 0  # L_{j-1}
         for j, (lj, kj) in enumerate(zip(lt, ks), start=1):
-            weight *= stirling_poly_first_at(lj, kj, running + j)
+            weight *= horner(_poly_coeffs(lj, kj, True), running + j)
             running += lj
-        if weight == 0:
-            continue
-        arg = ks[:-1] + (ks[-1] - s_int,)
-        lhs += weight * mzf_rev(arg)
-    big_l = sum(lt)
-    scale = Fraction(1)
+        if weight:
+            lhs += weight * rev[ks[:-1] + (ks[-1] - s_int,)]
+    scale = 1
     running = 0
     for j, lj in enumerate(lt, start=1):
-        scale *= Fraction(factorial(running + lj + j - 1), factorial(running + j - 1))
+        scale *= perm(running + lj + j - 1, lj)
         running += lj
-    rhs = scale * mzf_rev((0,) * (r + big_l - 1) + (-s_int,))
-    return lhs == rhs
+    return lhs == scale * rev[(0,) * (len(lt) + running - 1) + (-s_int,)]
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,9 @@ from .asymptotic import (
     _c_explicit,
     _c_rec,
     _origin_rev_table,
+    _parity_holds,
     _rev_via_gregory,
+    _star_relation_holds,
     as_shift,
     asym_coeff,
     direction_partition_check,
@@ -61,9 +63,7 @@ from .asymptotic import (
     gregory_origin_check,
     origin_decomposition_check,
     origin_rev_gregory,
-    parity_check,
     staircase_direction,
-    star_coeff_relation_check,
 )
 from .bernoulli import (
     bernoulli_higher_order,
@@ -85,16 +85,18 @@ from .stirling import (
 )
 from .values import (
     ValueKind,
+    _as_ints,
+    _box_grid,
     _origin_values,
     _rev_stirling,
     _sign_holds,
+    _zero_padding_holds,
     akiyama_tanigawa_reg,
     akiyama_tanigawa_rev,
     iter_index_tuples,
     mzf_reg,
     mzf_rev,
     mzsf_reg,
-    prop_zero_padding_check,
     value_grid,
 )
 
@@ -458,16 +460,23 @@ def _suite_choi(bounds: Bounds, rng: random.Random) -> SuiteResult:
 
 def _suite_values(bounds: Bounds, rng: random.Random) -> SuiteResult:
     rec = _Recorder()
-    # One origin list per reverse kind serves every closed form.
+    # One origin list per reverse kind serves every closed form, and each
+    # kernel box is one slot step from its parent's (_box_grid).
     size = bounds.max_depth + bounds.max_weight
-    plain_origin = _origin_values(ValueKind.MZF_REV, size)
-    star_origin = _origin_values(ValueKind.MZSF_REV, size)
-    for (l, plain), (_, star) in _grids(bounds, "mzf-rev", "mzsf-rev"):
+    plain_origin = _as_ints(_origin_values(ValueKind.MZF_REV, size))
+    star_origin = _as_ints(_origin_values(ValueKind.MZSF_REV, size))
+    boxes = zip(*(_box_grid(bounds.max_depth, bounds.max_weight, shift) for shift in (0, 1)))
+    grids = _grids(bounds, "mzf-rev", "mzsf-rev")
+    for ((l, plain), (_, star)), ((_, plain_box), (_, star_box)) in zip(grids, boxes):
         rec.equal(
-            lambda: f"plain reverse closed form l={l}", _rev_stirling(l, 0, plain_origin), plain
+            lambda: f"plain reverse closed form l={l}",
+            _rev_stirling(len(l), plain_box, plain_origin),
+            plain,
         )
         rec.equal(
-            lambda: f"star reverse closed form l={l}", _rev_stirling(l, 1, star_origin), star
+            lambda: f"star reverse closed form l={l}",
+            _rev_stirling(len(l), star_box, star_origin),
+            star,
         )
     for r in range(1, bounds.max_r + 1):
         for l in range(0, bounds.max_weight + 3):
@@ -481,11 +490,17 @@ def _suite_values(bounds: Bounds, rng: random.Random) -> SuiteResult:
                 akiyama_tanigawa_rev(r, l),
                 mzf_rev((0,) * (r - 1) + (l,)),
             )
-    for l in iter_index_tuples(min(bounds.max_depth, 3), min(bounds.max_weight, 3)):
+    # The zero-padding checks read their reverse values from two grids: the
+    # left sides (a box point of l, its last entry raised by -s_int <= 2)
+    # and the right sides (0, ..., 0, -s_int), of depth r + |l|.
+    depth, weight = min(bounds.max_depth, 3), min(bounds.max_weight, 3)
+    rev = dict(value_grid("mzf-rev", depth, weight + 2))
+    rev.update(value_grid("mzf-rev", depth + weight, 2))
+    for l in iter_index_tuples(depth, weight):
         for s_int in (0, -1, -2):
             rec.true(
                 lambda: f"zero-padding transform l={l}, s={s_int}",
-                prop_zero_padding_check(l, s_int),
+                _zero_padding_holds(l, s_int, rev),
             )
     return rec.result("values")
 
@@ -569,22 +584,26 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
                         _c_explicit(i, r, l, a, chains),
                         reference,
                     )
+    # The basis-shift and parity checks read the definition sum at one top
+    # per depth, r + their weight bound (the merged tuple of a basis-shift
+    # check at top - 1), so its streams serve whole runs of siblings.
+    weight = min(bounds.max_weight, 3)
     star_r = min(4, max_r)
     for r in range(2, star_r + 1):
-        for l in iter_index_tuples(r, min(bounds.max_weight, 3), min_depth=r):
+        for l in iter_index_tuples(r, weight, min_depth=r):
             for i in range(2, r + 1):
                 for p in range(1, r + 1):
                     rec.true(
                         lambda: f"basis-shift relation i={i}, r={r}, p={p}, l={l}",
-                        star_coeff_relation_check(i, r, p, l, memo=definition),
+                        _star_relation_holds(i, r, p, l, definition, r + weight),
                     )
     for r in range(1, min(3, max_r) + 1):
-        for l in iter_index_tuples(r, min(bounds.max_weight, 3), min_depth=r):
+        for l in iter_index_tuples(r, weight, min_depth=r):
             for i in range(1, r + 1):
                 for a in ((Fraction(1),) * r, _unit_interval_shift(rng, r)):
                     rec.true(
                         lambda: f"complement parity i={i}, r={r}, l={l}, a={a}",
-                        parity_check(i, r, l, a, memo=definition),
+                        _parity_holds(i, r, l, a, definition, r + weight),
                     )
     # The grids list the depths in turn, each in the order of the l loop.
     bridges = _grids(bounds, "mzf-rev", "mzf-reg", "mzsf-reg")
@@ -632,11 +651,15 @@ def _suite_gregory(bounds: Bounds, rng: random.Random) -> SuiteResult:
         rec.true(lambda: f"Gregory bundling r={r}", gregory_bundling_check(r))
     # One origin table serves every reverse value: a table is a prefix of
     # any larger one, and depth r, weight |l| reads it up to r + |l|.
+    # Each kernel box is one slot step from its parent's (_box_grid).
     depth = min(bounds.max_depth, 3)
     origin = _origin_rev_table(depth + bounds.max_weight)
-    for l, rev in value_grid("mzf-rev", depth, bounds.max_weight):
+    grid = value_grid("mzf-rev", depth, bounds.max_weight)
+    for (l, rev), (_, box) in zip(grid, _box_grid(depth, bounds.max_weight, 0)):
         rec.equal(
-            lambda: f"reverse value via Gregory l={l}", _rev_via_gregory(l, origin), rev
+            lambda: f"reverse value via Gregory l={l}",
+            _rev_via_gregory(len(l), box, origin),
+            rev,
         )
     return rec.result("gregory")
 

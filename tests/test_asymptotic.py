@@ -38,6 +38,7 @@ from mzv.asymptotic import (
     staircase_direction,
 )
 from mzv.bernoulli import bernoulli_poly, bernoulli_poly_at, shift_ratios
+from mzv.stirling import stirling_kernel_box
 from mzv.values import as_index_tuple, iter_index_tuples, mzf_reg, mzf_rev, mzsf_reg
 
 
@@ -309,6 +310,46 @@ def test_recurrence_memo_shared_across_the_grid_is_sound():
                     ), (i, r, l, a)
 
 
+def test_recurrence_memo_shared_in_any_order_is_sound():
+    # A shuffled grid asks rows below where they start as well as above
+    # where they end; the shared memo still gives the fresh-memo values.
+    rng = random.Random(5)
+    for r in range(2, 5):
+        grid = list(iter_index_tuples(r, 6, min_depth=r))
+        rng.shuffle(grid)
+        for i in range(1, r + 1):
+            a = as_shift(_UNIT_FREE_SHIFT[:r], r)
+            shared = {}
+            for l in grid:
+                assert asymptotic._c_rec(i, r, l, a, shared) == asymptotic._c_rec(
+                    i, r, l, a, {}
+                ), (i, r, l)
+
+
+# shift_ratios calls of one c_ir_recurrence call at the all-ones shift, for
+# i = 1..r, as the recurrence made them with one memo entry per node.
+RECURRENCE_SHIFT_READS = {(0, 50, 3): (62, 6, 3), (7, 0, 40, 2): (96, 50, 41, 20)}
+
+
+@pytest.mark.parametrize("l", sorted(RECURRENCE_SHIFT_READS))
+def test_recurrence_rows_start_at_the_smallest_entry_asked(monkeypatch, l):
+    # A row holds the entries from the smallest one asked, so a single deep
+    # call computes no node the per-node recurrence did not.
+    reads = []
+    ratios = asymptotic.shift_ratios
+
+    def counted(a, top):
+        reads.append((a, top))
+        return ratios(a, top)
+
+    monkeypatch.setattr(asymptotic, "shift_ratios", counted)
+    r = len(l)
+    for i, pinned in enumerate(RECURRENCE_SHIFT_READS[l], start=1):
+        reads.clear()
+        c_ir_recurrence(i, r, l, (1,) * r)
+        assert len(reads) <= pinned, (i, len(reads))
+
+
 def _draw_index(draw, max_depth=5, max_weight=8):
     r = draw(st.integers(min_value=1, max_value=max_depth))
     l, budget = [], max_weight
@@ -443,17 +484,18 @@ def test_shared_chain_memo_matches_fresh_explicit_path(monkeypatch):
 
 
 def test_explicit_path_never_reads_the_suite_memo(monkeypatch):
-    # Corrupt every shared memo after each recurrence check: later recurrence
-    # checks then fail, while every explicit-path check, which never runs
-    # the recurrence, still passes.
+    # Corrupt every shared memo after each recurrence check, raising every
+    # kept row entry nums[k] / den by one: later recurrence checks then fail,
+    # while every explicit-path check, which never runs the recurrence, still
+    # passes.
     from mzv import verify
 
     c_rec = verify._c_rec
 
     def corrupting(i, r, l, a, memo):
         value = c_rec(i, r, l, a, memo)
-        for key in memo:
-            memo[key] += 1
+        for y0, nums, den in memo.values():
+            nums[:] = [n + den for n in nums]
         return value
 
     monkeypatch.setattr(verify, "_c_rec", corrupting)
@@ -772,7 +814,8 @@ def test_origin_tables_are_prefixes_of_larger_ones():
 def test_rev_via_gregory_reads_one_shared_origin_table():
     origin = asymptotic._origin_rev_table(3 + 6)
     for l in iter_index_tuples(3, 6):
-        assert asymptotic._rev_via_gregory(l, origin) == rev_via_gregory(l), l
+        box = stirling_kernel_box(l, 0)
+        assert asymptotic._rev_via_gregory(len(l), box, origin) == rev_via_gregory(l), l
 
 
 def test_gregory_suite_builds_one_origin_table_for_its_grid(monkeypatch):

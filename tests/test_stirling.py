@@ -13,6 +13,7 @@ from mzv.bernoulli import bernoulli_higher_at
 from mzv.kernel import RationalPolynomial, horner
 from mzv.stirling import (
     _poly_coeffs,
+    _second_kernels,
     stirling_first,
     stirling_kernel_box,
     stirling_poly_first,
@@ -249,3 +250,8 @@ def test_kernel_box_int_weights_match_the_box_points(l, shift):
     boxed = stirling_kernel_box(l, shift)
     assert all(type(w) is int for w in boxed.values())
     assert boxed == {K: w for K, w in expected.items() if w}
+
+
+def test_second_kernels_are_the_second_kind_poly_coeffs():
+    for n in range(41):
+        assert _second_kernels(n) == tuple(_poly_coeffs(n, m, False) for m in range(n + 1)), n

@@ -13,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mzv
-from mzv import values
+from mzv import stirling, values, verify
 from mzv.asymptotic import asym_coeff
 from mzv.bernoulli import zeta_neg, zeta_star_neg
+from mzv.stirling import stirling_kernel_box
 from mzv.values import (
     ValueKind,
+    _box_grid,
     _origin_values,
+    _zero_padding_holds,
     akiyama_tanigawa_reg,
     akiyama_tanigawa_rev,
     as_index_tuple,
@@ -178,6 +181,49 @@ def test_zero_padding_examples():
 @given(index_tuples, st.integers(min_value=-2, max_value=0))
 def test_zero_padding_random(l, s):
     assert prop_zero_padding_check(l, s)
+
+
+# Two reverse grids hold every value the checks below read: the left sides
+# at depth <= 3, weight <= 4 - s with s >= -3, and the right sides at depth
+# r + |l| <= 7, weight -s <= 3.
+_PADDING_GRID = dict(value_grid("mzf-rev", 3, 7))
+_PADDING_GRID.update(value_grid("mzf-rev", 7, 3))
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3)
+    .filter(lambda l: sum(l) <= 4)
+    .map(tuple),
+    st.integers(min_value=-3, max_value=0),
+)
+def test_zero_padding_over_a_grid_dict_matches_the_public_check(l, s):
+    assert _zero_padding_holds(l, s, _PADDING_GRID) == prop_zero_padding_check(l, s)
+
+
+@pytest.mark.parametrize("max_depth, max_weight", [(3, 9), (6, 7)])
+@pytest.mark.parametrize("shift", [0, 1])
+def test_box_grid_matches_the_kernel_box(max_depth, max_weight, shift):
+    boxes = list(_box_grid(max_depth, max_weight, shift))
+    assert [l for l, _ in boxes] == list(iter_index_tuples(max_depth, max_weight))
+    for l, box in boxes:
+        assert box == stirling_kernel_box(l, shift), l
+
+
+def test_values_suite_makes_one_box_step_per_grid_tuple_and_shift(monkeypatch):
+    steps = []
+    step = stirling._box_step
+
+    def counted(totals, lj, j, shift):
+        steps.append(shift)
+        return step(totals, lj, j, shift)
+
+    monkeypatch.setattr(stirling, "_box_step", counted)
+    monkeypatch.setattr(values, "_box_step", counted)
+    result = verify.run_suite("values", verify.Bounds(max_depth=4, max_weight=6, max_r=7))
+    assert result.ok
+    tuples = sum(1 for _ in iter_index_tuples(4, 6))
+    assert (steps.count(0), steps.count(1), len(steps)) == (tuples, tuples, 2 * tuples)
 
 
 def test_iter_index_tuples():
