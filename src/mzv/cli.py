@@ -109,6 +109,14 @@ class _UsageError(Exception):
     """Bad arguments detected after parsing; reported with exit code 2."""
 
 
+def _internal_error(exc: BaseException) -> int:
+    """Report an unexpected exception on one stderr line; exit code 3."""
+    # Exit 1 means "an identity failed", so a crash must not reach it.
+    message = " ".join(str(exc).splitlines())
+    print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+    return EXIT_INTERNAL
+
+
 # ---------------------------------------------------------------------------
 # Parsing and rendering helpers
 # ---------------------------------------------------------------------------
@@ -374,7 +382,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         max_r=args.max_r,
         seed=args.seed,
     )
-    results = run_suites([args.suite], bounds)
+    try:
+        results = run_suites([args.suite], bounds)
+    except ValueError as exc:
+        # The suite name and the bounds are checked above: this is a crash.
+        return _internal_error(exc)
     all_ok = all(res.ok for res in results)
     if args.json:
         print(
@@ -613,10 +625,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
-        # Exit 1 means "an identity failed", so a crash must not reach it.
-        message = " ".join(str(exc).splitlines())
-        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _internal_error(exc)
 
 
 if __name__ == "__main__":

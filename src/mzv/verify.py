@@ -35,17 +35,21 @@ The suites and what they cover:
   the origin identity, direction-vector partition, origin product
   decomposition, bundling, and reverse values via Gregory sums.
 
-``run_suite`` executes one suite; ``run_suites`` runs several one after
-another in the calling thread and returns results sorted by suite name.
+``run_suite`` executes one suite; ``run_suites`` runs several on up to one
+process per usable CPU and returns results sorted by suite name.  The suites
+share only pure caches and each seeds its own generator, so where a suite
+runs changes no check and no result.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, lcm
-from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .asymptotic import (
     _asym_sum,
@@ -691,8 +695,53 @@ def run_suite(name: str, bounds: Bounds = Bounds()) -> SuiteResult:
     return fn(bounds, _rng_for(name, bounds))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say or cannot fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _run_pulled(order: Sequence[str], bounds: Bounds, queue: int, index: bytes) -> Iterator[SuiteResult]:
+    """Run the suite at ``index``, then each next one pulled from ``queue``
+    (one byte per suite index) until the queue is empty."""
+    while index:
+        yield run_suite(order[index[0]], bounds)
+        index = os.read(queue, 1)
+
+
+def _work(order: Sequence[str], bounds: Bounds, queue: int, sent: int) -> None:
+    """The life of a forked worker: run the suites it pulls from ``queue`` and
+    write (results as plain tuples, pickled exception or None) to ``sent``,
+    then leave through ``os._exit``, never returning into the caller's frames."""
+    status = 1
+    try:
+        try:
+            payload = ([tuple(res) for res in _run_pulled(order, bounds, queue, os.read(queue, 1))], None)
+        except Exception as exc:
+            import pickle
+
+            payload = ([], pickle.dumps(exc))
+        with os.fdopen(sent, "wb") as pipe:
+            pipe.write(marshal.dumps(payload))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteResult]:
-    """Run several suites one after another; results sorted by name."""
+    """Run several suites; results sorted by name.
+
+    The suites run on ``min(len(suites), usable CPUs)`` processes: the calling
+    process and ``os.fork``ed workers, each pulling the next suite in name
+    order from one shared queue.  The caller takes the first suite before it
+    forks, so with ``all`` the longest suite, ``asym``, stays in-process.
+    With one usable CPU (``taskset -c 0``) or one suite nothing forks.  A
+    worker's exception is re-raised here, with its type and message, once
+    every worker is reaped; a worker that dies without a result raises
+    ``RuntimeError``.  An exception in the caller kills and reaps the workers
+    first.  A failed fork leaves its suites to the processes already running.
+    """
     expanded: List[str] = []
     for name in names:
         if name == "all":
@@ -704,4 +753,54 @@ def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteRes
                     f"{', '.join(SUITE_NAMES)} or 'all'"
                 )
             expanded.append(name)
-    return [run_suite(name, bounds) for name in sorted(set(expanded))]
+    order = sorted(set(expanded))
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(order))))
+    os.close(fill)
+    workers: Dict[int, BinaryIO] = {}  # pid -> read end of the worker's result pipe
+    try:
+        first = os.read(queue, 1)
+        for _ in range(min(len(order), _usable_cpus()) - 1):
+            done, sent = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(done)
+                os.close(sent)
+                break
+            if pid == 0:
+                _work(order, bounds, queue, sent)
+            os.close(sent)
+            workers[pid] = os.fdopen(done, "rb")
+        results = {res.suite: res for res in _run_pulled(order, bounds, queue, first)}
+        error: Optional[BaseException] = None
+        for pid, pipe in list(workers.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            if not data or status:
+                error = error or RuntimeError(
+                    f"suite worker {pid} ended without a result "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+                continue
+            sent_results, pickled = marshal.loads(data)
+            results.update((res[0], SuiteResult(*res)) for res in sent_results)
+            if pickled is not None and error is None:
+                import pickle
+
+                error = pickle.loads(pickled)
+    except BaseException:
+        import signal
+
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(queue)
+    if error is not None:
+        raise error
+    return [results[name] for name in order]

@@ -13,6 +13,7 @@ from math import factorial
 import pytest
 
 import mzv.cli
+import mzv.verify
 from mzv.cli import main
 from mzv.values import iter_index_tuples
 
@@ -595,6 +596,24 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     assert out == ""
     assert err.splitlines() == ["error: internal error: RuntimeError: boom"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_a_crash_inside_a_suite_is_an_internal_error(monkeypatch, capsys, usable_cpus, in_worker, where):
+    # Suite names and bounds are checked before any suite runs, so a
+    # ValueError out of a suite is a crash, not a usage error.
+    def crash(bounds, rng):
+        raise ValueError("shift partial sum is not positive")
+
+    monkeypatch.setitem(mzv.verify._SUITES, "sign", crash)
+    if where == "caller":
+        usable_cpus(1)
+    else:
+        usable_cpus(2)
+        in_worker("sign")
+    code, out, err = run(capsys, "verify", "--suite", "all")
+    assert (code, out) == (3, "")
+    assert err == "error: internal error: ValueError: shift partial sum is not positive\n"
 
 
 def test_closed_stdout_is_not_an_internal_error():

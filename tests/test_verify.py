@@ -1,9 +1,13 @@
 """Tests for the verification-suite runner."""
 
+import errno
 import hashlib
 import json
+import os
+import signal
 import sys
 import threading
+import time
 from itertools import product
 
 import pytest
@@ -49,7 +53,16 @@ def test_run_all_suites_small_bounds():
         assert res.checked > 0
 
 
-def test_run_suites_stays_in_the_calling_thread(monkeypatch):
+SMALL = Bounds(max_depth=2, max_weight=2, max_r=3)
+
+
+def _no_fork():
+    raise AssertionError("os.fork was called")
+
+
+def test_one_cpu_runs_every_suite_in_the_calling_thread(monkeypatch, usable_cpus):
+    usable_cpus(1)
+    monkeypatch.setattr(os, "fork", _no_fork)
     threads = {}
     for name, fn in list(verify._SUITES.items()):
 
@@ -58,10 +71,107 @@ def test_run_suites_stays_in_the_calling_thread(monkeypatch):
             return fn(bounds, rng)
 
         monkeypatch.setitem(verify._SUITES, name, recorded)
-    results = run_suites(["all"], Bounds(max_depth=2, max_weight=2, max_r=3))
+    results = run_suites(["all"], SMALL)
     assert [res.suite for res in results] == sorted(SUITE_NAMES)
     assert all(res.ok for res in results)
     assert threads == {name: threading.current_thread() for name in SUITE_NAMES}
+
+
+def test_one_suite_never_forks(monkeypatch, capsys, usable_cpus):
+    usable_cpus(2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert main(["verify", "--suite", "asym", "--max-depth", "2", "--max-weight", "2"]) == 0
+    assert capsys.readouterr().out == "asym: 463 identities verified\n"
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [Bounds()] + [Bounds(max_depth=4, max_weight=6, max_r=7, seed=seed) for seed in range(4)],
+    ids=["default"] + [f"depth4-weight6-r7-seed{seed}" for seed in range(4)],
+)
+def test_workers_return_what_one_process_returns(usable_cpus, bounds):
+    usable_cpus(2)
+    assert run_suites(["all"], bounds) == [run_suite(name, bounds) for name in SUITE_NAMES]
+
+
+def test_more_workers_than_cpus_run_each_suite_once(monkeypatch, usable_cpus):
+    # Seven processes on this machine's CPUs pull from one queue: each suite
+    # must be taken by exactly one of them.
+    usable_cpus(len(SUITE_NAMES))
+    ran, log = os.pipe()
+    for name, fn in list(verify._SUITES.items()):
+
+        def logged(bounds, rng, name=name, fn=fn):
+            os.write(log, f"{name}\n".encode())
+            return fn(bounds, rng)
+
+        monkeypatch.setitem(verify._SUITES, name, logged)
+    try:
+        results = run_suites(["all"], SMALL)
+        assert sorted(os.read(ran, 4096).decode().split()) == sorted(SUITE_NAMES)
+        assert results == [run_suite(name, SMALL) for name in SUITE_NAMES]
+    finally:
+        os.close(ran)
+        os.close(log)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_a_worker_exception_is_raised_with_its_type_and_message(
+    monkeypatch, usable_cpus, in_worker, error
+):
+    usable_cpus(2)
+
+    def crash(bounds, rng):
+        raise error("planted crash")
+
+    monkeypatch.setitem(verify._SUITES, "sign", crash)
+    in_worker("sign")
+    with pytest.raises(error, match="^planted crash$"):
+        run_suites(["all"], SMALL)
+
+
+def test_a_killed_worker_exits_3(monkeypatch, capsys, usable_cpus, in_worker):
+    usable_cpus(2)
+    monkeypatch.setitem(verify._SUITES, "sign", lambda bounds, rng: os.kill(os.getpid(), signal.SIGKILL))
+    in_worker("sign")
+    assert main(["verify", "--suite", "all", "--max-depth", "2", "--max-weight", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal error: RuntimeError: suite worker ")
+    assert err.endswith(" ended without a result (exit status -9)\n")
+
+
+def test_an_interrupt_in_the_caller_kills_and_reaps_the_workers(monkeypatch, usable_cpus, in_worker):
+    usable_cpus(2)
+
+    def interrupted(bounds, rng):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(verify._SUITES, "asym", interrupted)
+    monkeypatch.setitem(verify._SUITES, "gregory", lambda bounds, rng: time.sleep(120))
+    in_worker("gregory")
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_suites(["all"], SMALL)
+    assert time.monotonic() - start < 60
+
+
+@pytest.mark.parametrize("forks_before_failing", [0, 1])
+def test_a_failed_fork_leaves_its_suites_to_the_running_processes(
+    monkeypatch, usable_cpus, forks_before_failing
+):
+    usable_cpus(4)
+    fork, calls = os.fork, []
+
+    def failing_fork():
+        calls.append(None)
+        if len(calls) > forks_before_failing:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert run_suites(["all"], SMALL) == [run_suite(name, SMALL) for name in SUITE_NAMES]
+    assert len(calls) == forks_before_failing + 1
 
 
 def test_duplicate_suite_requests_collapse():
@@ -132,7 +242,7 @@ PLANTED_COUNTEREXAMPLES = {
 }
 
 
-def test_planted_wrong_routes_report_pinned_counterexamples(monkeypatch, capsys):
+def _plant_wrong_routes(monkeypatch):
     c_explicit = verify._c_explicit
     choi_check = verify.choi_identity_check
     sign_holds = verify._sign_holds
@@ -150,11 +260,29 @@ def test_planted_wrong_routes_report_pinned_counterexamples(monkeypatch, capsys)
     monkeypatch.setattr(
         verify, "_sign_holds", lambda l, plain, star: sign_holds(l, plain, star) and l != (1, 1)
     )
+
+
+def _assert_planted_counterexamples(capsys):
     argv = ["verify", "--suite", "all", "--json", "--max-depth", "2", "--max-weight", "3"]
     assert main(argv + ["--max-r", "3"]) == 1
     results = json.loads(capsys.readouterr().out)["results"]
     found = {res["suite"]: res["first_counterexample"] for res in results}
     assert found == {name: PLANTED_COUNTEREXAMPLES.get(name) for name in SUITE_NAMES}
+
+
+def test_planted_wrong_routes_report_pinned_counterexamples(monkeypatch, capsys):
+    _plant_wrong_routes(monkeypatch)
+    _assert_planted_counterexamples(capsys)
+
+
+def test_planted_wrong_routes_in_a_worker_report_pinned_counterexamples(
+    monkeypatch, capsys, usable_cpus, in_worker
+):
+    # The worker pulls every suite up to sign, so choi and sign run there.
+    usable_cpus(2)
+    _plant_wrong_routes(monkeypatch)
+    in_worker("sign")
+    _assert_planted_counterexamples(capsys)
 
 
 # The recurrence grids each suite reads, by kind.
@@ -236,8 +364,7 @@ def _plant(monkeypatch, original, faulty):
                     monkeypatch.setattr(module, attr, faulty)
 
 
-@pytest.mark.parametrize("suite", sorted(PLANTED_KERNEL_FAULTS))
-def test_planted_kernel_faults_give_the_recorded_failures(monkeypatch, suite):
+def _plant_kernel_fault(monkeypatch, suite):
     if suite == "stirling":
         original = stirling._poly_coeffs
         uncached = original.__wrapped__
@@ -253,7 +380,27 @@ def test_planted_kernel_faults_give_the_recorded_failures(monkeypatch, suite):
             return original(n, m) + 1 if (n, m) == (4, 2) else original(n, m)
 
     _plant(monkeypatch, original, faulty)
-    failures = run_suite(suite).failures
+
+
+def _assert_recorded_failures(suite, failures):
     count, first, digest = PLANTED_KERNEL_FAULTS[suite]
     assert (len(failures), failures[0]) == (count, first)
     assert hashlib.sha256("\n".join(failures).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("suite", sorted(PLANTED_KERNEL_FAULTS))
+def test_planted_kernel_faults_give_the_recorded_failures(monkeypatch, suite):
+    _plant_kernel_fault(monkeypatch, suite)
+    _assert_recorded_failures(suite, run_suite(suite).failures)
+
+
+@pytest.mark.parametrize("suite", sorted(PLANTED_KERNEL_FAULTS))
+def test_planted_kernel_faults_in_a_worker_give_the_recorded_failures(
+    monkeypatch, usable_cpus, in_worker, suite
+):
+    usable_cpus(2)
+    _plant_kernel_fault(monkeypatch, suite)
+    in_worker(suite)
+    asym, res = run_suites(["asym", suite])
+    assert asym.suite == "asym"
+    _assert_recorded_failures(suite, res.failures)
