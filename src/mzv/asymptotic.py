@@ -40,8 +40,8 @@ The module also computes generalized Gregory coefficients G_{m,n} as
 coefficients of the bivariate series
 (y log^2(1+x) - x log^2(1+y)) / (log(1+x) - log(1+y)),
 read from one dense table of diagonals that grows in place
-(:class:`mzv.kernel.BivariateSeries`, fed from 1-D log and log^2
-coefficients); it classifies direction vectors into blocks
+(:class:`mzv.kernel.BivariateSeries`, fed from closed-form diagonals,
+:func:`_gregory_diagonals`); it classifies direction vectors into blocks
 (:func:`classify_direction`, :func:`enumerate_I`, :func:`enumerate_J`); and
 it assembles reverse values of multiple zeta functions from Gregory
 coefficients alone (:func:`origin_rev_gregory`, :func:`rev_via_gregory`): a
@@ -726,9 +726,7 @@ def rev_via_gregory(l: Sequence[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def star_coeff_relation_check(
-    i: int, r: int, p: int, l: Sequence[int], *, memo: "dict | None" = None
-) -> bool:
+def star_coeff_relation_check(i: int, r: int, p: int, l: Sequence[int]) -> bool:
     """Check the standard-basis-shift relation for staircase coefficients.
 
     With e_p the shift putting 1 in slot p and 0 elsewhere and s = (-1)^(r+|l|),
@@ -745,8 +743,7 @@ def star_coeff_relation_check(
     sum to lattice points with n_p = 1 and deleting that slot: for p in
     {1, i} the window constraints make the restricted set empty, and
     otherwise slot deletion is a bijection onto the depth-(r-1) staircase set
-    for the merged index.  ``memo`` is a definition-sum memo that may be
-    shared with other calls (see :func:`_asym_sum`); by default it is fresh.
+    for the merged index.
     """
     lt = as_index_tuple(l)
     if r != len(lt):
@@ -755,7 +752,7 @@ def star_coeff_relation_check(
         raise ValueError(f"need 2 <= i <= r, got i={i}, r={r}")
     if not 1 <= p <= r:
         raise ValueError(f"need 1 <= p <= r, got p={p}")
-    return _star_relation_holds(i, r, p, lt, {} if memo is None else memo, None)
+    return _star_relation_holds(i, r, p, lt, {}, None)
 
 
 def _star_relation_holds(
@@ -782,20 +779,9 @@ def _star_relation_holds(
     return lhs == rhs
 
 
-def parity_check(
-    i: int,
-    r: int,
-    l: Sequence[int],
-    a: Sequence[RationalLike],
-    *,
-    memo: "dict | None" = None,
-) -> bool:
+def parity_check(i: int, r: int, l: Sequence[int], a: Sequence[RationalLike]) -> bool:
     """Check the complement-shift parity C_{i,r}(-l; a) =
-    (-1)^(r+|l|) C_{i,r}(-l; 1-a) for shifts with entries in [0, 1].
-
-    ``memo`` is a definition-sum memo that may be shared with other calls
-    (see :func:`_asym_sum`); by default it is fresh.
-    """
+    (-1)^(r+|l|) C_{i,r}(-l; 1-a) for shifts with entries in [0, 1]."""
     lt = as_index_tuple(l)
     if r != len(lt):
         raise ValueError(f"r={r} does not match the index depth {len(lt)}")
@@ -807,7 +793,7 @@ def parity_check(
     for c in entries:
         if not 0 <= c <= 1:
             raise ValueError(f"shift entries must lie in [0, 1], got {c}")
-    return _parity_holds(i, r, lt, entries, {} if memo is None else memo, None)
+    return _parity_holds(i, r, lt, entries, {}, None)
 
 
 def _parity_holds(

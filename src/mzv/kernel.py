@@ -1,13 +1,16 @@
-"""Exact-arithmetic kernel: rational scalars, rational-coefficient
-polynomials, and a dense quotient table of bivariate power series.
+"""Exact-arithmetic kernel: the integer Horner rule, a read-only polynomial
+value, and a dense quotient table of bivariate power series.
 
-Every coefficient in this module is a `fractions.Fraction`, so results are
-exact by construction (lowest terms, positive denominator); nothing here ever
-touches floating point, and polynomial values come from the integer
-:func:`horner`.  The two container types are deliberately small:
+Every coefficient in this module is a `fractions.Fraction` (lowest terms,
+positive denominator), and nothing here touches floating point.  No route
+adds or multiplies polynomials: each reads a coefficient tuple, as integer
+numerators over one denominator, through :func:`horner`.  So the two
+container types are deliberately small:
 
-* :class:`RationalPolynomial` — dense univariate polynomial with trimmed
-  coefficients, used for Bernoulli-type and Stirling-type polynomials.
+* :class:`RationalPolynomial` — an immutable dense univariate polynomial
+  with trimmed coefficients, the value type of the Bernoulli-type and
+  Stirling-type polynomials.  It is built from its coefficients, then read,
+  compared, evaluated and printed; it has no arithmetic.
 * :class:`BivariateSeries` — the quotient of two power series in two
   variables, stored as one list per total degree and grown in place, used
   for the two-variable generating function whose coefficients are the
@@ -24,7 +27,6 @@ from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 #: Degree reported for the zero polynomial.
@@ -50,12 +52,12 @@ def horner(coeffs: Sequence[int], p: int, q: int = 1) -> int:
 
 
 class RationalPolynomial:
-    """Dense univariate polynomial over the rationals.
+    """Dense univariate polynomial over the rationals, as a read-only value.
 
     Coefficients are stored lowest degree first with trailing zeros trimmed,
     so equal polynomials always compare and hash equal.  Instances are
-    immutable; arithmetic returns new objects.  The degree of the zero
-    polynomial is minus infinity (:data:`NEG_INFINITY`).
+    immutable and have no arithmetic.  The degree of the zero polynomial is
+    minus infinity (:data:`NEG_INFINITY`).
     """
 
     __slots__ = ("_coeffs", "_scaled")
@@ -67,30 +69,12 @@ class RationalPolynomial:
         self._coeffs: Tuple[Fraction, ...] = tuple(cs)
         self._scaled = None  # see scaled
 
-    # -- constructors -----------------------------------------------------
-
     @classmethod
-    def zero(cls) -> "RationalPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "RationalPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def variable(cls) -> "RationalPolynomial":
-        """The monic degree-1 monomial."""
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c: RationalLike) -> "RationalPolynomial":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: RationalLike = 1) -> "RationalPolynomial":
+    def monomial(cls, degree: int) -> "RationalPolynomial":
+        """The monic monomial Y^degree."""
         if degree < 0:
             raise ValueError(f"monomial degree must be >= 0, got {degree}")
-        return cls((0,) * degree + (coeff,))
+        return cls((0,) * degree + (1,))
 
     # -- inspection ---------------------------------------------------------
 
@@ -110,57 +94,6 @@ class RationalPolynomial:
             raise ValueError(f"coefficient index must be >= 0, got {k}")
         return self._coeffs[k] if k < len(self._coeffs) else Fraction(0)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return RationalPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalPolynomial(tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(tuple(c * other for c in self._coeffs))
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RationalPolynomial()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return RationalPolynomial(out)
-
-    __rmul__ = __mul__
-
     def scaled(self) -> Tuple[int, Tuple[int, ...]]:
         """(den, nums) with coeffs[k] = nums[k] / den, den the lcm of the
         coefficient denominators; built once per instance."""
@@ -175,15 +108,6 @@ class RationalPolynomial:
         x = rat(x)
         (den, nums), q = self.scaled(), x.denominator
         return Fraction(horner(nums, x.numerator, q), den * q ** max(len(nums) - 1, 0))
-
-    __call__ = evaluate
-
-    def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
-        """Substitute another polynomial for the variable."""
-        acc = RationalPolynomial()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + RationalPolynomial.constant(c)
-        return acc
 
     # -- protocol bits ----------------------------------------------------------
 
@@ -226,14 +150,6 @@ class RationalPolynomial:
 
     def __str__(self):
         return self.to_string()
-
-
-def _as_poly(value):
-    if isinstance(value, RationalPolynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RationalPolynomial((value,))
-    return NotImplemented
 
 
 # ---------------------------------------------------------------------------

@@ -702,22 +702,32 @@ def _usable_cpus() -> int:
     return 1
 
 
-def _run_pulled(order: Sequence[str], bounds: Bounds, queue: int, index: bytes) -> Iterator[SuiteResult]:
-    """Run the suite at ``index``, then each next one pulled from ``queue``
-    (one byte per suite index) until the queue is empty."""
+def _run_pulled(
+    order: Sequence[str], bounds: Bounds, pull: Callable[[], bytes], index: bytes
+) -> Iterator[SuiteResult]:
+    """Run the suite at ``index``, then each next one ``pull`` gives (one
+    byte per suite index) until it gives none."""
     while index:
         yield run_suite(order[index[0]], bounds)
-        index = os.read(queue, 1)
+        index = pull()
 
 
-def _work(order: Sequence[str], bounds: Bounds, queue: int, sent: int) -> None:
+def _work(order: Sequence[str], bounds: Bounds, queue: int, sent: int, caller: int) -> None:
     """The life of a forked worker: run the suites it pulls from ``queue`` and
     write (results as plain tuples, pickled exception or None) to ``sent``,
-    then leave through ``os._exit``, never returning into the caller's frames."""
+    then leave through ``os._exit``, never returning into the caller's frames.
+    Before each pull it leaves at once if its parent is no longer ``caller``:
+    a killed caller's worker finishes the suite it runs and starts no other."""
+
+    def pull() -> bytes:
+        if os.getppid() != caller:
+            os._exit(1)
+        return os.read(queue, 1)
+
     status = 1
     try:
         try:
-            payload = ([tuple(res) for res in _run_pulled(order, bounds, queue, os.read(queue, 1))], None)
+            payload = ([tuple(res) for res in _run_pulled(order, bounds, pull, pull())], None)
         except Exception as exc:
             import pickle
 
@@ -740,7 +750,9 @@ def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteRes
     worker's exception is re-raised here, with its type and message, once
     every worker is reaped; a worker that dies without a result raises
     ``RuntimeError``.  An exception in the caller kills and reaps the workers
-    first.  A failed fork leaves its suites to the processes already running.
+    first.  A caller killed by a signal leaves each worker to finish the
+    suite it runs, then exit without pulling another.  A failed fork leaves
+    its suites to the processes already running.
     """
     expanded: List[str] = []
     for name in names:
@@ -759,7 +771,7 @@ def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteRes
     os.close(fill)
     workers: Dict[int, BinaryIO] = {}  # pid -> read end of the worker's result pipe
     try:
-        first = os.read(queue, 1)
+        first, caller = os.read(queue, 1), os.getpid()
         for _ in range(min(len(order), _usable_cpus()) - 1):
             done, sent = os.pipe()
             try:
@@ -769,10 +781,10 @@ def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteRes
                 os.close(sent)
                 break
             if pid == 0:
-                _work(order, bounds, queue, sent)
+                _work(order, bounds, queue, sent, caller)
             os.close(sent)
             workers[pid] = os.fdopen(done, "rb")
-        results = {res.suite: res for res in _run_pulled(order, bounds, queue, first)}
+        results = {res.suite: res for res in _run_pulled(order, bounds, lambda: os.read(queue, 1), first)}
         error: Optional[BaseException] = None
         for pid, pipe in list(workers.items()):
             with pipe:

@@ -110,14 +110,13 @@ def test_polynomial_trims_and_degree():
 
 
 def test_polynomial_constructors():
-    assert RationalPolynomial.zero().is_zero()
-    assert RationalPolynomial.one() == RationalPolynomial((1,))
-    assert RationalPolynomial.variable() == RationalPolynomial((0, 1))
-    assert RationalPolynomial.constant(Fraction(2, 3)) == RationalPolynomial(
-        (Fraction(2, 3),)
-    )
+    assert RationalPolynomial() == RationalPolynomial((0, 0)) == 0
+    assert not RationalPolynomial()
+    assert RationalPolynomial.monomial(0) == RationalPolynomial((1,))
     assert RationalPolynomial.monomial(3) == RationalPolynomial((0, 0, 0, 1))
-    assert RationalPolynomial.monomial(2, 5) == RationalPolynomial((0, 0, 5))
+    assert RationalPolynomial.monomial(3).degree == 3
+    with pytest.raises(ValueError):
+        RationalPolynomial.monomial(-1)
 
 
 def test_polynomial_evaluate():
@@ -125,7 +124,7 @@ def test_polynomial_evaluate():
     assert p.evaluate(0) == 1
     assert p.evaluate(2) == 9
     assert p.evaluate(Fraction(1, 3)) == Fraction(2, 3)
-    assert RationalPolynomial.zero().evaluate(5) == 0
+    assert RationalPolynomial().evaluate(5) == 0
     assert RationalPolynomial.monomial(3).evaluate(2) == 8
     assert RationalPolynomial((1, 1)).evaluate(Fraction(1, 2)) == Fraction(3, 2)
 
@@ -134,7 +133,7 @@ def test_polynomial_evaluate_refuses_a_float():
     with pytest.raises(TypeError):
         RationalPolynomial((1, 2)).evaluate(0.5)
     with pytest.raises(TypeError):
-        RationalPolynomial.zero().evaluate(1.0)
+        RationalPolynomial().evaluate(1.0)
 
 
 @given(
@@ -160,12 +159,13 @@ def test_polynomial_evaluate_matches_fraction_horner(a, x):
 
 
 def test_polynomial_scalar_interop():
+    # A scalar equals the constant polynomial; the value type has no arithmetic.
     p = RationalPolynomial((0, 1))
-    assert 1 + p == RationalPolynomial((1, 1))
-    assert 2 * p == RationalPolynomial((0, 2))
-    assert p - 1 == RationalPolynomial((-1, 1))
-    assert 1 - p == RationalPolynomial((1, -1))
-    assert (1 + p) * (1 + p) == RationalPolynomial((1, 2, 1))
+    assert RationalPolynomial((3,)) == 3 and RationalPolynomial((Fraction(2, 3),)) == Fraction(2, 3)
+    assert p != 0 and p != 1 and RationalPolynomial.monomial(0) == 1
+    for apply in (lambda: 1 + p, lambda: p - 1, lambda: 2 * p, lambda: p * p, lambda: -p, lambda: p(1)):
+        with pytest.raises(TypeError):
+            apply()
 
 
 def test_polynomial_to_string():
@@ -176,37 +176,6 @@ def test_polynomial_to_string():
     assert P((0, -2, 0, 1)).to_string() == "x^3 - 2*x"
     assert P((Fraction(1, 2),)).to_string("z") == "1/2"
     assert P((1, Fraction(-3, 4), 1)).to_string("x") == "x^2 - 3/4*x + 1"
-
-
-@given(polynomials, polynomials, polynomials)
-def test_polynomial_ring_laws(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + RationalPolynomial.zero() == a
-    assert a * RationalPolynomial.one() == a
-    assert a - a == RationalPolynomial.zero()
-
-
-@given(polynomials, polynomials, rationals)
-def test_polynomial_evaluation_is_ring_homomorphism(a, b, x):
-    assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
-    assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
-
-
-@given(polynomials, polynomials, rationals)
-def test_polynomial_compose_matches_evaluation(a, b, x):
-    assert a.compose(b).evaluate(x) == a.evaluate(b.evaluate(x))
-
-
-@given(polynomials, polynomials)
-def test_polynomial_product_degree(a, b):
-    if a.is_zero() or b.is_zero():
-        assert (a * b).degree == NEG_INFINITY
-    else:
-        assert (a * b).degree == a.degree + b.degree
 
 
 # ---------------------------------------------------------------------------

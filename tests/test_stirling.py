@@ -55,8 +55,8 @@ def test_polynomial_examples():
     assert stirling_poly_first(2, 1).to_string("Y") == "-2*Y - 1"
     assert stirling_poly_second(1, 0).to_string("Y") == "Y"
     assert stirling_poly_second(2, 1).to_string("Y") == "2*Y + 1"
-    assert stirling_poly_second(3, 5) == RationalPolynomial.zero()
-    assert stirling_poly_first(0, 0) == RationalPolynomial.one()
+    assert stirling_poly_second(3, 5) == RationalPolynomial(())
+    assert stirling_poly_first(0, 0) == RationalPolynomial((1,))
 
 
 def test_rejects_negative_indices():
@@ -208,14 +208,19 @@ def test_integer_parameter_polynomial_values():
                     assert at(n, m, y) == expected, (n, m, y, first)
 
 
+def times_linear(coeffs, c):
+    """Coefficients of P(X) (X + c), given those of P lowest degree first."""
+    return [c * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+
+
 def test_first_kind_polynomial_expands_the_shifted_falling_factorial():
     # (X - Y)_n = sum_m s(n, m, Y) X^m, both sides as polynomials in X at integer Y.
     for y in range(-3, 4):
-        falling = RationalPolynomial.one()
+        falling = [1]
         for n in range(9):
             expanded = RationalPolynomial(stirling_poly_first_at(n, m, y) for m in range(n + 1))
-            assert falling == expanded, (n, y)
-            falling = falling * RationalPolynomial((-y - n, 1))
+            assert RationalPolynomial(falling) == expanded, (n, y)
+            falling = times_linear(falling, -y - n)
 
 
 def test_point_values_leave_every_cache_unchanged():

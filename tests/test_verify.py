@@ -1,9 +1,11 @@
 """Tests for the verification-suite runner."""
 
+import contextlib
 import errno
 import hashlib
 import json
 import os
+import select
 import signal
 import sys
 import threading
@@ -14,6 +16,7 @@ import pytest
 
 from mzv import bernoulli, stirling, verify
 from mzv.cli import main
+from mzv.kernel import RationalPolynomial
 from mzv.values import iter_index_tuples
 from mzv.verify import SUITE_NAMES, Bounds, run_suite, run_suites
 
@@ -58,6 +61,12 @@ SMALL = Bounds(max_depth=2, max_weight=2, max_r=3)
 
 def _no_fork():
     raise AssertionError("os.fork was called")
+
+
+def _read_within(fd, seconds=60):
+    """The next bytes on a pipe (b"" at EOF); fails after ``seconds`` with none."""
+    assert select.select([fd], [], [], seconds)[0], f"nothing read within {seconds} s"
+    return os.read(fd, 4096)
 
 
 def test_one_cpu_runs_every_suite_in_the_calling_thread(monkeypatch, usable_cpus):
@@ -139,6 +148,58 @@ def test_a_killed_worker_exits_3(monkeypatch, capsys, usable_cpus, in_worker):
     assert out == ""
     assert err.startswith("error: internal error: RuntimeError: suite worker ")
     assert err.endswith(" ended without a result (exit status -9)\n")
+
+
+def test_a_caller_killed_by_sigkill_leaves_no_worker_that_starts_another_suite(
+    monkeypatch, usable_cpus, in_worker
+):
+    # The caller runs in a child of this process, which SIGKILLs it while the
+    # worker holds a planted bernoulli suite; released, the worker must finish
+    # that suite, pull no next one (choi) and exit.  Every suite writes to
+    # `report`, whose last write end is the worker's once this process closes
+    # its copy and the caller is dead, so EOF there means the worker exited.
+    usable_cpus(2)
+    reported, report = os.pipe()
+    released, release = os.pipe()
+
+    def held(bounds, rng):
+        os.write(report, f"bernoulli {os.getpid()}\n".encode())
+        os.read(released, 1)
+        return verify.SuiteResult("bernoulli", 0, ())
+
+    monkeypatch.setitem(verify._SUITES, "asym", lambda bounds, rng: time.sleep(120))
+    monkeypatch.setitem(verify._SUITES, "bernoulli", held)
+    monkeypatch.setitem(verify._SUITES, "choi", lambda bounds, rng: os.write(report, b"choi\n"))
+    in_worker("bernoulli")
+    caller = os.fork()
+    if caller == 0:
+        try:
+            run_suites(["asym", "bernoulli", "choi"], SMALL)
+        finally:
+            os._exit(0)
+    os.close(report)
+    worker, exited = None, False
+    try:
+        log = _read_within(reported)  # one short write: "bernoulli <worker pid>"
+        worker = int(log.split()[1])
+        os.kill(caller, signal.SIGKILL)
+        assert os.waitpid(caller, 0)[1] == signal.SIGKILL
+        caller = None
+        os.write(release, b".")
+        while chunk := _read_within(reported):
+            log += chunk
+        exited = True
+    finally:
+        for pid in (caller, None if exited else worker):
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+        if caller is not None:
+            os.waitpid(caller, 0)
+        for fd in (reported, released, release):
+            os.close(fd)
+    assert log == f"bernoulli {worker}\n".encode()
+    with contextlib.suppress(ChildProcessError):
+        os.waitpid(worker, 0)  # reaped here only if this process adopted the orphan
 
 
 def test_an_interrupt_in_the_caller_kills_and_reaps_the_workers(monkeypatch, usable_cpus, in_worker):
@@ -377,7 +438,10 @@ def _plant_kernel_fault(monkeypatch, suite):
         original = bernoulli.bernoulli_higher_order
 
         def faulty(n, m):
-            return original(n, m) + 1 if (n, m) == (4, 2) else original(n, m)
+            poly = original(n, m)
+            if (n, m) != (4, 2):
+                return poly
+            return RationalPolynomial((poly.coefficient(0) + 1,) + poly.coeffs[1:])
 
     _plant(monkeypatch, original, faulty)
 
