@@ -23,19 +23,23 @@ first byte.  Exit codes: 0 success,
 error, 3 internal error (an unexpected exception, reported on one stderr
 line), 141 stdout closed by its reader (128 + SIGPIPE).  Every call computes
 from scratch and writes nothing to disk.
+
+``main(argv)`` returns the exit code and is what in-process callers use.
+``python3 -m mzv.cli`` and the ``mzv`` script run ``entry()`` instead: it
+calls ``main()``, flushes stdout and stderr and leaves through ``os._exit``,
+skipping the interpreter's teardown, so ``atexit`` hooks do not run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json
 from math import comb
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, NoReturn, Optional, Sequence, Tuple, Union
 
 from .asymptotic import asym_coeff, gregory, rev_via_gregory
 from .stirling import (
@@ -184,6 +188,8 @@ def _emit_records(
     decimal = args.decimal
     write = sys.stdout.write
     if args.csv:
+        import csv
+
         row = csv.writer(sys.stdout).writerow
         row(["query", "value", "provenance"] + ([] if decimal is None else ["approx_decimal"]))
     elif args.json:
@@ -310,6 +316,8 @@ def _cmd_gregory(args: argparse.Namespace) -> int:
             )
         )
     elif args.csv:
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(["m\\n"] + [str(n) for n in range(1, max_n + 1)])
         for m, row in enumerate(rows, start=1):
@@ -408,6 +416,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
         )
     elif args.csv:
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(["suite", "checked", "ok", "first_counterexample"])
         for res in results:
@@ -618,7 +628,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()
         return status
     except BrokenPipeError:
-        # `mzv ... | head`: what is still buffered goes to /dev/null at shutdown.
+        # `mzv ... | head`: what is still buffered goes to /dev/null at the last flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except (_UsageError, ValueError) as exc:
@@ -628,5 +638,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _internal_error(exc)
 
 
+def entry() -> NoReturn:
+    """The process entry of ``python3 -m mzv.cli`` and the ``mzv`` script.
+
+    Runs ``main()``, flushes stdout and stderr, and leaves through
+    ``os._exit``: the output is complete by then, nothing is persisted, no
+    ``atexit`` hook or thread exists and ``run_suites`` has reaped its
+    workers, so the interpreter's teardown would only add wall time to each
+    call.  A stdout closed by its reader at this flush exits 141; any other
+    failed flush keeps ``main``'s status and prints nothing.  An exception out
+    of ``main()`` propagates, and the interpreter exits as usual.
+    """
+    status = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        status = EXIT_BROKEN_PIPE
+    except OSError:
+        pass
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: output formats and exit codes."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -616,24 +617,79 @@ def test_a_crash_inside_a_suite_is_an_internal_error(monkeypatch, capsys, usable
     assert err == "error: internal error: ValueError: shift partial sum is not positive\n"
 
 
+def _spawn_cli(argv, stdout):
+    """Start ``python3 -m mzv.cli argv`` on this checkout, stderr piped and
+    stdout buffered, as in a plain shell, whatever this process runs with."""
+    env = {name: v for name, v in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mzv.__file__))
+    return subprocess.Popen(
+        [sys.executable, "-m", "mzv.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+# 270 KB of JSON, over a pipe's 64 KB, so the process cannot write it all at once.
+LARGE_TABLE = ["table", "--kind", "mzsf-reg", "--max-depth", "6", "--max-weight", "7", "--json"]
+
+
 def test_closed_stdout_is_not_an_internal_error():
     # The read end is closed before the child starts, so its first write
     # (here the flush of a short output) always meets a broken pipe.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = os.path.dirname(os.path.dirname(mzv.__file__))
     try:
-        child = subprocess.Popen(
-            [sys.executable, "-m", "mzv.cli", "stirling", "--kind", "S", "--n", "5", "--m", "2"],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
+        child = _spawn_cli(["stirling", "--kind", "S", "--n", "5", "--m", "2"], write_end)
     finally:
         os.close(write_end)
     _, err = child.communicate(timeout=60)
     assert child.returncode == mzv.cli.EXIT_BROKEN_PIPE == 141
     assert err == b""
+    # A reader that closes mid-stream, as `mzv table ... | head -c 4096` does.
+    child = _spawn_cli(LARGE_TABLE, subprocess.PIPE)
+    assert child.stdout.read(4096).startswith(b'{"records": [')
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["value", "--kind", "mzf-rev", "--index", "1,1", "--path", "all", "--json"], 0),
+        (["verify", "--suite", "sign", "--json"], 0),
+        (LARGE_TABLE, 0),
+        (["value", "--kind", "bogus", "--index", "1"], 2),
+    ],
+    ids=["value", "verify", "table", "usage"],
+)
+def test_the_process_entry_writes_what_main_writes(capsys, argv, code):
+    # `python3 -m mzv.cli` leaves through os._exit after its own flush, so
+    # nothing may be lost or added against an in-process main().
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    child = _spawn_cli(argv, subprocess.PIPE)
+    out, err = child.communicate(timeout=120)
+    assert (child.returncode, out, err) == (code, expected[1].encode(), expected[2].encode())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_a_full_stdout_is_an_internal_error_in_process_and_out(capsys, monkeypatch):
+    # Every flush to /dev/full fails with ENOSPC.  main() reports the first one
+    # and leaves the short output in the buffer, so the process entry's last
+    # flush fails too: that one must change neither the exit code nor stderr.
+    argv = ["value", "--kind", "mzf-rev", "--index", "1,1", "--path", "all", "--json"]
+    full = open("/dev/full", "w")
+    try:
+        monkeypatch.setattr(sys, "stdout", full)
+        code, _, err = run(capsys, *argv)
+        child = _spawn_cli(argv, full)
+        _, child_err = child.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(OSError):  # the buffer main() could not flush
+            full.close()
+    assert code == child.returncode == mzv.cli.EXIT_INTERNAL
+    assert err == "error: internal error: OSError: [Errno 28] No space left on device\n"
+    assert child_err == err.encode()
 
 
 def test_cache_dir_is_ignored(tmp_path, monkeypatch, capsys):
