@@ -113,11 +113,21 @@ class _UsageError(Exception):
     """Bad arguments detected after parsing; reported with exit code 2."""
 
 
+def _error(text: str) -> None:
+    """Print one error line on stderr.  A closed or failing stderr loses the
+    line but must not turn a usage error or a crash into another exit code."""
+    try:
+        if sys.stderr is not None:
+            print(text, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _internal_error(exc: BaseException) -> int:
     """Report an unexpected exception on one stderr line; exit code 3."""
     # Exit 1 means "an identity failed", so a crash must not reach it.
     message = " ".join(str(exc).splitlines())
-    print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+    _error(f"error: internal error: {type(exc).__name__}: {message}")
     return EXIT_INTERNAL
 
 
@@ -632,7 +642,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except (_UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return EXIT_USAGE
     except Exception as exc:
         return _internal_error(exc)

@@ -35,10 +35,15 @@ The suites and what they cover:
   the origin identity, direction-vector partition, origin product
   decomposition, bundling, and reverse values via Gregory sums.
 
-``run_suite`` executes one suite; ``run_suites`` runs several on up to one
-process per usable CPU and returns results sorted by suite name.  The suites
-share only pure caches and each seeds its own generator, so where a suite
-runs changes no check and no result.
+Each suite runs as work units: ``asym`` as contiguous sections of its
+checks, every other suite as one.  ``run_suite`` runs one suite's units in
+order in this process; ``run_suites`` runs the units of several suites on up
+to one process per usable CPU, each pulling the next unit from one queue,
+largest first, and returns results sorted by suite name.  A suite's result
+joins its units' results in order, which is the result the checks give in
+one run.  The units share only pure caches, and each starts its suite's
+generator afresh and replays the draws of the sections before it, so where a
+unit runs changes no check and no result.
 """
 
 from __future__ import annotations
@@ -49,9 +54,12 @@ import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, lcm
-from typing import BinaryIO, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    BinaryIO, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+)
 
 from .asymptotic import (
+    Shift,
     _asym_sum,
     _c_explicit,
     _c_rec,
@@ -88,6 +96,7 @@ from .stirling import (
     stirling_transform_apply,
 )
 from .values import (
+    IndexTuple,
     ValueKind,
     _as_ints,
     _box_grid,
@@ -251,7 +260,7 @@ def _same_coeffs(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x == y for x, y in zip_longest(a, b, fillvalue=0))
 
 
-def _suite_stirling(bounds: Bounds, rng: random.Random) -> SuiteResult:
+def _suite_stirling(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
     rec = _Recorder()
     y_values = [Fraction(0), Fraction(1), Fraction(-2), Fraction(7, 3)]
     # Orthogonality of the two kernels, both compositions, n <= 12.  At
@@ -353,7 +362,7 @@ def _poly_over(nums: Sequence[int], den: int) -> RationalPolynomial:
     return RationalPolynomial(Fraction(c, den) for c in nums)
 
 
-def _suite_bernoulli(bounds: Bounds, rng: random.Random) -> SuiteResult:
+def _suite_bernoulli(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
     rec = _Recorder()
     # Reflection on the integer numerators of B_n over their common
     # denominator: P(1 - z) has coefficients (-1)^j [z^j] P(z + 1).
@@ -437,7 +446,7 @@ def _suite_bernoulli(bounds: Bounds, rng: random.Random) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _suite_choi(bounds: Bounds, rng: random.Random) -> SuiteResult:
+def _suite_choi(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
     rec = _Recorder()
     z_values = [Fraction(1), Fraction(1, 2), Fraction(3), Fraction(7, 5)]
     z_values.append(_random_rational(rng, positive=True))
@@ -462,7 +471,7 @@ def _suite_choi(bounds: Bounds, rng: random.Random) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _suite_values(bounds: Bounds, rng: random.Random) -> SuiteResult:
+def _suite_values(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
     rec = _Recorder()
     # One origin list per reverse kind serves every closed form, and each
     # kernel box is one slot step from its parent's (_box_grid).
@@ -514,7 +523,7 @@ def _suite_values(bounds: Bounds, rng: random.Random) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _suite_sign(bounds: Bounds, rng: random.Random) -> SuiteResult:
+def _suite_sign(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
     rec = _Recorder()
     grids = _grids(bounds, "mzf-reg", "mzsf-reg", "mzf-rev", "mzsf-rev")
     for (l, plain_reg), (_, star_reg), (_, plain_rev), (_, star_rev) in grids:
@@ -543,54 +552,98 @@ def _suite_sign(bounds: Bounds, rng: random.Random) -> SuiteResult:
 # asym
 # ---------------------------------------------------------------------------
 
+# The staircase at r = max_r, the largest part of the suite, runs as this
+# many contiguous sections of its tuples.
+_TOP_PARTS = 3
 
-def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
-    rec = _Recorder()
-    rec.equal("worked value C^(0)(0,-1)", asym_coeff((0, 1), (0,), (1, 1)), Fraction(1, 12))
-    rec.equal("worked value C^(1)(0,-1)", asym_coeff((0, 1), (1,), (1, 1)), Fraction(0))
-    rec.equal(
-        "worked value C^(0)(-1,-1)", asym_coeff((1, 1), (0,), (1, 1)), Fraction(1, 360)
-    )
-    rec.equal(
-        "worked value C^(1)(-1,-1)", asym_coeff((1, 1), (1,), (1, 1)), Fraction(1, 720)
-    )
-    # The definition sum and the explicit path each keep one memo for the
-    # suite: their keys name everything a row or chain reads, so any calls
-    # may share them (see _asym_sum and _chain_links).  The definition memo
-    # keeps one path of prefix rows per stream (top, d, a_1..a_{r-1}); with
-    # one top per depth, r + max_weight, each step of l_r in the l loop's
-    # iter_index_tuples order costs one dot product.
-    definition: dict = {}
-    chains: dict = {}
+
+def _staircase_shifts(bounds: Bounds, rng: random.Random) -> List[List[Shift]]:
+    """The three shifts of the staircase at each r = 1..max_r: all ones,
+    (1, 0, ..., 0) and one random draw, the suite's first draws.  Every
+    section makes them, so that its generator then stands where the whole
+    suite's would."""
     max_r = max(2, min(4, bounds.max_depth + 1))
-    for r in range(1, max_r + 1):
-        top = r + bounds.max_weight
-        shifts = [(Fraction(1),) * r, (Fraction(1),) + (Fraction(0),) * (r - 1)]
-        shifts.append(_positive_shift(rng, r))
+    return [
         # Validated once here; the grid tuples are valid by construction, so
         # the three paths are called on their validated entry points.
-        shifts = [as_shift(a, r) for a in shifts]
-        # One recurrence memo per (i, shift), shared across the grid of l;
-        # sharing one across i would be unsound (see _c_rec).
-        memos = {(i, s): {} for i in range(1, r + 1) for s in range(len(shifts))}
-        for l in iter_index_tuples(r, bounds.max_weight, min_depth=r):
-            for i in range(1, r + 1):
-                d = staircase_direction(i, r)
-                for s, a in enumerate(shifts):
-                    reference = _asym_sum(l, d, a, definition, top)
-                    rec.equal(
-                        lambda: f"recurrence path i={i}, r={r}, l={l}, a={a}",
-                        _c_rec(i, r, l, a, memos[i, s]),
-                        reference,
-                    )
-                    rec.equal(
-                        lambda: f"explicit path i={i}, r={r}, l={l}, a={a}",
-                        _c_explicit(i, r, l, a, chains),
-                        reference,
-                    )
-    # The basis-shift and parity checks read the definition sum at one top
-    # per depth, r + their weight bound (the merged tuple of a basis-shift
-    # check at top - 1), so its streams serve whole runs of siblings.
+        [as_shift(a, r) for a in ((Fraction(1),) * r, (Fraction(1),) + (Fraction(0),) * (r - 1),
+                                  _positive_shift(rng, r))]
+        for r in range(1, max_r + 1)
+    ]
+
+
+def _staircase(
+    rec: _Recorder, bounds: Bounds, r: int, shifts: Sequence[Shift],
+    tuples: Iterable[IndexTuple], chains: dict,
+) -> None:
+    """Definition / recurrence / explicit agreement of C_{i,r}(-l; a) for each
+    l in ``tuples`` (depth r), each i and each shift."""
+    # The definition sum and the explicit path each keep one memo: their keys
+    # name everything a row or chain reads, so any calls may share them (see
+    # _asym_sum and _chain_links).  The definition memo keeps one path of
+    # prefix rows per stream (top, d, a_1..a_{r-1}); with one top, r +
+    # max_weight, each step of l_r in iter_index_tuples order costs one dot
+    # product.
+    definition: dict = {}
+    top = r + bounds.max_weight
+    # One recurrence memo per (i, shift), shared across the tuples; sharing
+    # one across i would be unsound (see _c_rec).
+    memos = {(i, s): {} for i in range(1, r + 1) for s in range(len(shifts))}
+    for l in tuples:
+        for i in range(1, r + 1):
+            d = staircase_direction(i, r)
+            for s, a in enumerate(shifts):
+                reference = _asym_sum(l, d, a, definition, top)
+                rec.equal(
+                    lambda: f"recurrence path i={i}, r={r}, l={l}, a={a}",
+                    _c_rec(i, r, l, a, memos[i, s]),
+                    reference,
+                )
+                rec.equal(
+                    lambda: f"explicit path i={i}, r={r}, l={l}, a={a}",
+                    _c_explicit(i, r, l, a, chains),
+                    reference,
+                )
+
+
+def _suite_asym(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
+    """One section of the suite, in check order: 0, the worked values and the
+    staircase at r < max_r; 1 to _TOP_PARTS, contiguous runs of the staircase
+    at r = max_r; then the basis-shift and parity checks; last, the bridges."""
+    rec = _Recorder()
+    shifts = _staircase_shifts(bounds, rng)
+    max_r = len(shifts)
+    if section == 0:
+        rec.equal("worked value C^(0)(0,-1)", asym_coeff((0, 1), (0,), (1, 1)), Fraction(1, 12))
+        rec.equal("worked value C^(1)(0,-1)", asym_coeff((0, 1), (1,), (1, 1)), Fraction(0))
+        rec.equal(
+            "worked value C^(0)(-1,-1)", asym_coeff((1, 1), (0,), (1, 1)), Fraction(1, 360)
+        )
+        rec.equal(
+            "worked value C^(1)(-1,-1)", asym_coeff((1, 1), (1,), (1, 1)), Fraction(1, 720)
+        )
+        chains: dict = {}
+        for r in range(1, max_r):
+            tuples = iter_index_tuples(r, bounds.max_weight, min_depth=r)
+            _staircase(rec, bounds, r, shifts[r - 1], tuples, chains)
+    elif section <= _TOP_PARTS:
+        tuples = list(iter_index_tuples(max_r, bounds.max_weight, min_depth=max_r))
+        n = len(tuples)
+        run = tuples[(section - 1) * n // _TOP_PARTS : section * n // _TOP_PARTS]
+        _staircase(rec, bounds, max_r, shifts[-1], run, {})
+    elif section == _TOP_PARTS + 1:
+        _asym_relations(rec, bounds, max_r, rng)
+    else:
+        _asym_bridges(rec, bounds)
+    return rec.result("asym")
+
+
+def _asym_relations(rec: _Recorder, bounds: Bounds, max_r: int, rng: random.Random) -> None:
+    """The basis-shift relation and complement-shift parity."""
+    # Both read the definition sum at one top per depth, r + their weight
+    # bound (the merged tuple of a basis-shift check at top - 1), so its
+    # streams serve whole runs of siblings.
+    definition: dict = {}
     weight = min(bounds.max_weight, 3)
     star_r = min(4, max_r)
     for r in range(2, star_r + 1):
@@ -609,6 +662,12 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
                         lambda: f"complement parity i={i}, r={r}, l={l}, a={a}",
                         _parity_holds(i, r, l, a, definition, r + weight),
                     )
+
+
+def _asym_bridges(rec: _Recorder, bounds: Bounds) -> None:
+    """The coefficient<->value bridges: the definition sum against the
+    recurrence values."""
+    definition: dict = {}
     # The grids list the depths in turn, each in the order of the l loop.
     bridges = _grids(bounds, "mzf-rev", "mzf-reg", "mzsf-reg")
     for r in range(1, bounds.max_depth + 1):
@@ -627,7 +686,6 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
                 rec.equal(
                     lambda: f"{kind} bridge l={l}", _asym_sum(l, d, a, definition, top), value
                 )
-    return rec.result("asym")
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +693,7 @@ def _suite_asym(bounds: Bounds, rng: random.Random) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _suite_gregory(bounds: Bounds, rng: random.Random) -> SuiteResult:
+def _suite_gregory(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
     rec = _Recorder()
     rec.equal("G(1,1)", gregory(1, 1), Fraction(1))
     rec.equal("G(1,2)", gregory(1, 2), Fraction(-1, 2))
@@ -673,26 +731,60 @@ def _suite_gregory(bounds: Bounds, rng: random.Random) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-_SUITES: Dict[str, Callable[[Bounds, random.Random], SuiteResult]] = {
+# A suite runs as work units: the calls fn(bounds, rng, section) for section
+# 0 up to _SECTIONS[name] - 1 (only 0 for a suite not listed there), each with
+# a fresh generator seeded for the suite.  The sections are contiguous runs of
+# the suite's checks, so their results joined in section order are the
+# suite's.  The dict's order is the order in which the units are pulled,
+# longest first: asym's sections, then the other suites from the longest to
+# the shortest at the benchmark bounds, so that the last units to start are
+# short.
+_SUITES: Dict[str, Callable[[Bounds, random.Random, int], SuiteResult]] = {
     "asym": _suite_asym,
-    "bernoulli": _suite_bernoulli,
+    "values": _suite_values,
     "choi": _suite_choi,
     "gregory": _suite_gregory,
-    "sign": _suite_sign,
     "stirling": _suite_stirling,
-    "values": _suite_values,
+    "bernoulli": _suite_bernoulli,
+    "sign": _suite_sign,
 }
+_SECTIONS = {"asym": 1 + _TOP_PARTS + 2}  # head, runs at r = max_r, relations, bridges
+
+# A work unit: (suite name, section).
+Unit = Tuple[str, int]
+
+
+def _known(name: str) -> str:
+    if name not in _SUITES:
+        raise ValueError(
+            f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)} or 'all'"
+        )
+    return name
+
+
+def _units(names: Iterable[str]) -> List[Unit]:
+    """The work units of the suites ``names``, in pull order."""
+    wanted = set(names)
+    return [(name, s) for name in _SUITES if name in wanted for s in range(_SECTIONS.get(name, 1))]
+
+
+def _run_unit(unit: Unit, bounds: Bounds) -> SuiteResult:
+    name, section = unit
+    return _SUITES[name](bounds, _rng_for(name, bounds), section)
+
+
+def _joined(name: str, parts: Iterable[SuiteResult]) -> SuiteResult:
+    """A suite's result from its units' results, in section order."""
+    checked, failures = 0, []
+    for part in parts:
+        checked += part.checked
+        failures.extend(part.failures)
+    return SuiteResult(name, checked, tuple(failures))
 
 
 def run_suite(name: str, bounds: Bounds = Bounds()) -> SuiteResult:
-    """Run one named suite and return its result."""
-    try:
-        fn = _SUITES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)} or 'all'"
-        ) from None
-    return fn(bounds, _rng_for(name, bounds))
+    """Run one named suite, its units in order in this process, and return its result."""
+    return _joined(name, (_run_unit(unit, bounds) for unit in _units([_known(name)])))
 
 
 def _usable_cpus() -> int:
@@ -703,21 +795,22 @@ def _usable_cpus() -> int:
 
 
 def _run_pulled(
-    order: Sequence[str], bounds: Bounds, pull: Callable[[], bytes], index: bytes
-) -> Iterator[SuiteResult]:
-    """Run the suite at ``index``, then each next one ``pull`` gives (one
-    byte per suite index) until it gives none."""
+    units: Sequence[Unit], bounds: Bounds, pull: Callable[[], bytes], index: bytes
+) -> Iterator[Tuple[int, SuiteResult]]:
+    """Run the unit at ``index``, then each next one ``pull`` gives (one byte
+    per unit index) until it gives none; yield (index, result) for each."""
     while index:
-        yield run_suite(order[index[0]], bounds)
+        yield index[0], _run_unit(units[index[0]], bounds)
         index = pull()
 
 
-def _work(order: Sequence[str], bounds: Bounds, queue: int, sent: int, caller: int) -> None:
-    """The life of a forked worker: run the suites it pulls from ``queue`` and
-    write (results as plain tuples, pickled exception or None) to ``sent``,
-    then leave through ``os._exit``, never returning into the caller's frames.
-    Before each pull it leaves at once if its parent is no longer ``caller``:
-    a killed caller's worker finishes the suite it runs and starts no other."""
+def _work(units: Sequence[Unit], bounds: Bounds, queue: int, sent: int, caller: int) -> None:
+    """The life of a forked worker: run the units it pulls from ``queue`` and
+    write (indexed results as plain tuples, pickled exception or None) to
+    ``sent``, then leave through ``os._exit``, never returning into the
+    caller's frames.  Before each pull it leaves at once if its parent is no
+    longer ``caller``: a killed caller's worker finishes the unit it runs and
+    starts no other."""
 
     def pull() -> bytes:
         if os.getppid() != caller:
@@ -727,7 +820,8 @@ def _work(order: Sequence[str], bounds: Bounds, queue: int, sent: int, caller: i
     status = 1
     try:
         try:
-            payload = ([tuple(res) for res in _run_pulled(order, bounds, pull, pull())], None)
+            ran = [(index, tuple(res)) for index, res in _run_pulled(units, bounds, pull, pull())]
+            payload = (ran, None)
         except Exception as exc:
             import pickle
 
@@ -742,37 +836,30 @@ def _work(order: Sequence[str], bounds: Bounds, queue: int, sent: int, caller: i
 def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteResult]:
     """Run several suites; results sorted by name.
 
-    The suites run on ``min(len(suites), usable CPUs)`` processes: the calling
-    process and ``os.fork``ed workers, each pulling the next suite in name
-    order from one shared queue.  The caller takes the first suite before it
-    forks, so with ``all`` the longest suite, ``asym``, stays in-process.
-    With one usable CPU (``taskset -c 0``) or one suite nothing forks.  A
-    worker's exception is re-raised here, with its type and message, once
-    every worker is reaped; a worker that dies without a result raises
-    ``RuntimeError``.  An exception in the caller kills and reaps the workers
-    first.  A caller killed by a signal leaves each worker to finish the
-    suite it runs, then exit without pulling another.  A failed fork leaves
-    its suites to the processes already running.
+    The suites' work units run on ``min(units, usable CPUs)`` processes: the
+    calling process and ``os.fork``ed workers, each pulling the next unit
+    from one shared queue, longest first (see ``_SUITES``).  ``asym`` runs as
+    several units, contiguous sections of its checks; every other suite is
+    one.  A suite's result joins its units' results in section order, so it
+    is the same wherever each unit ran.  The caller takes the first unit
+    before it forks.  With one usable CPU (``taskset -c 0``) or one unit
+    nothing forks.  A worker's exception is re-raised here, with its type
+    and message, once every worker is reaped; a worker that dies without a
+    result raises ``RuntimeError``.  An exception in the caller kills and
+    reaps the workers first.  A caller killed by a signal leaves each worker
+    to finish the unit it runs, then exit without pulling another.  A failed
+    fork leaves its units to the processes already running.
     """
-    expanded: List[str] = []
-    for name in names:
-        if name == "all":
-            expanded.extend(SUITE_NAMES)
-        else:
-            if name not in _SUITES:
-                raise ValueError(
-                    f"unknown suite {name!r}; expected one of "
-                    f"{', '.join(SUITE_NAMES)} or 'all'"
-                )
-            expanded.append(name)
-    order = sorted(set(expanded))
+    wanted = set(SUITE_NAMES) if "all" in names else set()
+    wanted.update(_known(name) for name in names if name != "all")
+    units = _units(wanted)
     queue, fill = os.pipe()
-    os.write(fill, bytes(range(len(order))))
+    os.write(fill, bytes(range(len(units))))
     os.close(fill)
     workers: Dict[int, BinaryIO] = {}  # pid -> read end of the worker's result pipe
     try:
         first, caller = os.read(queue, 1), os.getpid()
-        for _ in range(min(len(order), _usable_cpus()) - 1):
+        for _ in range(min(len(units), _usable_cpus()) - 1):
             done, sent = os.pipe()
             try:
                 pid = os.fork()
@@ -781,10 +868,10 @@ def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteRes
                 os.close(sent)
                 break
             if pid == 0:
-                _work(order, bounds, queue, sent, caller)
+                _work(units, bounds, queue, sent, caller)
             os.close(sent)
             workers[pid] = os.fdopen(done, "rb")
-        results = {res.suite: res for res in _run_pulled(order, bounds, lambda: os.read(queue, 1), first)}
+        results = dict(_run_pulled(units, bounds, lambda: os.read(queue, 1), first))
         error: Optional[BaseException] = None
         for pid, pipe in list(workers.items()):
             with pipe:
@@ -797,8 +884,8 @@ def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteRes
                     f"(exit status {os.waitstatus_to_exitcode(status)})"
                 )
                 continue
-            sent_results, pickled = marshal.loads(data)
-            results.update((res[0], SuiteResult(*res)) for res in sent_results)
+            ran, pickled = marshal.loads(data)
+            results.update((index, SuiteResult(*res)) for index, res in ran)
             if pickled is not None and error is None:
                 import pickle
 
@@ -815,4 +902,7 @@ def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteRes
         os.close(queue)
     if error is not None:
         raise error
-    return [results[name] for name in order]
+    return [
+        _joined(name, (results[i] for i, (suite, _) in enumerate(units) if suite == name))
+        for name in sorted(wanted)
+    ]

@@ -23,22 +23,24 @@ def usable_cpus(monkeypatch):
 
 @pytest.fixture
 def in_worker(monkeypatch):
-    """``in_worker(suite)`` makes ``suite`` run in a forked worker: the suite
-    the caller takes first, ``asym``, waits until ``suite`` has started in
-    another process.  Call it after planting faults in either suite."""
+    """``in_worker(suite)`` makes ``suite`` run in a forked worker: the unit
+    the caller takes first, section 0 of ``asym``, waits until a unit of
+    ``suite`` has started in another process.  Every other unit runs as it
+    would.  Call it after planting faults in either suite."""
     started, start = os.pipe()
 
     def hold(suite):
         first, held = verify._SUITES["asym"], verify._SUITES[suite]
 
-        def waiting(bounds, rng):
-            ready, _, _ = select.select([started], [], [], 60)
-            assert ready, f"{suite} did not start in a worker"
-            return first(bounds, rng)
+        def waiting(bounds, rng, section):
+            if section == 0:
+                ready, _, _ = select.select([started], [], [], 60)
+                assert ready, f"{suite} did not start in a worker"
+            return first(bounds, rng, section)
 
-        def announced(bounds, rng):
+        def announced(bounds, rng, section):
             os.write(start, b".")
-            return held(bounds, rng)
+            return held(bounds, rng, section)
 
         monkeypatch.setitem(verify._SUITES, "asym", waiting)
         monkeypatch.setitem(verify._SUITES, suite, announced)

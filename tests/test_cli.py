@@ -603,7 +603,7 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
 def test_a_crash_inside_a_suite_is_an_internal_error(monkeypatch, capsys, usable_cpus, in_worker, where):
     # Suite names and bounds are checked before any suite runs, so a
     # ValueError out of a suite is a crash, not a usage error.
-    def crash(bounds, rng):
+    def crash(bounds, rng, section):
         raise ValueError("shift partial sum is not positive")
 
     monkeypatch.setitem(mzv.verify._SUITES, "sign", crash)
@@ -690,6 +690,35 @@ def test_a_full_stdout_is_an_internal_error_in_process_and_out(capsys, monkeypat
     assert code == child.returncode == mzv.cli.EXIT_INTERNAL
     assert err == "error: internal error: OSError: [Errno 28] No space left on device\n"
     assert child_err == err.encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["value", "--kind", "mzf-reg", "--index", "x"], 2),
+        (["value", "--kind", "mzf-rev", "--index", "1,1", "--json"], 3),
+    ],
+    ids=["usage", "internal"],
+)
+def test_an_unwritable_stderr_keeps_the_exit_code(argv, code, stderr):
+    # The error line cannot be written: with fd 2 closed, sys.stderr is None,
+    # and with fd 2 open for reading (as after `2>&-` under a launcher that
+    # reopens it) the write fails with EBADF.  Neither may reach stdout or
+    # escape as an exception, which would exit 1 ("an identity failed").  The
+    # internal error is a full stdout.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mzv.__file__)))
+    with open("/dev/full", "w") as full, open(os.devnull, "rb") as read_only:
+        child = subprocess.run(
+            [sys.executable, "-m", "mzv.cli", *argv],
+            stdout=full if code == 3 else subprocess.PIPE,
+            stderr=read_only if stderr == "read-only" else None,
+            preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
+            env=env,
+            timeout=60,
+        )
+    assert (child.returncode, child.stdout) == (code, None if code == 3 else b"")
 
 
 def test_cache_dir_is_ignored(tmp_path, monkeypatch, capsys):

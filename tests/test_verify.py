@@ -75,22 +75,36 @@ def test_one_cpu_runs_every_suite_in_the_calling_thread(monkeypatch, usable_cpus
     threads = {}
     for name, fn in list(verify._SUITES.items()):
 
-        def recorded(bounds, rng, name=name, fn=fn):
-            threads[name] = threading.current_thread()
-            return fn(bounds, rng)
+        def recorded(bounds, rng, section, name=name, fn=fn):
+            threads[name, section] = threading.current_thread()
+            return fn(bounds, rng, section)
 
         monkeypatch.setitem(verify._SUITES, name, recorded)
     results = run_suites(["all"], SMALL)
     assert [res.suite for res in results] == sorted(SUITE_NAMES)
     assert all(res.ok for res in results)
-    assert threads == {name: threading.current_thread() for name in SUITE_NAMES}
+    units = verify._units(SUITE_NAMES)
+    assert len(units) > len(SUITE_NAMES)
+    assert threads == {unit: threading.current_thread() for unit in units}
 
 
-def test_one_suite_never_forks(monkeypatch, capsys, usable_cpus):
+def test_one_unit_never_forks(monkeypatch, capsys, usable_cpus):
     usable_cpus(2)
+    assert verify._units(["sign"]) == [("sign", 0)]
     monkeypatch.setattr(os, "fork", _no_fork)
+    assert main(["verify", "--suite", "sign", "--max-depth", "2", "--max-weight", "2"]) == 0
+    assert capsys.readouterr().out == "sign: 15 identities verified\n"
+
+
+def test_asym_alone_runs_on_every_usable_cpu(monkeypatch, capsys, usable_cpus):
+    # asym is several units, so it forks like a request for several suites,
+    # and prints what it prints on one CPU.
+    usable_cpus(2)
+    fork, calls = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
     assert main(["verify", "--suite", "asym", "--max-depth", "2", "--max-weight", "2"]) == 0
     assert capsys.readouterr().out == "asym: 463 identities verified\n"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -110,14 +124,15 @@ def test_more_workers_than_cpus_run_each_suite_once(monkeypatch, usable_cpus):
     ran, log = os.pipe()
     for name, fn in list(verify._SUITES.items()):
 
-        def logged(bounds, rng, name=name, fn=fn):
-            os.write(log, f"{name}\n".encode())
-            return fn(bounds, rng)
+        def logged(bounds, rng, section, name=name, fn=fn):
+            os.write(log, f"{name}/{section}\n".encode())
+            return fn(bounds, rng, section)
 
         monkeypatch.setitem(verify._SUITES, name, logged)
     try:
         results = run_suites(["all"], SMALL)
-        assert sorted(os.read(ran, 4096).decode().split()) == sorted(SUITE_NAMES)
+        units = sorted(f"{name}/{section}" for name, section in verify._units(SUITE_NAMES))
+        assert sorted(os.read(ran, 4096).decode().split()) == units
         assert results == [run_suite(name, SMALL) for name in SUITE_NAMES]
     finally:
         os.close(ran)
@@ -130,7 +145,7 @@ def test_a_worker_exception_is_raised_with_its_type_and_message(
 ):
     usable_cpus(2)
 
-    def crash(bounds, rng):
+    def crash(bounds, rng, section):
         raise error("planted crash")
 
     monkeypatch.setitem(verify._SUITES, "sign", crash)
@@ -141,7 +156,9 @@ def test_a_worker_exception_is_raised_with_its_type_and_message(
 
 def test_a_killed_worker_exits_3(monkeypatch, capsys, usable_cpus, in_worker):
     usable_cpus(2)
-    monkeypatch.setitem(verify._SUITES, "sign", lambda bounds, rng: os.kill(os.getpid(), signal.SIGKILL))
+    monkeypatch.setitem(
+        verify._SUITES, "sign", lambda bounds, rng, section: os.kill(os.getpid(), signal.SIGKILL)
+    )
     in_worker("sign")
     assert main(["verify", "--suite", "all", "--max-depth", "2", "--max-weight", "2"]) == 3
     out, err = capsys.readouterr()
@@ -153,24 +170,34 @@ def test_a_killed_worker_exits_3(monkeypatch, capsys, usable_cpus, in_worker):
 def test_a_caller_killed_by_sigkill_leaves_no_worker_that_starts_another_suite(
     monkeypatch, usable_cpus, in_worker
 ):
-    # The caller runs in a child of this process, which SIGKILLs it while the
-    # worker holds a planted bernoulli suite; released, the worker must finish
-    # that suite, pull no next one (choi) and exit.  Every suite writes to
-    # `report`, whose last write end is the worker's once this process closes
-    # its copy and the caller is dead, so EOF there means the worker exited.
+    # The caller runs in a child of this process, which SIGKILLs it while it
+    # holds asym's first unit and the worker holds a planted choi suite, the
+    # worker having run asym's other units; released, the worker must finish
+    # choi, pull no next unit (bernoulli) and exit.  Both planted suites write
+    # to `report`, whose last write end is the worker's once this process
+    # closes its copy and the caller is dead, so EOF there means the worker
+    # exited.
     usable_cpus(2)
+    assert verify._units(["bernoulli", "choi"]) == [("choi", 0), ("bernoulli", 0)]
     reported, report = os.pipe()
     released, release = os.pipe()
 
-    def held(bounds, rng):
-        os.write(report, f"bernoulli {os.getpid()}\n".encode())
+    def held(bounds, rng, section):
+        os.write(report, f"choi {os.getpid()}\n".encode())
         os.read(released, 1)
-        return verify.SuiteResult("bernoulli", 0, ())
+        return verify.SuiteResult("choi", 0, ())
 
-    monkeypatch.setitem(verify._SUITES, "asym", lambda bounds, rng: time.sleep(120))
-    monkeypatch.setitem(verify._SUITES, "bernoulli", held)
-    monkeypatch.setitem(verify._SUITES, "choi", lambda bounds, rng: os.write(report, b"choi\n"))
-    in_worker("bernoulli")
+    asym = verify._SUITES["asym"]
+    monkeypatch.setitem(
+        verify._SUITES,
+        "asym",
+        lambda bounds, rng, section: time.sleep(120) if section == 0 else asym(bounds, rng, section),
+    )
+    monkeypatch.setitem(verify._SUITES, "choi", held)
+    monkeypatch.setitem(
+        verify._SUITES, "bernoulli", lambda bounds, rng, section: os.write(report, b"bernoulli\n")
+    )
+    in_worker("choi")
     caller = os.fork()
     if caller == 0:
         try:
@@ -180,7 +207,7 @@ def test_a_caller_killed_by_sigkill_leaves_no_worker_that_starts_another_suite(
     os.close(report)
     worker, exited = None, False
     try:
-        log = _read_within(reported)  # one short write: "bernoulli <worker pid>"
+        log = _read_within(reported)  # one short write: "choi <worker pid>"
         worker = int(log.split()[1])
         os.kill(caller, signal.SIGKILL)
         assert os.waitpid(caller, 0)[1] == signal.SIGKILL
@@ -197,7 +224,7 @@ def test_a_caller_killed_by_sigkill_leaves_no_worker_that_starts_another_suite(
             os.waitpid(caller, 0)
         for fd in (reported, released, release):
             os.close(fd)
-    assert log == f"bernoulli {worker}\n".encode()
+    assert log == f"choi {worker}\n".encode()
     with contextlib.suppress(ChildProcessError):
         os.waitpid(worker, 0)  # reaped here only if this process adopted the orphan
 
@@ -205,11 +232,15 @@ def test_a_caller_killed_by_sigkill_leaves_no_worker_that_starts_another_suite(
 def test_an_interrupt_in_the_caller_kills_and_reaps_the_workers(monkeypatch, usable_cpus, in_worker):
     usable_cpus(2)
 
-    def interrupted(bounds, rng):
-        raise KeyboardInterrupt
+    asym = verify._SUITES["asym"]
+
+    def interrupted(bounds, rng, section):
+        if section == 0:  # the caller's first unit
+            raise KeyboardInterrupt
+        return asym(bounds, rng, section)
 
     monkeypatch.setitem(verify._SUITES, "asym", interrupted)
-    monkeypatch.setitem(verify._SUITES, "gregory", lambda bounds, rng: time.sleep(120))
+    monkeypatch.setitem(verify._SUITES, "gregory", lambda bounds, rng, section: time.sleep(120))
     in_worker("gregory")
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -269,10 +300,26 @@ BENCH_COUNTS = {
 }
 
 
+# At these bounds the runs of asym's staircase at r = max_r are largest.
+LARGE_COUNTS = {
+    "asym": 46593,
+    "bernoulli": 279,
+    "choi": 1807,
+    "gregory": 326,
+    "sign": 10013,
+    "stirling": 3672,
+    "values": 16332,
+}
+
+
 @pytest.mark.parametrize(
     "bounds, counts",
-    [(Bounds(), DEFAULT_COUNTS), (Bounds(max_depth=4, max_weight=6, max_r=7), BENCH_COUNTS)],
-    ids=["default", "depth4-weight6-r7"],
+    [
+        (Bounds(), DEFAULT_COUNTS),
+        (Bounds(max_depth=4, max_weight=6, max_r=7), BENCH_COUNTS),
+        (Bounds(max_depth=6, max_weight=9, max_r=9), LARGE_COUNTS),
+    ],
+    ids=["default", "depth4-weight6-r7", "depth6-weight9-r9"],
 )
 def test_check_counts_are_pinned(bounds, counts):
     # A restructured suite must keep every check: the counts are exact.
@@ -339,11 +386,96 @@ def test_planted_wrong_routes_report_pinned_counterexamples(monkeypatch, capsys)
 def test_planted_wrong_routes_in_a_worker_report_pinned_counterexamples(
     monkeypatch, capsys, usable_cpus, in_worker
 ):
-    # The worker pulls every suite up to sign, so choi and sign run there.
+    # The worker pulls every unit after the caller's first, so asym's
+    # staircase at r = 3, choi and sign run there.
     usable_cpus(2)
     _plant_wrong_routes(monkeypatch)
     in_worker("sign")
     _assert_planted_counterexamples(capsys)
+
+
+# Faults planted in four of asym's units at depth 3, weight 3, r 3, where its
+# staircase at r = 4 has 35 tuples: the recurrence at the second of them and
+# the explicit path at the last, a parity check whose second shift is a
+# random draw, and the star bridge at (0, 2), which no other suite reads.
+# Every suite's result, failures in full, as the whole suite gave it in one
+# piece at 6bdad95.
+JOIN_BOUNDS = Bounds(max_depth=3, max_weight=3, max_r=3)
+JOINED_RESULTS = [
+    (
+        "asym",
+        2178,
+        (
+            "recurrence path i=4, r=4, l=(0, 0, 0, 1), a=(Fraction(1, 1), Fraction(1, 1), "
+            "Fraction(1, 1), Fraction(1, 1)): 719/720 != -1/720",
+            "recurrence path i=4, r=4, l=(0, 0, 0, 1), a=(Fraction(1, 1), Fraction(0, 1), "
+            "Fraction(0, 1), Fraction(0, 1)): 721/720 != 1/720",
+            "recurrence path i=4, r=4, l=(0, 0, 0, 1), a=(Fraction(4, 3), Fraction(1, 1), "
+            "Fraction(1, 4), Fraction(3, 4)): 46139/46080 != 59/46080",
+            "explicit path i=1, r=4, l=(3, 0, 0, 0), a=(Fraction(1, 1), Fraction(1, 1), "
+            "Fraction(1, 1), Fraction(1, 1)): -1119/1120 != 1/1120",
+            "explicit path i=1, r=4, l=(3, 0, 0, 0), a=(Fraction(1, 1), Fraction(0, 1), "
+            "Fraction(0, 1), Fraction(0, 1)): -1121/1120 != -1/1120",
+            "explicit path i=1, r=4, l=(3, 0, 0, 0), a=(Fraction(4, 3), Fraction(1, 1), "
+            "Fraction(1, 4), Fraction(3, 4)): -117586519/117573120 != -13399/117573120",
+            "complement parity i=2, r=3, l=(0, 1, 1), a=(Fraction(1, 1), Fraction(1, 1), "
+            "Fraction(1, 1))",
+            "complement parity i=2, r=3, l=(0, 1, 1), a=(Fraction(1, 2), Fraction(0, 1), "
+            "Fraction(1, 1))",
+            "star bridge l=(0, 2): 1/90 != 91/90",
+        ),
+    ),
+    ("bernoulli", 279, ()),
+    ("choi", 67, ()),
+    ("gregory", 53, ()),
+    ("sign", 43, ()),
+    ("stirling", 3672, ()),
+    ("values", 206, ()),
+]
+
+
+def _plant_faults_across_asym_units(monkeypatch):
+    c_rec, c_explicit, parity, grid = (
+        verify._c_rec, verify._c_explicit, verify._parity_holds, verify.value_grid
+    )
+
+    def wrong_rec(i, r, l, a, memo):
+        value = c_rec(i, r, l, a, memo)
+        return value + 1 if (i, l) == (4, (0, 0, 0, 1)) else value
+
+    def wrong_explicit(i, r, l, a, memo):
+        value = c_explicit(i, r, l, a, memo)
+        return value - 1 if (i, l) == (1, (3, 0, 0, 0)) else value
+
+    def wrong_grid(kind, max_depth, max_weight):
+        for l, v in grid(kind, max_depth, max_weight):
+            yield l, v + 1 if (kind, l) == ("mzsf-reg", (0, 2)) else v
+
+    monkeypatch.setattr(verify, "_c_rec", wrong_rec)
+    monkeypatch.setattr(verify, "_c_explicit", wrong_explicit)
+    monkeypatch.setattr(
+        verify,
+        "_parity_holds",
+        lambda i, r, l, a, memo, top: parity(i, r, l, a, memo, top) and (i, l) != (2, (0, 1, 1)),
+    )
+    monkeypatch.setattr(verify, "value_grid", wrong_grid)
+
+
+def test_the_planted_faults_fall_in_four_asym_units(monkeypatch):
+    # The first and the last run of the staircase at r = 4, the basis-shift
+    # and parity unit, and the bridges.
+    _plant_faults_across_asym_units(monkeypatch)
+    failing = [unit for unit in verify._units(["asym"]) if verify._run_unit(unit, JOIN_BOUNDS).failures]
+    top = verify._TOP_PARTS
+    assert failing == [("asym", 1), ("asym", top), ("asym", top + 1), ("asym", top + 2)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 7])
+def test_units_join_to_the_whole_suite_failures_included(monkeypatch, usable_cpus, cpus):
+    usable_cpus(cpus)
+    _plant_faults_across_asym_units(monkeypatch)
+    assert [tuple(res) for res in run_suites(["all"], JOIN_BOUNDS)] == JOINED_RESULTS
+    assert tuple(run_suite("asym", JOIN_BOUNDS)) == JOINED_RESULTS[0]
 
 
 # The recurrence grids each suite reads, by kind.
