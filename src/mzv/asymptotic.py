@@ -23,18 +23,23 @@ d = (1,...,1,0,...,0):
 
 The three paths share only the base table of B_n(a)/n!, read as rows of
 integer numerators over one denominator per (shift, top)
-(:func:`mzv.bernoulli.shift_ratios`).  Each path keeps its own formula and
-adds its terms as integers, building one Fraction per sum.  Each path also
-keeps its own memo, passed in by the caller and never held by the module:
-the definition sum keeps one path of prefix rows per stream (top, d,
-a_1..a_{r-1}), the rows of the last prefix l_1..l_{r-1} that stream
-computed, each row kept up to the stream's largest partial sum ``top``; the
-explicit path keeps its chains under their links, and the recurrence one
-row of sub-values per parent, as integer numerators over one denominator,
-per (i, r, shift).  A grid of calls can share one memo per path (the
-``asym`` suite does, for one run, with one top per depth, so each step of
-the last index entry costs the definition sum one dot product); a single
-public call starts from an empty one.
+(:func:`mzv.bernoulli.shift_ratios`, keyed on the shift entry as the int pair
+(p, q)).  Each path keeps its own formula and adds its terms as integers.
+Inside the module a shift is a tuple of such pairs (:data:`Pairs`), and a
+path returns its value as an unreduced pair, an integer numerator over a
+positive integer denominator (:data:`Ratio`): the public functions reduce it
+to a Fraction once, and a caller that compares two paths can
+cross-multiply.  Each path also keeps its own memo, passed in by the caller
+and never held by the module: the definition sum keeps one path of prefix
+rows per stream (top, d, a_1..a_{r-1}), the rows of the last prefix
+l_1..l_{r-1} that stream computed, each row kept up to the stream's largest
+partial sum ``top``; the explicit path keeps its chains under their links,
+and the recurrence one row of sub-values per parent, as integer numerators
+over one denominator, per (i, r, shift).  A grid of calls can share one
+memo per path (the ``asym`` suite does, for the units of one run that run
+in one process, with one top per depth, so each step of the last index
+entry costs the definition sum one dot product); a single public call
+starts from an empty one.
 
 The module also computes generalized Gregory coefficients G_{m,n} as
 coefficients of the bivariate series
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _product
-from math import factorial, lcm, perm, prod
+from math import factorial, gcd, lcm, perm, prod
 from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
@@ -65,6 +70,13 @@ from .values import IndexTuple, as_index_tuple
 
 Direction = Tuple[int, ...]
 Shift = Tuple[Fraction, ...]
+# A shift as the private paths read it: entry p/q as the int pair (p, q) in
+# lowest terms with q > 0.  Such pairs hash and compare faster than Fractions,
+# and the complement 1 - p/q is (q - p, q), again in lowest terms.
+Pairs = Tuple[Tuple[int, int], ...]
+# A value as the private paths return it: (numerator, denominator), the
+# denominator positive and the pair not reduced.
+Ratio = Tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +129,13 @@ def staircase_direction(i: int, r: int) -> Direction:
     return (1,) * (i - 1) + (0,) * (r - i)
 
 
-def _ones_shift(r: int) -> Shift:
-    return (Fraction(1),) * r
+def _ones_shift(r: int) -> Pairs:
+    return ((1, 1),) * r
+
+
+def _pairs(a: Shift) -> Pairs:
+    """A shift of Fractions as int pairs (:data:`Pairs`)."""
+    return tuple((c.numerator, c.denominator) for c in a)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +144,8 @@ def _ones_shift(r: int) -> Shift:
 
 
 def _asym_sum(
-    l: IndexTuple, d: "Direction | None", a: Shift, memo: dict, top: "int | None" = None
-) -> Fraction:
+    l: IndexTuple, d: "Direction | None", a: Pairs, memo: dict, top: "int | None" = None
+) -> Ratio:
     """Definition sum, assuming validated inputs; ``d=None`` sums C^(d)(-l; a)
     over all 2^(r-1) directions d in the same single pass.
 
@@ -150,7 +167,8 @@ def _asym_sum(
     (l_1..l_j, d_1..d_j, a_1..a_j), on d_{j+1} (a one there caps u_j at
     H_j + j) and on ``top`` (at least r + |l|), the largest u a row keeps.
     Each row is integers over one denominator, the product of its slots'
-    B_n(a)/n! table denominators, each read at the span its row needs.
+    B_n(a)/n! table denominators, each read at the span its row needs, and
+    the value is returned over that product too, unreduced.
 
     ``memo`` keeps, per stream (top, d, a_1..a_{r-1}), the r - 1 rows along
     the last prefix l_1..l_{r-1} the stream computed; a call rebuilds rows
@@ -164,42 +182,43 @@ def _asym_sum(
     r, total = len(l), len(l) + sum(l)
     top = total if top is None else top
     dirs = (None,) * (r - 1) if d is None else d
-    # The shift entries as ints, which hash faster than Fractions.
-    stream = (top, d, *[(c.numerator, c.denominator) for c in a[:-1]])
+    stream = (top, d, *a[:-1])
     prefix = l[:-1]
     kept_prefix, rows = memo.get(stream, ((), []))
-    k = 0
-    while k < len(kept_prefix) and kept_prefix[k] == prefix[k]:
-        k += 1
-    rows = rows[:k]
+    if kept_prefix != prefix:
+        k = 0
+        while k < len(kept_prefix) and kept_prefix[k] == prefix[k]:
+            k += 1
+        rows = rows[:k]
+        den, low, row = rows[-1] if rows else (1, 0, [1])
+        head = sum(prefix[:k])
+        for j in range(k + 1, r):
+            lj, bit = l[j - 1], dirs[j - 1]
+            one_hi = head + j - 1  # d_j = 1: u_j <= H_{j-1} + j - 1
+            head += lj
+            # d_{j+1} = 1 bounds u_j <= u_{j+1} <= H_j + j.
+            cap = min(top, head + j) if j < r - 1 and dirs[j] == 1 else top
+            us = [] if bit == 0 else list(range(low, min(cap, one_hi) + 1))
+            if bit != 1:
+                us += range(max(low, head + j), cap + 1)  # d_j = 0: u_j >= H_j + j
+            if row and us:
+                slot_den, bern = shift_ratios(a[j - 1], us[-1] - low)
+                nxt = [0] * (us[-1] - us[0] + 1)
+                for u in us:
+                    x = head - u + j - 1
+                    ff = prod(range(x, x - lj, -1))
+                    nxt[u - us[0]] = ff * sum(map(mul, row, bern[u - low :: -1]))
+                den, low, row = den * slot_den, us[0], nxt
+            else:
+                den, low, row = 1, 0, []
+            rows.append((den, low, row))
+        memo[stream] = prefix, rows
     den, low, row = rows[-1] if rows else (1, 0, [1])
-    head = sum(prefix[:k])
-    for j in range(k + 1, r):
-        lj, bit = l[j - 1], dirs[j - 1]
-        one_hi = head + j - 1  # d_j = 1: u_j <= H_{j-1} + j - 1
-        head += lj
-        # d_{j+1} = 1 bounds u_j <= u_{j+1} <= H_j + j.
-        cap = min(top, head + j) if j < r - 1 and dirs[j] == 1 else top
-        us = [] if bit == 0 else list(range(low, min(cap, one_hi) + 1))
-        if bit != 1:
-            us += range(max(low, head + j), cap + 1)  # d_j = 0: u_j >= H_j + j
-        if row and us:
-            slot_den, bern = shift_ratios(a[j - 1], us[-1] - low)
-            nxt = [0] * (us[-1] - us[0] + 1)
-            for u in us:
-                x = head - u + j - 1
-                ff = prod(range(x, x - lj, -1))
-                nxt[u - us[0]] = ff * sum(map(mul, row, bern[u - low :: -1]))
-            den, low, row = den * slot_den, us[0], nxt
-        else:
-            den, low, row = 1, 0, []
-        rows.append((den, low, row))
-    memo[stream] = prefix, rows
     if not row:
-        return Fraction(0)
+        return 0, 1
     slot_den, bern = shift_ratios(a[-1], total - low)
     acc = factorial(l[-1]) * sum(map(mul, row, bern[total - low :: -1]))
-    return Fraction(-acc if (total + l[-1]) % 2 else acc, den * slot_den)
+    return -acc if (total + l[-1]) % 2 else acc, den * slot_den
 
 
 def asym_coeff(
@@ -209,7 +228,7 @@ def asym_coeff(
     lt = as_index_tuple(l)
     dt = as_direction(d, len(lt))
     at = as_shift(a, len(lt))
-    return _asym_sum(lt, dt, at, {})
+    return Fraction(*_asym_sum(lt, dt, _pairs(at), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -219,24 +238,23 @@ def asym_coeff(
 
 def _validated_staircase_args(
     i: int, r: int, l: Sequence[int], a: Sequence[RationalLike]
-) -> Tuple[IndexTuple, Shift]:
+) -> Tuple[IndexTuple, Pairs]:
     lt = as_index_tuple(l)
     if r != len(lt):
         raise ValueError(f"r={r} does not match the index depth {len(lt)}")
     if not 1 <= i <= r:
         raise ValueError(f"need 1 <= i <= r, got i={i}, r={r}")
-    at = as_shift(a, r)
-    return lt, at
+    return lt, _pairs(as_shift(a, r))
 
 
 def c_ir(i: int, r: int, l: Sequence[int], a: Sequence[RationalLike]) -> Fraction:
     """Staircase coefficient C_{i,r}(-l; a): direction (1,...,1,0,...,0)
     with i-1 ones, evaluated by the definition sum."""
     lt, at = _validated_staircase_args(i, r, l, a)
-    return _asym_sum(lt, staircase_direction(i, r), at, {})
+    return Fraction(*_asym_sum(lt, staircase_direction(i, r), at, {}))
 
 
-def _c22_closed(l1: int, l2: int, a2: Fraction) -> Fraction:
+def _c22_closed(l1: int, l2: int, a2: Tuple[int, int]) -> Ratio:
     """Depth-2 all-ones staircase coefficient in closed form.
 
     C_{2,2}(-(l1,l2); a) collapses to a single admissible exponent tuple,
@@ -246,11 +264,11 @@ def _c22_closed(l1: int, l2: int, a2: Fraction) -> Fraction:
     s = l1 + l2 + 2
     den, bern = shift_ratios(a2, s)
     sign = -1 if l1 % 2 else 1
-    return Fraction(sign * factorial(l1) * factorial(l2) * bern[s], den)
+    return sign * factorial(l1) * factorial(l2) * bern[s], den
 
 
-def _peel(sign: int, row: Tuple[Sequence[int], int], l: int, a: Fraction) -> Fraction:
-    """sign * sum_k C(l+1, k) B_{l+1-k}(a) subs[k] / (l+1), reduced once, with
+def _peel(sign: int, row: Tuple[Sequence[int], int], l: int, a: Tuple[int, int]) -> Ratio:
+    """sign * sum_k C(l+1, k) B_{l+1-k}(a) subs[k] / (l+1), unreduced, with
     row = (nums, den) and subs[k] = nums[k] / den for k <= l + 1.
 
     C(l+1, k) B_m(a) = (l+1)!/k! * B_m(a)/m! with m = l+1-k, an integer times
@@ -261,39 +279,48 @@ def _peel(sign: int, row: Tuple[Sequence[int], int], l: int, a: Fraction) -> Fra
     total = 0
     for k in range(l + 2):  # Horner in k: term k gathers the factors k+1..l+1
         total = total * k + bern[l + 1 - k] * nums[k]
-    return Fraction(sign * total, den * bden * (l + 1))
+    return sign * total, den * bden * (l + 1)
+
+
+def _lowest(value: Ratio) -> Ratio:
+    """A :data:`Ratio` in lowest terms, as a Fraction would keep it."""
+    num, den = value
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _rec_row(
-    memo: dict, key: tuple, lo: int, count: int, entry: Callable[[int], Fraction]
+    memo: dict, key: tuple, lo: int, count: int, entry: Callable[[int], Ratio]
 ) -> Tuple[List[int], int]:
     """Entries y = lo..lo+count-1 of the recurrence row under ``key``, the
     row's entry at y being ``entry(y)``, as (nums, den) over the row's one
     denominator.
 
     The memo keeps each row as (y0, nums, den), its entries from y0 up as
-    integer numerators over den.  A row starts at the smallest y asked of it
-    and grows to the largest; an entry is computed once, and a growth that
-    brings a larger denominator rescales the numerators already kept.
+    integer numerators over den, the lcm of the entries' reduced
+    denominators.  A row starts at the smallest y asked of it and grows to
+    the largest; an entry is computed once, and a growth that brings a larger
+    denominator rescales the numerators already kept.
     """
     y0, nums, den = memo.get(key) or (lo, [], 1)
     if lo < y0 or lo + count > y0 + len(nums):
-        below = [entry(y) for y in range(lo, y0)]
-        above = [entry(y) for y in range(y0 + len(nums), lo + count)]
-        grown = lcm(den, *(v.denominator for v in below + above))
+        below = [_lowest(entry(y)) for y in range(lo, y0)]
+        above = [_lowest(entry(y)) for y in range(y0 + len(nums), lo + count)]
+        grown = lcm(den, *(d for _, d in below + above))
         scale = grown // den
         nums = (
-            [v.numerator * (grown // v.denominator) for v in below]
+            [n * (grown // d) for n, d in below]
             + [n * scale for n in nums]
-            + [v.numerator * (grown // v.denominator) for v in above]
+            + [n * (grown // d) for n, d in above]
         )
         y0, den = min(y0, lo), grown
         memo[key] = y0, nums, den
     return nums[lo - y0 : lo - y0 + count], den
 
 
-def _c_rec(i: int, r: int, l: IndexTuple, a: Shift, memo: dict) -> Fraction:
-    """Depth reduction; memo maps a parent to its row of sub-values.
+def _c_rec(i: int, r: int, l: IndexTuple, a: Pairs, memo: dict) -> Ratio:
+    """Depth reduction; memo maps a parent to its row of sub-values, each
+    sub-value reduced before the row takes it.
 
     A last-slot peel of (i, r, head + (x, l_r)) reads C(i, r-1, head + (y,))
     for y = x..x+l_r+1, a run of the row under (i, r-1, head); a first-slot
@@ -310,7 +337,7 @@ def _c_rec(i: int, r: int, l: IndexTuple, a: Shift, memo: dict) -> Fraction:
     if r == 1:
         # -B_{l+1}(a)/(l+1) = -l! * B_{l+1}(a)/(l+1)!
         den, bern = shift_ratios(a[0], l[0] + 1)
-        return Fraction(-factorial(l[0]) * bern[l[0] + 1], den)
+        return -factorial(l[0]) * bern[l[0] + 1], den
     if i < r:
         # Peel the last slot: the tail exponent is confined to a window of
         # width l_r + 2, and each choice shifts the next-to-last index.
@@ -333,7 +360,8 @@ def _c_rec(i: int, r: int, l: IndexTuple, a: Shift, memo: dict) -> Fraction:
         memo, (r - 1, r - 1, tail), l[1], l[0] + 2,
         lambda y: _c_rec(r - 1, r - 1, (y,) + tail, a[1:], memo),
     )
-    return _peel(1, row, l[0], 1 - a[1])
+    p, q = a[1]
+    return _peel(1, row, l[0], (q - p, q))
 
 
 def c_ir_recurrence(
@@ -341,11 +369,11 @@ def c_ir_recurrence(
 ) -> Fraction:
     """Staircase coefficient via the two depth-reduction recurrences."""
     lt, at = _validated_staircase_args(i, r, l, a)
-    return _c_rec(i, r, lt, at, {})
+    return Fraction(*_c_rec(i, r, lt, at, {}))
 
 
 def _chain(
-    weights: "dict[int, int]", lj: int, aj: Fraction
+    weights: "dict[int, int]", lj: int, aj: Tuple[int, int]
 ) -> "Tuple[dict[int, int], int]":
     """One link of a c_ir_explicit chain, in integers over a new denominator.
 
@@ -370,11 +398,11 @@ def _chain(
 
 
 def _chain_links(
-    links: "Tuple[Tuple[int, int, int], ...]", memo: dict
+    links: "Tuple[Tuple[int, Tuple[int, int]], ...]", memo: dict
 ) -> "Tuple[dict[int, int], int]":
-    """The chain {0: 1} carried through the links (l_j, p, q), the shift
-    p/q in lowest terms as two ints that hash faster than a Fraction, in
-    order, as (weights, den); ``memo`` keeps the chain of every prefix.
+    """The chain {0: 1} carried through the links (l_j, a_j), the shift a_j
+    as its int pair (:data:`Pairs`), in order, as (weights, den); ``memo``
+    keeps the chain of every prefix.
 
     A chain reads nothing but its links, so the key is the links themselves
     and one memo may serve any calls, the right and the left chains alike.
@@ -384,22 +412,20 @@ def _chain_links(
         k -= 1
     weights, den = memo[links[:k]] if k else ({0: 1}, 1)
     for m in range(k, len(links)):
-        lj, p, q = links[m]
-        weights, link_den = _chain(weights, lj, Fraction(p, q))
+        weights, link_den = _chain(weights, *links[m])
         den *= link_den
         memo[links[: m + 1]] = weights, den
     return weights, den
 
 
-def _c_explicit(i: int, r: int, lt: IndexTuple, at: Shift, memo: dict) -> Fraction:
+def _c_explicit(i: int, r: int, lt: IndexTuple, at: Pairs, memo: dict) -> Ratio:
     """:func:`c_ir_explicit` on validated inputs; ``memo`` keeps the chains
     (:func:`_chain_links`)."""
     # Right chain: variables k_r, ..., k_{i+1}; k_{r+1} = 0.  After it,
     # right[k] is k! times the summed product of the weights
     # comb(k_{j+1}+l_j+1, k_j) * B_{k_{j+1}+l_j+1-k_j}(a_j) / (k_{j+1}+l_j+1)
     # over j = r, ..., i+1 with k_{i+1} = k, as an integer over den.
-    links = tuple((lj, aj.numerator, aj.denominator) for lj, aj in zip(lt[i:], at[i:]))
-    right, den = _chain_links(links[::-1], memo)
+    right, den = _chain_links(tuple(zip(lt[i:], at[i:]))[::-1], memo)
 
     sign = -1 if (r - i) % 2 else 1
 
@@ -409,13 +435,11 @@ def _c_explicit(i: int, r: int, lt: IndexTuple, at: Shift, memo: dict) -> Fracti
         l1 = lt[0]
         core_den, bern = shift_ratios(at[0], l1 + 1 + max(right))
         total = sum(w * perm(l1 + k2, l1) * bern[l1 + k2 + 1] for k2, w in right.items())
-        return Fraction(-sign * total, den * core_den)
+        return -sign * total, den * core_den
 
     # Left chain: variables k_1, ..., k_{i-2}; k_0 = 0; weights use the
     # complement shifts 1 - a_{j+1} = (q - p)/q.  For i == 2 the chain is empty.
-    links = tuple(
-        (lj, c.denominator - c.numerator, c.denominator) for lj, c in zip(lt, at[1 : i - 1])
-    )
+    links = tuple((lj, (q - p, q)) for lj, (p, q) in zip(lt, at[1 : i - 1]))
     left, left_den = _chain_links(links, memo)
     den *= left_den
 
@@ -432,7 +456,7 @@ def _c_explicit(i: int, r: int, lt: IndexTuple, at: Shift, memo: dict) -> Fracti
             if (la + k_left) % 2:
                 core = -core
             total += w_right * w_left * core
-    return Fraction(sign * total, den * core_den)
+    return sign * total, den * core_den
 
 
 def c_ir_explicit(
@@ -451,7 +475,7 @@ def c_ir_explicit(
     at the end.
     """
     lt, at = _validated_staircase_args(i, r, l, a)
-    return _c_explicit(i, r, lt, at, {})
+    return Fraction(*_c_explicit(i, r, lt, at, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +531,8 @@ def gregory_origin_check(r: int) -> bool:
     ones = _ones_shift(r)
     memo: dict = {}
     return all(
-        _asym_sum(zeros, staircase_direction(i, r), ones, memo) == gregory(i, r - i + 2)
+        Fraction(*_asym_sum(zeros, staircase_direction(i, r), ones, memo))
+        == gregory(i, r - i + 2)
         for i in range(1, r + 1)
     )
 
@@ -629,7 +654,7 @@ def origin_decomposition_check(r: int) -> bool:
                 right_d = (1,) + d[t + 1 :]
                 left = _asym_sum((0,) * t, left_d, _ones_shift(t), memo)
                 right = _asym_sum((0,) * (r - t), right_d, _ones_shift(r - t), memo)
-                if whole != left * right:
+                if whole[0] * left[1] * right[1] != left[0] * right[0] * whole[1]:
                     return False
     return True
 
@@ -652,7 +677,7 @@ def gregory_bundling_check(r: int) -> bool:
     for j in range((r - 1) // 2 + 1):
         for k in range(r - 1 - 2 * j + 1):
             lhs = sum(
-                (_asym_sum(zeros, d, ones, memo) for d in enumerate_I(j, k, r)),
+                (Fraction(*_asym_sum(zeros, d, ones, memo)) for d in enumerate_I(j, k, r)),
                 Fraction(0),
             )
             rhs = sum(
@@ -760,23 +785,26 @@ def _star_relation_holds(
 ) -> bool:
     """:func:`star_coeff_relation_check` on validated inputs, reading the
     definition sum at ``top`` and the merged depth-(r-1) tuple at top - 1
-    (both at their own r + |l| when ``top`` is None)."""
+    (both at their own r + |l| when ``top`` is None), and deciding the
+    relation by cross-multiplication."""
     d = staircase_direction(i, r)
-    ones = _ones_shift(r)
     # The basis shift e_p has partial sums 0 before slot p; the definition sum
     # is well defined there, though asym_coeff refuses such a shift.
-    e_p = tuple(Fraction(1 if t == p - 1 else 0) for t in range(r))
+    e_p = tuple((1, 1) if t == p - 1 else (0, 1) for t in range(r))
     sign = -1 if (r + sum(lt)) % 2 else 1
-    lhs = _asym_sum(lt, d, e_p, memo, top) - sign * _asym_sum(lt, d, ones, memo, top)
+    e_num, e_den = _asym_sum(lt, d, e_p, memo, top)
+    ones_num, ones_den = _asym_sum(lt, d, _ones_shift(r), memo, top)
+    # D as a numerator over a positive denominator.
+    lhs_num, lhs_den = e_num * ones_den - sign * ones_num * e_den, e_den * ones_den
     if p == 1 or p == i:
-        return lhs == 0
+        return lhs_num == 0
     merged = lt[: p - 2] + (lt[p - 2] + lt[p - 1],) + lt[p:]
     sub_i = i - 1 if p < i else i
     sub_top = None if top is None else top - 1
-    rhs = sign * _asym_sum(
+    rhs_num, rhs_den = _asym_sum(
         merged, staircase_direction(sub_i, r - 1), _ones_shift(r - 1), memo, sub_top
     )
-    return lhs == rhs
+    return lhs_num * rhs_den == sign * rhs_num * lhs_den
 
 
 def parity_check(i: int, r: int, l: Sequence[int], a: Sequence[RationalLike]) -> bool:
@@ -793,15 +821,16 @@ def parity_check(i: int, r: int, l: Sequence[int], a: Sequence[RationalLike]) ->
     for c in entries:
         if not 0 <= c <= 1:
             raise ValueError(f"shift entries must lie in [0, 1], got {c}")
-    return _parity_holds(i, r, lt, entries, {}, None)
+    return _parity_holds(i, r, lt, _pairs(entries), {}, None)
 
 
 def _parity_holds(
-    i: int, r: int, lt: IndexTuple, a: Shift, memo: dict, top: "int | None"
+    i: int, r: int, lt: IndexTuple, a: Pairs, memo: dict, top: "int | None"
 ) -> bool:
     """:func:`parity_check` on validated inputs, reading the definition sum
-    at ``top`` (at r + |l| when None)."""
+    at ``top`` (at r + |l| when None), decided by cross-multiplication."""
     d = staircase_direction(i, r)
-    comp = tuple(1 - c for c in a)
     sign = -1 if (r + sum(lt)) % 2 else 1
-    return _asym_sum(lt, d, a, memo, top) == sign * _asym_sum(lt, d, comp, memo, top)
+    num, den = _asym_sum(lt, d, a, memo, top)
+    comp_num, comp_den = _asym_sum(lt, d, tuple((q - p, q) for p, q in a), memo, top)
+    return num * comp_den == sign * comp_num * den

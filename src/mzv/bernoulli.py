@@ -20,8 +20,9 @@ Bernoulli polynomial values B_n(a)/n! are kept per shift a = p/q in one
 list that only grows by appending, each value computed once: with L a
 multiple of the denominators of B_0..B_n, q^n L B_n(a) =
 sum_k C(n,k) (L B_k) p^(n-k) q^k is an integer.  :func:`shift_ratios` reads
-that list as one row per (shift, top), integer numerators over
-top! q^top L(top), so a sum over the row can be added up as integers.
+that list as one row per (shift, top), the shift given as the int pair
+(p, q), integer numerators over top! q^top L(top), so a sum over the row can
+be added up as integers.
 
 The iterated Hurwitz-type sum of depth r at argument -l with shift z > 0 has
 the exact value
@@ -46,8 +47,8 @@ _BERNOULLI: List[Fraction] = []
 _ZETA_NEG: List[Fraction] = []
 # Per shift a = p/q, keyed by (p, q): B_0(a)/0!, B_1(a)/1!, ... in order.
 _SHIFT_VALUES: Dict[Tuple[int, int], List[Fraction]] = {}
-# Keyed by (p, q, top): the row (den, nums) that shift_ratios returns.
-_SHIFT_ROWS: Dict[Tuple[int, int, int], Tuple[int, Tuple[int, ...]]] = {}
+# Keyed by ((p, q), top): the row (den, nums) that shift_ratios returns.
+_SHIFT_ROWS: Dict[Tuple[Tuple[int, int], int], Tuple[int, Tuple[int, ...]]] = {}
 
 
 def _tangent_numbers(k: int) -> List[int]:
@@ -118,9 +119,10 @@ def _denominator_lcm(n: int) -> int:
     return lcm(*(b.denominator for b in _BERNOULLI[: n + 1]))
 
 
-def _scaled_bernoulli_poly(a: Fraction, n: int, big_l: int) -> int:
-    """q^n L B_n(a) for a = p/q, L a multiple of the denominators of B_0..B_n."""
-    p, q = a.numerator, a.denominator
+def _scaled_bernoulli_poly(a: Tuple[int, int], n: int, big_l: int) -> int:
+    """q^n L B_n(a) for a = p/q given as (p, q), L a multiple of the
+    denominators of B_0..B_n."""
+    p, q = a
     # Horner in p over the terms C(n,k) (L B_k) q^k p^(n-k).
     acc, c, qk = 0, 1, 1
     for k in range(n + 1):
@@ -131,12 +133,13 @@ def _scaled_bernoulli_poly(a: Fraction, n: int, big_l: int) -> int:
     return acc
 
 
-def _shift_values(a: Fraction, n: int) -> List[Fraction]:
-    """The list [B_0(a)/0!, B_1(a)/1!, ...] of shift a, grown to hold index n."""
-    values = _SHIFT_VALUES.setdefault((a.numerator, a.denominator), [])
+def _shift_values(a: Tuple[int, int], n: int) -> List[Fraction]:
+    """The list [B_0(a)/0!, B_1(a)/1!, ...] of shift a = p/q, given as (p, q)
+    in lowest terms, grown to hold index n."""
+    values = _SHIFT_VALUES.setdefault(a, [])
     have = len(values)
     if n >= have:
-        big_l, q = _denominator_lcm(n), a.denominator
+        big_l, q = _denominator_lcm(n), a[1]
         values.extend(
             Fraction(_scaled_bernoulli_poly(a, m, big_l), q**m * big_l * factorial(m))
             for m in range(have, n + 1)
@@ -144,19 +147,20 @@ def _shift_values(a: Fraction, n: int) -> List[Fraction]:
     return values
 
 
-def shift_ratios(a: Fraction, top: int) -> Tuple[int, Tuple[int, ...]]:
+def shift_ratios(a: Tuple[int, int], top: int) -> Tuple[int, Tuple[int, ...]]:
     """(den, nums) with B_n(a)/n! = nums[n] / den for 0 <= n <= top.
 
-    ``a`` must be a Fraction.  den = top! q^top L(top) for a = p/q, so the
-    row depends on (a, top) alone and a sum over it is a sum of integers.
-    Each row is built once, by one integer division per entry.
+    ``a`` is the shift p/q as the int pair (p, q) in lowest terms, q > 0,
+    which hashes faster than a Fraction.  den = top! q^top L(top), so the row
+    depends on (a, top) alone and a sum over it is a sum of integers.  Each
+    row is built once, by one integer division per entry.
     """
-    key = (a.numerator, a.denominator, top)  # hashes and compares faster than a
+    key = (a, top)
     row = _SHIFT_ROWS.get(key)
     if row is None:
         if top < 0:
             raise ValueError(f"need top >= 0, got {top}")
-        den = factorial(top) * a.denominator**top * _denominator_lcm(top)
+        den = factorial(top) * a[1] ** top * _denominator_lcm(top)
         values = _shift_values(a, top)[: top + 1]
         row = _SHIFT_ROWS[key] = (den, tuple(v.numerator * (den // v.denominator) for v in values))
     return row
@@ -166,7 +170,8 @@ def bernoulli_poly_at(n: int, z: RationalLike) -> Fraction:
     """B_n(z) at a rational point, read from the per-shift list."""
     if n < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-    return _shift_values(rat(z), n)[n] * factorial(n)
+    zv = rat(z)
+    return _shift_values((zv.numerator, zv.denominator), n)[n] * factorial(n)
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +181,7 @@ def _ratio_power(m: int, order: int):
         return tuple([Fraction(1)] + [Fraction(0)] * order)
     if m == 1:
         # B_n(0)/n! = B_n/n!, with the B_1 = -1/2 of R(X) itself.
-        return tuple(_shift_values(Fraction(0), order)[: order + 1])
+        return tuple(_shift_values((0, 1), order)[: order + 1])
     half = _ratio_power(m - 1, order)
     base = _ratio_power(1, order)
     out = [Fraction(0)] * (order + 1)

@@ -102,6 +102,18 @@ STIRLING_MAX_N = 2_000
 # cap, s-poly --n 2000 --m 1 --y=1/(2^50 - 1) (99,950) takes 3.4 s wall and S-poly 0.7 s;
 # --y=1/10^300 (997 bits, 1,993,003) was still running after 30 s.
 STIRLING_MAX_Y_BITS = 100_000
+# `mzv verify` refuses larger bounds up front.  --max-r bounds the pure-depth grids: the
+# gregory suite walks all 2^(r-1) direction vectors, and on a 2-core 2.1 GHz Xeon it takes
+# 1.3 s wall at --max-r 12, 2.7 s at 13, 3.8 s at 14 and 18 s at 16.  The other suites walk
+# the C(D + W + 1, D) - 1 index tuples of depth up to D = --max-depth and weight up to
+# W = --max-weight, and a tuple costs more as D or W grows, so each has its own cap
+# too.  With --max-r 12, --suite all takes 13-16 s wall on two CPUs at D = 7, W = 12
+# (77,519 tuples), 9-14 s at (8, 10) and 8 s at (6, 14), while (6, 15) (74,613 tuples)
+# takes 20 s and (12, 5) (18,563 tuples) 7 s.
+VERIFY_MAX_R = 12
+VERIFY_MAX_DEPTH = 8
+VERIFY_MAX_WEIGHT = 14
+VERIFY_MAX_TUPLES = 80_000
 
 
 # One output record: (query, exact value, provenance).  The value is an int or a
@@ -393,6 +405,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"need --max-depth >= 1, --max-weight >= 0 and --max-r >= 1, got "
             f"{args.max_depth}, {args.max_weight}, {args.max_r}"
+        )
+    for flag, bound, cap in (
+        ("--max-depth", args.max_depth, VERIFY_MAX_DEPTH),
+        ("--max-weight", args.max_weight, VERIFY_MAX_WEIGHT),
+        ("--max-r", args.max_r, VERIFY_MAX_R),
+    ):
+        if bound > cap:
+            raise _UsageError(f"{flag} is {bound:,}; the cap is {cap}")
+    tuples = comb(args.max_depth + args.max_weight + 1, args.max_depth) - 1
+    if tuples > VERIFY_MAX_TUPLES:
+        raise _UsageError(
+            f"the bounds give {tuples:,} index tuples; the cap is {VERIFY_MAX_TUPLES:,}"
         )
     bounds = Bounds(
         max_depth=args.max_depth,

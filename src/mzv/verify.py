@@ -9,9 +9,11 @@ the basis-shift relation, parity and the choi reduction) is recorded with
 its description, which names its inputs.  Everything is exact rational
 arithmetic; a single failure anywhere is a bug, never numerical noise.
 The fixed-grid checks of the stirling, bernoulli and choi suites compare
-integer numerators over a known common denominator, and rebuild the failure
-text as reduced Fractions: the text a Fraction computation of the two sides
-would give.
+integer numerators over a known common denominator, and the checks of the
+``asym`` suite compare two routes' values, each an unreduced numerator over a
+positive denominator, by cross-multiplication; both rebuild the failure text
+as reduced Fractions: the text a Fraction computation of the two sides would
+give.
 
 The suites and what they cover:
 
@@ -41,9 +43,14 @@ order in this process; ``run_suites`` runs the units of several suites on up
 to one process per usable CPU, each pulling the next unit from one queue,
 largest first, and returns results sorted by suite name.  A suite's result
 joins its units' results in order, which is the result the checks give in
-one run.  The units share only pure caches, and each starts its suite's
-generator afresh and replays the draws of the sections before it, so where a
-unit runs changes no check and no result.
+one run.  Each call gives each of its processes one memo store
+(:class:`_Memos`), which the ``asym`` units that run there share: the
+definition-sum memo, the chain memo and one recurrence memo per (r, i,
+shift), each keyed so that any calls may share it and no value depends on
+which calls came first.  Apart from that store the units share only pure
+caches, and each starts its suite's generator afresh and replays the draws
+of the sections before it, so where a unit runs, and after which others,
+changes no check and no result.
 """
 
 from __future__ import annotations
@@ -59,15 +66,16 @@ from typing import (
 )
 
 from .asymptotic import (
-    Shift,
+    Pairs,
+    Ratio,
     _asym_sum,
     _c_explicit,
     _c_rec,
     _origin_rev_table,
+    _pairs,
     _parity_holds,
     _rev_via_gregory,
     _star_relation_holds,
-    as_shift,
     asym_coeff,
     direction_partition_check,
     gregory,
@@ -180,6 +188,12 @@ class _Recorder:
             lhs, rhs = sides()
             self.failures.append(f"{_text(description)}: {lhs} != {rhs}")
 
+    def ratios(self, description: Description, lhs: Ratio, rhs: Ratio) -> None:
+        """Two values as (numerator, positive denominator), compared by
+        cross-multiplication; a failure shows both reduced."""
+        (a, b), (c, d) = lhs, rhs
+        self.same(description, a * d == c * b, lambda: (Fraction(a, b), Fraction(c, d)))
+
     def true(self, description: Description, ok: bool) -> None:
         self.checked += 1
         if not ok:
@@ -187,6 +201,23 @@ class _Recorder:
 
     def result(self, suite: str) -> SuiteResult:
         return SuiteResult(suite, self.checked, tuple(self.failures))
+
+
+class _Memos:
+    """The memo store of one call in one process, shared by the ``asym``
+    units that run there: the definition-sum memo (streams keyed by top,
+    direction and shift, see ``_asym_sum``), the chain memo (keyed by the
+    links, see ``_chain_links``) and the recurrence memos.  A recurrence memo
+    may be shared only by top-level calls with the same i, r and shift (see
+    ``_c_rec``), so there is one per (r, i, shift)."""
+
+    def __init__(self) -> None:
+        self.definition: dict = {}
+        self.chains: dict = {}
+        self._recurrence: Dict[Tuple[int, int, Pairs], dict] = {}
+
+    def recurrence(self, r: int, i: int, a: Pairs) -> dict:
+        return self._recurrence.setdefault((r, i, a), {})
 
 
 def _grids(bounds: Bounds, *kinds: str) -> Iterator[tuple]:
@@ -260,7 +291,9 @@ def _same_coeffs(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x == y for x, y in zip_longest(a, b, fillvalue=0))
 
 
-def _suite_stirling(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
+def _suite_stirling(
+    bounds: Bounds, rng: random.Random, section: int, memos: _Memos
+) -> SuiteResult:
     rec = _Recorder()
     y_values = [Fraction(0), Fraction(1), Fraction(-2), Fraction(7, 3)]
     # Orthogonality of the two kernels, both compositions, n <= 12.  At
@@ -362,7 +395,9 @@ def _poly_over(nums: Sequence[int], den: int) -> RationalPolynomial:
     return RationalPolynomial(Fraction(c, den) for c in nums)
 
 
-def _suite_bernoulli(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
+def _suite_bernoulli(
+    bounds: Bounds, rng: random.Random, section: int, memos: _Memos
+) -> SuiteResult:
     rec = _Recorder()
     # Reflection on the integer numerators of B_n over their common
     # denominator: P(1 - z) has coefficients (-1)^j [z^j] P(z + 1).
@@ -446,7 +481,9 @@ def _suite_bernoulli(bounds: Bounds, rng: random.Random, section: int) -> SuiteR
 # ---------------------------------------------------------------------------
 
 
-def _suite_choi(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
+def _suite_choi(
+    bounds: Bounds, rng: random.Random, section: int, memos: _Memos
+) -> SuiteResult:
     rec = _Recorder()
     z_values = [Fraction(1), Fraction(1, 2), Fraction(3), Fraction(7, 5)]
     z_values.append(_random_rational(rng, positive=True))
@@ -471,7 +508,9 @@ def _suite_choi(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult
 # ---------------------------------------------------------------------------
 
 
-def _suite_values(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
+def _suite_values(
+    bounds: Bounds, rng: random.Random, section: int, memos: _Memos
+) -> SuiteResult:
     rec = _Recorder()
     # One origin list per reverse kind serves every closed form, and each
     # kernel box is one slot step from its parent's (_box_grid).
@@ -523,7 +562,9 @@ def _suite_values(bounds: Bounds, rng: random.Random, section: int) -> SuiteResu
 # ---------------------------------------------------------------------------
 
 
-def _suite_sign(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
+def _suite_sign(
+    bounds: Bounds, rng: random.Random, section: int, memos: _Memos
+) -> SuiteResult:
     rec = _Recorder()
     grids = _grids(bounds, "mzf-reg", "mzsf-reg", "mzf-rev", "mzsf-rev")
     for (l, plain_reg), (_, star_reg), (_, plain_rev), (_, star_rev) in grids:
@@ -557,56 +598,59 @@ def _suite_sign(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult
 _TOP_PARTS = 3
 
 
-def _staircase_shifts(bounds: Bounds, rng: random.Random) -> List[List[Shift]]:
-    """The three shifts of the staircase at each r = 1..max_r: all ones,
-    (1, 0, ..., 0) and one random draw, the suite's first draws.  Every
-    section makes them, so that its generator then stands where the whole
-    suite's would."""
+def _staircase_shifts(bounds: Bounds, rng: random.Random) -> List[List[Pairs]]:
+    """The three shifts of the staircase at each r = 1..max_r, as int pairs:
+    all ones, (1, 0, ..., 0) and one random draw, the suite's first draws.
+    Every section makes them, so that its generator then stands where the
+    whole suite's would.  The shifts and the grid tuples are valid by
+    construction, so the three paths are called on their validated entry
+    points."""
     max_r = max(2, min(4, bounds.max_depth + 1))
     return [
-        # Validated once here; the grid tuples are valid by construction, so
-        # the three paths are called on their validated entry points.
-        [as_shift(a, r) for a in ((Fraction(1),) * r, (Fraction(1),) + (Fraction(0),) * (r - 1),
-                                  _positive_shift(rng, r))]
+        [((1, 1),) * r, ((1, 1),) + ((0, 1),) * (r - 1), _pairs(_positive_shift(rng, r))]
         for r in range(1, max_r + 1)
     ]
 
 
+def _fractions(a: Pairs) -> Tuple[Fraction, ...]:
+    """A shift of int pairs as the Fractions a failure text shows."""
+    return tuple(Fraction(p, q) for p, q in a)
+
+
 def _staircase(
-    rec: _Recorder, bounds: Bounds, r: int, shifts: Sequence[Shift],
-    tuples: Iterable[IndexTuple], chains: dict,
+    rec: _Recorder, bounds: Bounds, r: int, shifts: Sequence[Pairs],
+    tuples: Iterable[IndexTuple], memos: _Memos,
 ) -> None:
     """Definition / recurrence / explicit agreement of C_{i,r}(-l; a) for each
     l in ``tuples`` (depth r), each i and each shift."""
-    # The definition sum and the explicit path each keep one memo: their keys
-    # name everything a row or chain reads, so any calls may share them (see
-    # _asym_sum and _chain_links).  The definition memo keeps one path of
-    # prefix rows per stream (top, d, a_1..a_{r-1}); with one top, r +
-    # max_weight, each step of l_r in iter_index_tuples order costs one dot
-    # product.
-    definition: dict = {}
+    # The definition memo keeps one path of prefix rows per stream (top, d,
+    # a_1..a_{r-1}); with one top, r + max_weight, each step of l_r in
+    # iter_index_tuples order costs one dot product.
+    definition, chains = memos.definition, memos.chains
     top = r + bounds.max_weight
-    # One recurrence memo per (i, shift), shared across the tuples; sharing
-    # one across i would be unsound (see _c_rec).
-    memos = {(i, s): {} for i in range(1, r + 1) for s in range(len(shifts))}
+    cases = [
+        (i, staircase_direction(i, r), [(a, memos.recurrence(r, i, a)) for a in shifts])
+        for i in range(1, r + 1)
+    ]
     for l in tuples:
-        for i in range(1, r + 1):
-            d = staircase_direction(i, r)
-            for s, a in enumerate(shifts):
+        for i, d, runs in cases:
+            for a, recurrence in runs:
                 reference = _asym_sum(l, d, a, definition, top)
-                rec.equal(
-                    lambda: f"recurrence path i={i}, r={r}, l={l}, a={a}",
-                    _c_rec(i, r, l, a, memos[i, s]),
+                rec.ratios(
+                    lambda: f"recurrence path i={i}, r={r}, l={l}, a={_fractions(a)}",
+                    _c_rec(i, r, l, a, recurrence),
                     reference,
                 )
-                rec.equal(
-                    lambda: f"explicit path i={i}, r={r}, l={l}, a={a}",
+                rec.ratios(
+                    lambda: f"explicit path i={i}, r={r}, l={l}, a={_fractions(a)}",
                     _c_explicit(i, r, l, a, chains),
                     reference,
                 )
 
 
-def _suite_asym(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
+def _suite_asym(
+    bounds: Bounds, rng: random.Random, section: int, memos: _Memos
+) -> SuiteResult:
     """One section of the suite, in check order: 0, the worked values and the
     staircase at r < max_r; 1 to _TOP_PARTS, contiguous runs of the staircase
     at r = max_r; then the basis-shift and parity checks; last, the bridges."""
@@ -622,28 +666,28 @@ def _suite_asym(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult
         rec.equal(
             "worked value C^(1)(-1,-1)", asym_coeff((1, 1), (1,), (1, 1)), Fraction(1, 720)
         )
-        chains: dict = {}
         for r in range(1, max_r):
             tuples = iter_index_tuples(r, bounds.max_weight, min_depth=r)
-            _staircase(rec, bounds, r, shifts[r - 1], tuples, chains)
+            _staircase(rec, bounds, r, shifts[r - 1], tuples, memos)
     elif section <= _TOP_PARTS:
         tuples = list(iter_index_tuples(max_r, bounds.max_weight, min_depth=max_r))
         n = len(tuples)
         run = tuples[(section - 1) * n // _TOP_PARTS : section * n // _TOP_PARTS]
-        _staircase(rec, bounds, max_r, shifts[-1], run, {})
+        _staircase(rec, bounds, max_r, shifts[-1], run, memos)
     elif section == _TOP_PARTS + 1:
-        _asym_relations(rec, bounds, max_r, rng)
+        _asym_relations(rec, bounds, max_r, rng, memos.definition)
     else:
-        _asym_bridges(rec, bounds)
+        _asym_bridges(rec, bounds, memos.definition)
     return rec.result("asym")
 
 
-def _asym_relations(rec: _Recorder, bounds: Bounds, max_r: int, rng: random.Random) -> None:
+def _asym_relations(
+    rec: _Recorder, bounds: Bounds, max_r: int, rng: random.Random, definition: dict
+) -> None:
     """The basis-shift relation and complement-shift parity."""
     # Both read the definition sum at one top per depth, r + their weight
     # bound (the merged tuple of a basis-shift check at top - 1), so its
     # streams serve whole runs of siblings.
-    definition: dict = {}
     weight = min(bounds.max_weight, 3)
     star_r = min(4, max_r)
     for r in range(2, star_r + 1):
@@ -657,22 +701,21 @@ def _asym_relations(rec: _Recorder, bounds: Bounds, max_r: int, rng: random.Rand
     for r in range(1, min(3, max_r) + 1):
         for l in iter_index_tuples(r, weight, min_depth=r):
             for i in range(1, r + 1):
-                for a in ((Fraction(1),) * r, _unit_interval_shift(rng, r)):
+                for a in (((1, 1),) * r, _pairs(_unit_interval_shift(rng, r))):
                     rec.true(
-                        lambda: f"complement parity i={i}, r={r}, l={l}, a={a}",
+                        lambda: f"complement parity i={i}, r={r}, l={l}, a={_fractions(a)}",
                         _parity_holds(i, r, l, a, definition, r + weight),
                     )
 
 
-def _asym_bridges(rec: _Recorder, bounds: Bounds) -> None:
+def _asym_bridges(rec: _Recorder, bounds: Bounds, definition: dict) -> None:
     """The coefficient<->value bridges: the definition sum against the
     recurrence values."""
-    definition: dict = {}
     # The grids list the depths in turn, each in the order of the l loop.
     bridges = _grids(bounds, "mzf-rev", "mzf-reg", "mzsf-reg")
     for r in range(1, bounds.max_depth + 1):
-        ones = as_shift((1,) * r, r)
-        star_shift = as_shift((1,) + (0,) * (r - 1), r)
+        ones = ((1, 1),) * r
+        star_shift = ((1, 1),) + ((0, 1),) * (r - 1)
         flat = (0,) * (r - 1)
         top = r + bounds.max_weight
         for l in iter_index_tuples(r, bounds.max_weight, min_depth=r):
@@ -683,8 +726,10 @@ def _asym_bridges(rec: _Recorder, bounds: Bounds) -> None:
                 ("regular", flat, ones, reg),
                 ("star", flat, star_shift, star_reg),
             ):
-                rec.equal(
-                    lambda: f"{kind} bridge l={l}", _asym_sum(l, d, a, definition, top), value
+                rec.ratios(
+                    lambda: f"{kind} bridge l={l}",
+                    _asym_sum(l, d, a, definition, top),
+                    (value.numerator, value.denominator),
                 )
 
 
@@ -693,7 +738,9 @@ def _asym_bridges(rec: _Recorder, bounds: Bounds) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _suite_gregory(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
+def _suite_gregory(
+    bounds: Bounds, rng: random.Random, section: int, memos: _Memos
+) -> SuiteResult:
     rec = _Recorder()
     rec.equal("G(1,1)", gregory(1, 1), Fraction(1))
     rec.equal("G(1,2)", gregory(1, 2), Fraction(-1, 2))
@@ -731,15 +778,16 @@ def _suite_gregory(bounds: Bounds, rng: random.Random, section: int) -> SuiteRes
 # ---------------------------------------------------------------------------
 
 
-# A suite runs as work units: the calls fn(bounds, rng, section) for section
-# 0 up to _SECTIONS[name] - 1 (only 0 for a suite not listed there), each with
-# a fresh generator seeded for the suite.  The sections are contiguous runs of
+# A suite runs as work units: the calls fn(bounds, rng, section, memos) for
+# section 0 up to _SECTIONS[name] - 1 (only 0 for a suite not listed there),
+# each with a fresh generator seeded for the suite and its process's memo
+# store for the call.  The sections are contiguous runs of
 # the suite's checks, so their results joined in section order are the
 # suite's.  The dict's order is the order in which the units are pulled,
 # longest first: asym's sections, then the other suites from the longest to
 # the shortest at the benchmark bounds, so that the last units to start are
 # short.
-_SUITES: Dict[str, Callable[[Bounds, random.Random, int], SuiteResult]] = {
+_SUITES: Dict[str, Callable[[Bounds, random.Random, int, _Memos], SuiteResult]] = {
     "asym": _suite_asym,
     "values": _suite_values,
     "choi": _suite_choi,
@@ -768,9 +816,9 @@ def _units(names: Iterable[str]) -> List[Unit]:
     return [(name, s) for name in _SUITES if name in wanted for s in range(_SECTIONS.get(name, 1))]
 
 
-def _run_unit(unit: Unit, bounds: Bounds) -> SuiteResult:
+def _run_unit(unit: Unit, bounds: Bounds, memos: _Memos) -> SuiteResult:
     name, section = unit
-    return _SUITES[name](bounds, _rng_for(name, bounds), section)
+    return _SUITES[name](bounds, _rng_for(name, bounds), section, memos)
 
 
 def _joined(name: str, parts: Iterable[SuiteResult]) -> SuiteResult:
@@ -783,8 +831,10 @@ def _joined(name: str, parts: Iterable[SuiteResult]) -> SuiteResult:
 
 
 def run_suite(name: str, bounds: Bounds = Bounds()) -> SuiteResult:
-    """Run one named suite, its units in order in this process, and return its result."""
-    return _joined(name, (_run_unit(unit, bounds) for unit in _units([_known(name)])))
+    """Run one named suite, its units in order in this process with one memo
+    store, and return its result."""
+    memos = _Memos()
+    return _joined(name, (_run_unit(unit, bounds, memos) for unit in _units([_known(name)])))
 
 
 def _usable_cpus() -> int:
@@ -798,9 +848,11 @@ def _run_pulled(
     units: Sequence[Unit], bounds: Bounds, pull: Callable[[], bytes], index: bytes
 ) -> Iterator[Tuple[int, SuiteResult]]:
     """Run the unit at ``index``, then each next one ``pull`` gives (one byte
-    per unit index) until it gives none; yield (index, result) for each."""
+    per unit index) until it gives none, all with one memo store; yield
+    (index, result) for each."""
+    memos = _Memos()
     while index:
-        yield index[0], _run_unit(units[index[0]], bounds)
+        yield index[0], _run_unit(units[index[0]], bounds, memos)
         index = pull()
 
 
@@ -840,8 +892,9 @@ def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteRes
     calling process and ``os.fork``ed workers, each pulling the next unit
     from one shared queue, longest first (see ``_SUITES``).  ``asym`` runs as
     several units, contiguous sections of its checks; every other suite is
-    one.  A suite's result joins its units' results in section order, so it
-    is the same wherever each unit ran.  The caller takes the first unit
+    one.  Each process runs its units with one memo store (:class:`_Memos`).
+    A suite's result joins its units' results in section order, so it is the
+    same wherever each unit ran.  The caller takes the first unit
     before it forks.  With one usable CPU (``taskset -c 0``) or one unit
     nothing forks.  A worker's exception is re-raised here, with its type
     and message, once every worker is reaped; a worker that dies without a

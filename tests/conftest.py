@@ -32,15 +32,15 @@ def in_worker(monkeypatch):
     def hold(suite):
         first, held = verify._SUITES["asym"], verify._SUITES[suite]
 
-        def waiting(bounds, rng, section):
+        def waiting(bounds, rng, section, memos):
             if section == 0:
                 ready, _, _ = select.select([started], [], [], 60)
                 assert ready, f"{suite} did not start in a worker"
-            return first(bounds, rng, section)
+            return first(bounds, rng, section, memos)
 
-        def announced(bounds, rng, section):
+        def announced(bounds, rng, section, memos):
             os.write(start, b".")
-            return held(bounds, rng, section)
+            return held(bounds, rng, section, memos)
 
         monkeypatch.setitem(verify._SUITES, "asym", waiting)
         monkeypatch.setitem(verify._SUITES, suite, announced)

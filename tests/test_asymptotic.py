@@ -17,6 +17,7 @@ from mzv.asymptotic import (
     CompositionPair,
     _asym_sum,
     _gregory_block_product,
+    _pairs,
     as_direction,
     as_shift,
     asym_coeff,
@@ -86,7 +87,7 @@ def _forward_asym_sum(l, d, a):
             ts = [t for lo, hi in windows for t in range(lo, min(hi, top) + 1)]
         if not ts:
             return Fraction(0)
-        slot_den, bern = shift_ratios(aj, top - ts[0])
+        slot_den, bern = shift_ratios((aj.numerator, aj.denominator), top - ts[0])
         nxt = {}
         for t in ts:
             x = head - total + t + j - 1  # prefix_j + j - 1
@@ -134,13 +135,13 @@ def _backward_asym_sum(l, d, a):
             ts += range(max(low, hi + 1 + l[j - 1]), cap + 1)
         if not (row and ts):
             return Fraction(0)
-        slot_den, bern = shift_ratios(a[j], ts[-1] - low)
+        slot_den, bern = shift_ratios((a[j].numerator, a[j].denominator), ts[-1] - low)
         nxt = [0] * (ts[-1] - ts[0] + 1)
         for t in ts:
             ff = prod(range(t - hi - 1, t - hi - 1 - l[j - 1], -1))
             nxt[t - ts[0]] = ff * sum(map(mul, row, bern[t - low :: -1]))
         den, low, row = den * slot_den, ts[0], nxt
-    slot_den, bern = shift_ratios(a[0], total - low)
+    slot_den, bern = shift_ratios((a[0].numerator, a[0].denominator), total - low)
     acc = sum(map(mul, row, bern[total - low :: -1]))
     return Fraction(-acc if total % 2 else acc, den * slot_den)
 
@@ -255,7 +256,7 @@ def test_definition_sum_matches_term_by_term_oracle(point):
     assert admissible_n_set(l, d) == _admissible_by_definition(l, d)
     a = tuple(Fraction(c) for c in a)  # partial sums >= 0, which as_shift refuses
     expected = _definition_sum_oracle(l, d, a)
-    assert _asym_sum(l, d, a, {}) == expected
+    assert Fraction(*_asym_sum(l, d, _pairs(a), {})) == expected
     _assert_matches_both_oracles(l, d, a, expected)
     if a[0] > 0:  # every family has positive partial sums once a_1 > 0
         assert asym_coeff(l, d, a) == expected
@@ -273,7 +274,10 @@ _SUITE_SHIFTS = (
 
 def _per_direction_sum(l, a):
     r = len(l)
-    return sum((_asym_sum(l, d, a, {}) for d in product((0, 1), repeat=r - 1)), Fraction(0))
+    return sum(
+        (Fraction(*_asym_sum(l, d, _pairs(a), {})) for d in product((0, 1), repeat=r - 1)),
+        Fraction(0),
+    )
 
 
 def test_all_directions_pass_matches_per_direction_sums():
@@ -282,8 +286,9 @@ def test_all_directions_pass_matches_per_direction_sums():
     for l in iter_index_tuples(5, 7):
         for make_shift in _SUITE_SHIFTS:
             a = make_shift(len(l))
-            assert _asym_sum(l, None, a, {}) == _per_direction_sum(l, a), (l, a)
-        assert _asym_sum(l, None, (Fraction(1),) * len(l), {}) == mzf_rev(l), l
+            value = Fraction(*_asym_sum(l, None, _pairs(a), {}))
+            assert value == _per_direction_sum(l, a), (l, a)
+        assert Fraction(*_asym_sum(l, None, ((1, 1),) * len(l), {})) == mzf_rev(l), l
 
 
 @settings(deadline=None, max_examples=60)
@@ -292,8 +297,8 @@ def test_all_directions_pass_property(data):
     l = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=5), label="l"))
     positive = st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
     a = tuple(data.draw(st.lists(positive, min_size=len(l), max_size=len(l)), label="a"))
-    assert _asym_sum(l, None, a, {}) == _per_direction_sum(l, a)
-    assert _asym_sum(l, None, (Fraction(1),) * len(l), {}) == mzf_rev(l)
+    assert Fraction(*_asym_sum(l, None, _pairs(a), {})) == _per_direction_sum(l, a)
+    assert Fraction(*_asym_sum(l, None, ((1, 1),) * len(l), {})) == mzf_rev(l)
 
 
 def test_recurrence_memo_shared_across_the_grid_is_sound():
@@ -302,11 +307,11 @@ def test_recurrence_memo_shared_across_the_grid_is_sound():
     for r in range(1, 5):
         for i in range(1, r + 1):
             for make_shift in _SUITE_SHIFTS:
-                a = as_shift(make_shift(r), r)
+                a = _pairs(as_shift(make_shift(r), r))
                 shared = {}
                 for l in iter_index_tuples(r, 6, min_depth=r):
-                    assert asymptotic._c_rec(i, r, l, a, shared) == asymptotic._c_rec(
-                        i, r, l, a, {}
+                    assert Fraction(*asymptotic._c_rec(i, r, l, a, shared)) == Fraction(
+                        *asymptotic._c_rec(i, r, l, a, {})
                     ), (i, r, l, a)
 
 
@@ -318,11 +323,11 @@ def test_recurrence_memo_shared_in_any_order_is_sound():
         grid = list(iter_index_tuples(r, 6, min_depth=r))
         rng.shuffle(grid)
         for i in range(1, r + 1):
-            a = as_shift(_UNIT_FREE_SHIFT[:r], r)
+            a = _pairs(as_shift(_UNIT_FREE_SHIFT[:r], r))
             shared = {}
             for l in grid:
-                assert asymptotic._c_rec(i, r, l, a, shared) == asymptotic._c_rec(
-                    i, r, l, a, {}
+                assert Fraction(*asymptotic._c_rec(i, r, l, a, shared)) == Fraction(
+                    *asymptotic._c_rec(i, r, l, a, {})
                 ), (i, r, l)
 
 
@@ -360,6 +365,45 @@ def _draw_index(draw, max_depth=5, max_weight=8):
 
 
 @st.composite
+def _staircase_points(draw):
+    """A staircase point (i, l, a): depth at most 5, weight at most 8, and
+    the shift all ones, (1, 0, ..., 0) or random positive entries."""
+    l = _draw_index(draw)
+    r = len(l)
+    family = draw(st.sampled_from(["ones", "first", "positive"]))
+    if family == "ones":
+        a = (Fraction(1),) * r
+    elif family == "first":
+        a = (Fraction(1),) + (Fraction(0),) * (r - 1)
+    else:
+        positive = st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
+        a = tuple(draw(st.lists(positive, min_size=r, max_size=r)))
+    return draw(st.integers(min_value=1, max_value=r)), l, a
+
+
+@settings(deadline=None, max_examples=150)
+@given(_staircase_points())
+def test_integer_routes_reduce_to_their_public_values(point):
+    # Each private route returns an unreduced (numerator, denominator) pair
+    # with a positive denominator; reduced, it is its public wrapper's value
+    # and the value of both definition-sum oracles.
+    i, l, a = point
+    r = len(l)
+    d = staircase_direction(i, r)
+    expected = _forward_asym_sum(l, d, a)
+    assert _backward_asym_sum(l, d, a) == expected
+    routes = (
+        (_asym_sum(l, d, _pairs(a), {}), c_ir(i, r, l, a)),
+        (asymptotic._c_rec(i, r, l, _pairs(a), {}), c_ir_recurrence(i, r, l, a)),
+        (asymptotic._c_explicit(i, r, l, _pairs(a), {}), c_ir_explicit(i, r, l, a)),
+    )
+    for (num, den), public in routes:
+        assert type(num) is int and type(den) is int and den > 0, (num, den)
+        assert Fraction(num, den) == public == expected, (i, l, a)
+    assert asym_coeff(l, d, a) == expected
+
+
+@st.composite
 def _shared_suffix_points(draw):
     """Points (l, d, a) in a random order that share suffixes: every suffix of
     a few drawn tuples, with the matching suffix of one depth-5 shift (all
@@ -392,7 +436,8 @@ def test_shared_definition_memo_matches_the_forward_oracle(points):
     # One memo, filled in a random order by calls that share suffix rows.
     memo = {}
     for l, d, a in points:
-        assert _asym_sum(l, d, a, memo) == _forward_asym_sum(l, d, a), (l, d, a)
+        value = Fraction(*_asym_sum(l, d, _pairs(a), memo))
+        assert value == _forward_asym_sum(l, d, a), (l, d, a)
 
 
 @st.composite
@@ -429,7 +474,8 @@ def test_shared_prefix_memo_matches_the_forward_oracle(points):
     # One memo, filled in a random order by calls that share prefix rows.
     memo = {}
     for l, d, a, top in points:
-        assert _asym_sum(l, d, a, memo, top) == _forward_asym_sum(l, d, a), (l, d, a, top)
+        value = Fraction(*_asym_sum(l, d, _pairs(a), memo, top))
+        assert value == _forward_asym_sum(l, d, a), (l, d, a, top)
 
 
 def test_two_fill_orders_give_equal_values_and_bounded_memos():
@@ -450,9 +496,13 @@ def test_two_fill_orders_give_equal_values_and_bounded_memos():
     for top in (None, 8):
         in_order, shuffled = {}, {}
         for k in range(len(grid)):
-            assert _asym_sum(*grid[k], in_order, top) == values[k], (grid[k], top)
+            l, d, a = grid[k]
+            value = Fraction(*_asym_sum(l, d, _pairs(a), in_order, top))
+            assert value == values[k], (grid[k], top)
         for k in order:
-            assert _asym_sum(*grid[k], shuffled, top) == values[k], (grid[k], top)
+            l, d, a = grid[k]
+            value = Fraction(*_asym_sum(l, d, _pairs(a), shuffled, top))
+            assert value == values[k], (grid[k], top)
         for memo in (in_order, shuffled):
             assert memo
             for stream, (prefix, rows) in memo.items():
@@ -477,9 +527,10 @@ def test_shared_chain_memo_matches_fresh_explicit_path(monkeypatch):
     random.Random(1).shuffle(grid)
     chains = {}
     for i, r, l, a in grid:
-        fresh = asymptotic._c_explicit(i, r, l, a, {})
+        fresh = Fraction(*asymptotic._c_explicit(i, r, l, _pairs(a), {}))
         assert fresh == _forward_asym_sum(l, staircase_direction(i, r), a), (i, r, l, a)
-        assert asymptotic._c_explicit(i, r, l, a, chains) == fresh, (i, r, l, a)
+        shared = Fraction(*asymptotic._c_explicit(i, r, l, _pairs(a), chains))
+        assert shared == fresh, (i, r, l, a)
     assert chains
 
 
@@ -520,7 +571,8 @@ def test_pinned_coefficients():
         for a in shifts:
             if a[0] == 0:  # basis shifts e_p, p >= 2: only the definition sum
                 for d in product((0, 1), repeat=r - 1):
-                    digest.update(f"_asym_sum {l} {d} {a}={_asym_sum(l, d, a, {})}\n".encode())
+                    value = Fraction(*_asym_sum(l, d, _pairs(a), {}))
+                    digest.update(f"_asym_sum {l} {d} {a}={value}\n".encode())
                 continue
             for d in product((0, 1), repeat=r - 1):
                 digest.update(f"asym_coeff {l} {d} {a}={asym_coeff(l, d, a)}\n".encode())
@@ -541,7 +593,7 @@ def test_pinned_grid_matches_both_oracles():
         shifts += [tuple(Fraction(int(t == p)) for t in range(r)) for p in range(r)]
         for a in shifts:
             for d in product((0, 1), repeat=r - 1):
-                _assert_matches_both_oracles(l, d, a, _asym_sum(l, d, a, {}))
+                _assert_matches_both_oracles(l, d, a, Fraction(*_asym_sum(l, d, _pairs(a), {})))
 
 
 # asym_coeff((100, 100, 100), (0, 0), (3/7, 1, 2)), recorded before the

@@ -211,13 +211,13 @@ def test_shift_ratios_windows_in_any_order():
     # the list's end grow it, rows below read a prefix of it.
     a = Fraction(-17, 19)
     for top in (9, 2, 30, 40, 12, 41, 0):
-        den, nums = shift_ratios(a, top)
+        den, nums = shift_ratios((-17, 19), top)
         assert den == factorial(top) * 19**top * _bernoulli_lcm(top), top
         expected = [bernoulli_poly(n).evaluate(a) / factorial(n) for n in range(top + 1)]
         assert [Fraction(x, den) for x in nums] == expected, top
-        assert shift_ratios(a, top) is shift_ratios(a, top)
+        assert shift_ratios((-17, 19), top) is shift_ratios((-17, 19), top)
     with pytest.raises(ValueError):
-        shift_ratios(a, -1)
+        shift_ratios((-17, 19), -1)
     with pytest.raises(ValueError):
         bernoulli_poly_at(-1, a)
 
@@ -226,7 +226,7 @@ def test_shift_ratios_row_ignores_earlier_high_reads():
     # B_301(1) is read first, through a depth-one coefficient, yet the row of
     # the shift 1 at top 5 keeps its own denominator 5! L(5) = 120 * 30.
     assert asym_coeff((300,), (), (1,)) == -bernoulli_number(301) / 301
-    assert shift_ratios(Fraction(1), 5)[0] == 3600
+    assert shift_ratios((1, 1), 5)[0] == 3600
 
 
 def _bernoulli_lcm(n):

@@ -451,6 +451,42 @@ def test_verify_degenerate_bounds_are_usage_errors(capsys, monkeypatch, bound):
     assert bound[0] in err
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (("--suite", "gregory", "--max-r", "13"), "--max-r is 13; the cap is 12"),
+        (("--max-depth", "30", "--max-weight", "30"), "--max-depth is 30; the cap is 8"),
+        (("--max-depth", "2", "--max-weight", "15"), "--max-weight is 15; the cap is 14"),
+        (("--max-depth", "8", "--max-weight", "11"), "the bounds give 125,969 index tuples; "
+         "the cap is 80,000"),
+        (("--max-depth", "7", "--max-weight", "13"), "the bounds give 116,279 index tuples; "
+         "the cap is 80,000"),
+    ],
+)
+def test_verify_bounds_over_the_caps_are_refused_before_any_suite(
+    capsys, monkeypatch, bounds, message
+):
+    def no_suites(names, bounds):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(mzv.cli, "run_suites", no_suites)
+    argv = ("--suite", "all", *bounds) if "--suite" not in bounds else bounds
+    assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "bounds", [(4, 6, 7), (6, 9, 9), (7, 12, 8), (2, 12, 12), (8, 10, 12), (1, 14, 12)]
+)
+def test_verify_caps_admit_the_bounds_in_use(monkeypatch, bounds):
+    # The benchmark's and CI's bounds, and the largest of each kind at the caps.
+    ran = []
+    monkeypatch.setattr(mzv.cli, "run_suites", lambda names, b: ran.append(b) or [])
+    depth, weight, r = (str(b) for b in bounds)
+    argv = ["verify", "--suite", "all", "--max-depth", depth, "--max-weight", weight, "--max-r", r]
+    assert mzv.cli.main(argv) == 0
+    assert ran == [mzv.verify.Bounds(*bounds)]
+
+
 def test_table_command(capsys):
     code, out, _ = run(
         capsys,
@@ -603,7 +639,7 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
 def test_a_crash_inside_a_suite_is_an_internal_error(monkeypatch, capsys, usable_cpus, in_worker, where):
     # Suite names and bounds are checked before any suite runs, so a
     # ValueError out of a suite is a crash, not a usage error.
-    def crash(bounds, rng, section):
+    def crash(bounds, rng, section, memos):
         raise ValueError("shift partial sum is not positive")
 
     monkeypatch.setitem(mzv.verify._SUITES, "sign", crash)

@@ -5,16 +5,19 @@ import errno
 import hashlib
 import json
 import os
+import random
 import select
 import signal
 import sys
 import threading
 import time
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from mzv import bernoulli, stirling, verify
+from mzv.asymptotic import c_ir
 from mzv.cli import main
 from mzv.kernel import RationalPolynomial
 from mzv.values import iter_index_tuples
@@ -75,9 +78,9 @@ def test_one_cpu_runs_every_suite_in_the_calling_thread(monkeypatch, usable_cpus
     threads = {}
     for name, fn in list(verify._SUITES.items()):
 
-        def recorded(bounds, rng, section, name=name, fn=fn):
+        def recorded(bounds, rng, section, memos, name=name, fn=fn):
             threads[name, section] = threading.current_thread()
-            return fn(bounds, rng, section)
+            return fn(bounds, rng, section, memos)
 
         monkeypatch.setitem(verify._SUITES, name, recorded)
     results = run_suites(["all"], SMALL)
@@ -124,9 +127,9 @@ def test_more_workers_than_cpus_run_each_suite_once(monkeypatch, usable_cpus):
     ran, log = os.pipe()
     for name, fn in list(verify._SUITES.items()):
 
-        def logged(bounds, rng, section, name=name, fn=fn):
+        def logged(bounds, rng, section, memos, name=name, fn=fn):
             os.write(log, f"{name}/{section}\n".encode())
-            return fn(bounds, rng, section)
+            return fn(bounds, rng, section, memos)
 
         monkeypatch.setitem(verify._SUITES, name, logged)
     try:
@@ -145,7 +148,7 @@ def test_a_worker_exception_is_raised_with_its_type_and_message(
 ):
     usable_cpus(2)
 
-    def crash(bounds, rng, section):
+    def crash(bounds, rng, section, memos):
         raise error("planted crash")
 
     monkeypatch.setitem(verify._SUITES, "sign", crash)
@@ -157,7 +160,9 @@ def test_a_worker_exception_is_raised_with_its_type_and_message(
 def test_a_killed_worker_exits_3(monkeypatch, capsys, usable_cpus, in_worker):
     usable_cpus(2)
     monkeypatch.setitem(
-        verify._SUITES, "sign", lambda bounds, rng, section: os.kill(os.getpid(), signal.SIGKILL)
+        verify._SUITES,
+        "sign",
+        lambda bounds, rng, section, memos: os.kill(os.getpid(), signal.SIGKILL),
     )
     in_worker("sign")
     assert main(["verify", "--suite", "all", "--max-depth", "2", "--max-weight", "2"]) == 3
@@ -182,7 +187,7 @@ def test_a_caller_killed_by_sigkill_leaves_no_worker_that_starts_another_suite(
     reported, report = os.pipe()
     released, release = os.pipe()
 
-    def held(bounds, rng, section):
+    def held(bounds, rng, section, memos):
         os.write(report, f"choi {os.getpid()}\n".encode())
         os.read(released, 1)
         return verify.SuiteResult("choi", 0, ())
@@ -191,11 +196,15 @@ def test_a_caller_killed_by_sigkill_leaves_no_worker_that_starts_another_suite(
     monkeypatch.setitem(
         verify._SUITES,
         "asym",
-        lambda bounds, rng, section: time.sleep(120) if section == 0 else asym(bounds, rng, section),
+        lambda bounds, rng, section, memos: (
+            time.sleep(120) if section == 0 else asym(bounds, rng, section, memos)
+        ),
     )
     monkeypatch.setitem(verify._SUITES, "choi", held)
     monkeypatch.setitem(
-        verify._SUITES, "bernoulli", lambda bounds, rng, section: os.write(report, b"bernoulli\n")
+        verify._SUITES,
+        "bernoulli",
+        lambda bounds, rng, section, memos: os.write(report, b"bernoulli\n"),
     )
     in_worker("choi")
     caller = os.fork()
@@ -234,13 +243,15 @@ def test_an_interrupt_in_the_caller_kills_and_reaps_the_workers(monkeypatch, usa
 
     asym = verify._SUITES["asym"]
 
-    def interrupted(bounds, rng, section):
+    def interrupted(bounds, rng, section, memos):
         if section == 0:  # the caller's first unit
             raise KeyboardInterrupt
-        return asym(bounds, rng, section)
+        return asym(bounds, rng, section, memos)
 
     monkeypatch.setitem(verify._SUITES, "asym", interrupted)
-    monkeypatch.setitem(verify._SUITES, "gregory", lambda bounds, rng, section: time.sleep(120))
+    monkeypatch.setitem(
+        verify._SUITES, "gregory", lambda bounds, rng, section, memos: time.sleep(120)
+    )
     in_worker("gregory")
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -356,8 +367,9 @@ def _plant_wrong_routes(monkeypatch):
     sign_holds = verify._sign_holds
 
     def wrong_explicit(i, r, l, a, memo):
-        value = c_explicit(i, r, l, a, memo)
-        return value + 1 if (i, l) == (2, (1, 0, 2)) else value
+        value = Fraction(*c_explicit(i, r, l, a, memo))
+        value = value + 1 if (i, l) == (2, (1, 0, 2)) else value
+        return value.numerator, value.denominator
 
     monkeypatch.setattr(verify, "_c_explicit", wrong_explicit)
     monkeypatch.setattr(
@@ -440,12 +452,14 @@ def _plant_faults_across_asym_units(monkeypatch):
     )
 
     def wrong_rec(i, r, l, a, memo):
-        value = c_rec(i, r, l, a, memo)
-        return value + 1 if (i, l) == (4, (0, 0, 0, 1)) else value
+        value = Fraction(*c_rec(i, r, l, a, memo))
+        value = value + 1 if (i, l) == (4, (0, 0, 0, 1)) else value
+        return value.numerator, value.denominator
 
     def wrong_explicit(i, r, l, a, memo):
-        value = c_explicit(i, r, l, a, memo)
-        return value - 1 if (i, l) == (1, (3, 0, 0, 0)) else value
+        value = Fraction(*c_explicit(i, r, l, a, memo))
+        value = value - 1 if (i, l) == (1, (3, 0, 0, 0)) else value
+        return value.numerator, value.denominator
 
     def wrong_grid(kind, max_depth, max_weight):
         for l, v in grid(kind, max_depth, max_weight):
@@ -465,7 +479,11 @@ def test_the_planted_faults_fall_in_four_asym_units(monkeypatch):
     # The first and the last run of the staircase at r = 4, the basis-shift
     # and parity unit, and the bridges.
     _plant_faults_across_asym_units(monkeypatch)
-    failing = [unit for unit in verify._units(["asym"]) if verify._run_unit(unit, JOIN_BOUNDS).failures]
+    failing = [
+        unit
+        for unit in verify._units(["asym"])
+        if verify._run_unit(unit, JOIN_BOUNDS, verify._Memos()).failures
+    ]
     top = verify._TOP_PARTS
     assert failing == [("asym", 1), ("asym", top), ("asym", top + 1), ("asym", top + 2)]
 
@@ -476,6 +494,69 @@ def test_units_join_to_the_whole_suite_failures_included(monkeypatch, usable_cpu
     _plant_faults_across_asym_units(monkeypatch)
     assert [tuple(res) for res in run_suites(["all"], JOIN_BOUNDS)] == JOINED_RESULTS
     assert tuple(run_suite("asym", JOIN_BOUNDS)) == JOINED_RESULTS[0]
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [Bounds(max_depth=3, max_weight=4, max_r=5, seed=seed) for seed in range(4)]
+    + [Bounds(max_depth=4, max_weight=6, max_r=7, seed=seed) for seed in range(4)],
+    ids=[f"depth3-weight4-r5-seed{seed}" for seed in range(4)]
+    + [f"depth4-weight6-r7-seed{seed}" for seed in range(4)],
+)
+def test_asym_units_sharing_one_memo_store_in_any_order_give_the_fresh_results(bounds):
+    # A process runs its units with one memo store, in whatever order it
+    # pulls them; each unit must give what it gives with fresh memos, and
+    # the suite must pass, so that a memo shared where it may not be shows.
+    units = verify._units(["asym"])
+    fresh = [verify._run_unit(unit, bounds, verify._Memos()) for unit in units]
+    assert verify._joined("asym", fresh).ok
+    shuffled = list(units)
+    random.Random(bounds.seed).shuffle(shuffled)
+    for order in (units, units[::-1], shuffled):
+        memos = verify._Memos()
+        results = {unit: verify._run_unit(unit, bounds, memos) for unit in order}
+        assert [results[unit] for unit in units] == fresh, order
+
+
+# One wrong unit in a route's numerator or denominator, at a check whose
+# value is not zero: the recurrence and the explicit path at i = 2, l =
+# (1, 0, 2) and the all-ones shift, and the definition sum at the reverse
+# bridge l = (0, 2), the only one of its calls with d = None, at depth 2,
+# weight 3, r 3.
+PLANTED_UNIT_BOUNDS = Bounds(max_depth=2, max_weight=3, max_r=3)
+
+
+@pytest.mark.parametrize("part", ["numerator", "denominator"])
+@pytest.mark.parametrize("route", ["_c_rec", "_c_explicit", "_asym_sum"])
+def test_a_unit_off_in_one_part_of_a_route_fails_with_the_fraction_text(
+    monkeypatch, route, part
+):
+    honest, planted = getattr(verify, route), []
+
+    def off_by_one(*args):
+        num, den = honest(*args)
+        if route == "_asym_sum":
+            hit = args[0] == (0, 2) and args[1] is None
+        else:
+            hit = args[0] == 2 and args[2] == (1, 0, 2) and args[3] == ((1, 1),) * 3
+        if hit:
+            num, den = (num + 1, den) if part == "numerator" else (num, den + 1)
+            planted.append(Fraction(num, den))
+        return num, den
+
+    monkeypatch.setattr(verify, route, off_by_one)
+    failures = run_suite("asym", PLANTED_UNIT_BOUNDS).failures
+    # The text rec.equal gives for the two sides as Fractions.
+    rec = verify._Recorder()
+    ones = (Fraction(1),) * 3
+    if route == "_asym_sum":
+        rec.equal("reverse bridge l=(0, 2)", planted[0], verify.mzf_rev((0, 2)))
+    else:
+        name = "recurrence" if route == "_c_rec" else "explicit"
+        description = f"{name} path i=2, r=3, l=(1, 0, 2), a={ones}"
+        rec.equal(description, planted[0], c_ir(2, 3, (1, 0, 2), ones))
+    assert len(planted) == 1
+    assert failures == tuple(rec.failures) and len(failures) == 1
 
 
 # The recurrence grids each suite reads, by kind.
