@@ -14,8 +14,8 @@ Subcommands:
   tuples.
 
 Values are exact rationals rendered as ``p/q`` (integers drop the ``/1``);
-``--decimal N`` adds a clearly-marked approximate decimal rendering to the
-records of ``value``, ``coeff``, ``stirling`` and ``table``.
+``--decimal N`` (N from 1 to 1,000) adds a clearly-marked approximate decimal
+rendering to the records of ``value``, ``coeff``, ``stirling`` and ``table``.
 ``--json`` and ``--csv`` switch the output format.  Records are written as
 they are produced, so a table streams; every usage check runs before the
 first byte.  Exit codes: 0 success,
@@ -52,10 +52,10 @@ from .stirling import (
 )
 from .values import (
     ValueKind,
+    _grid,
     mzf_rev_stirling,
     mzsf_rev_stirling,
     value,
-    value_grid,
 )
 from .verify import SUITE_NAMES, Bounds, run_suites
 
@@ -65,8 +65,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer that lost its reader
 
-# `mzv table` refuses larger grids up front; 203,489 tuples take 3 s and peak at
-# 46 MB RSS on a 2.1 GHz Xeon.
+# `mzv table` refuses larger grids up front; 203,489 tuples take 1.5-2.4 s wall in any
+# format and peak at 53-55 MB RSS on a 2.1 GHz Xeon.
 TABLE_MAX_TUPLES = 250_000
 # `mzv coeff` refuses an index with r * (r + |l|) over this up front: the definition
 # sum fills r rows of up to r + |l| + 1 entries.  The slowest shape at the cap, depth 1
@@ -114,10 +114,16 @@ VERIFY_MAX_R = 12
 VERIFY_MAX_DEPTH = 8
 VERIFY_MAX_WEIGHT = 14
 VERIFY_MAX_TUPLES = 80_000
+# `--decimal N` is refused past this up front: writing N digits costs about N^2.  On a
+# 2.1 GHz Xeon a record takes 0.05 ms at 1,000 digits, so a depth-8, weight-12 table at
+# the cap takes 10-11 s wall against 2 s without --decimal; 10,000 digits take 2 ms a
+# record, and one value at 1,000,000 digits takes 21 s.
+DECIMAL_MAX_DIGITS = 1_000
 
 
 # One output record: (query, exact value, provenance).  The value is an int or a
-# Fraction, or the text of a value that is not a number (an S-poly polynomial).
+# Fraction, or text that is written as it is and gets no decimal: a value that is not
+# a number (an S-poly polynomial), or a table value when no --decimal asks for one.
 Record = Tuple[str, Union[int, Fraction, str], str]
 
 
@@ -199,6 +205,8 @@ def _check_formats(args: argparse.Namespace) -> None:
     decimal = getattr(args, "decimal", None)
     if decimal is not None and decimal < 1:
         raise _UsageError(f"--decimal needs N >= 1, got {decimal}")
+    if decimal is not None and decimal > DECIMAL_MAX_DIGITS:
+        raise _UsageError(f"--decimal is {decimal:,}; the cap is {DECIMAL_MAX_DIGITS:,}")
 
 
 def _emit_records(
@@ -487,10 +495,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if size is None or size > TABLE_MAX_TUPLES:
         count = f"C({depth + weight + 1}, {depth}) - 1" if size is None else f"{size:,}"
         raise _UsageError(f"the table has {count} index tuples; the cap is {TABLE_MAX_TUPLES:,}")
-    _emit_records(args, (
-        (f"{args.kind}({','.join(map(str, l))})", v, "recurrence")
-        for l, v in value_grid(args.kind, depth, weight)
-    ))
+    kind = args.kind
+    grid = _grid(kind, depth, weight, text=True)
+    if args.decimal is None:
+        # Fraction.__str__'s text, written straight from the reduced pair.
+        records = (
+            (f"{kind}({l})", str(n) if d == 1 else f"{n}/{d}", "recurrence") for l, n, d in grid
+        )
+    else:
+        records = ((f"{kind}({l})", Fraction(n, d), "recurrence") for l, n, d in grid)
+    _emit_records(args, records)
     return EXIT_OK
 
 

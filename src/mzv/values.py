@@ -13,12 +13,14 @@ recurrences with the star weight (1/2 at zero) in the inner sum.  Each
 recurrence replaces the pair of entries it peels by one entry, so
 :func:`value` evaluates all four families without recursion: it fills one
 row of values per depth, from depth one up, each row from the one below.
-:func:`value_grid` evaluates a whole grid in one pass, each row shared by
-all the tuples that read it and dropped after the last of them.  A step adds
-its terms as integers: it reads its row as integer numerators over one row
-denominator (formed once per row, and only for a row a step reads) and the
-weights as integer numerators over one denominator per (c, star), and
-reduces once, in the Fraction it returns.
+:func:`value_grid` evaluates a whole grid in one pass (:func:`_grid`), each
+row shared by all the tuples that read it and dropped after the last of them.
+A step adds its terms as integers: it reads its row as integer numerators
+over one row denominator (formed once per row, and only for a row a step
+reads) and the weights as integer numerators over one denominator per
+(c, star), and reduces once, by one gcd, to the (numerator, denominator) pair
+it returns.  Rows are lists of such pairs; a Fraction is built only where a
+caller asks for one, so ``mzv table`` writes its text straight from the pairs.
 On top of the recurrences this module carries:
 
 * closed forms for the reverse values as Stirling-kernel transforms of
@@ -33,10 +35,10 @@ On top of the recurrences this module carries:
 * the zero-padding transform that trades depth against a Stirling kernel
   (:func:`prop_zero_padding_check`).
 
-Every result is an exact Fraction, and no value is kept between calls: a
+Every public result is an exact Fraction, and no value is kept between calls: a
 walk holds only the row it builds and the one below it.  The closed forms
 read all their origin values off one walk (:func:`_origin_values`).  Grids
-share work the same way on each route: :func:`value_grid` builds each row
+share work the same way on each route: :func:`_grid` builds each row
 from its parent's, and :func:`_box_grid` each kernel box from its parent's
 box, one slot step.  The zero-padding check reads the reverse values of its
 left side from a mapping, one grid for a whole grid of checks.
@@ -47,14 +49,16 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, lcm, perm
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from math import comb, factorial, gcd, lcm, perm
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .bernoulli import zeta_neg, zeta_star_neg
 from .kernel import horner
 from .stirling import _box_step, _poly_coeffs, stirling_first, stirling_kernel_box
 
 IndexTuple = Tuple[int, ...]
+# A reduced rational (numerator, denominator), the denominator positive.
+Pair = Tuple[int, int]
 
 
 class ValueKind(str, Enum):
@@ -105,62 +109,80 @@ def _weights(c: int, star: bool) -> tuple:
     return entry
 
 
-def _as_ints(row: Sequence[Fraction]) -> Tuple[List[int], int]:
+def _as_ints(row: Sequence[Pair]) -> Tuple[List[int], int]:
     # (nums, den) with row[i] = nums[i] / den: the form the steps read.
-    den = lcm(*(v.denominator for v in row))
-    return [v.numerator * (den // v.denominator) for v in row], den
+    den = lcm(*[d for _, d in row])
+    return [n * (den // d) for n, d in row], den
 
 
-def _reg_step(c: int, nums: Sequence[int], den: int, star: bool) -> Fraction:
-    # l = head + (b, c); nums[i] / den is the value at head + (b + i,).  The
-    # plain and star recurrences differ only in the inner weight.
-    wden, edge, pairs = _weights(c, star)
+def _zeta_row(lo: int, hi: int) -> List[Pair]:
+    # Row one of every walk: zeta(-x) for x in lo..hi as reduced pairs.
+    return [(z.numerator, z.denominator) for z in map(zeta_neg, range(lo, hi + 1))]
+
+
+def _reg_step(c: int, weights: tuple, nums: Sequence[int], den: int, star: bool) -> Pair:
+    # l = head + (b, c); nums[i] / den is the value at head + (b + i,), and
+    # weights is _weights(c, star): the plain and star recurrences differ
+    # only in the inner weight.
+    wden, edge, pairs = weights
     total = -edge * nums[c + 1]
     for i, w in pairs:
         total += w * nums[i]
-    return Fraction(total, wden * den)
+    den *= wden
+    g = gcd(total, den)
+    return total // g, den // g
 
 
-def _rev_step(a: int, nums: Sequence[int], den: int, star: bool) -> Fraction:
-    # l = (a, b) + rest; nums[i] / den is the value at (b + i,) + rest.  The
-    # star-composition split on the first slot cancels the stray
-    # depth-(r-1) term, so the star recurrence keeps plain zeta weights and
-    # lacks only the final -V((a + b,) + rest).  The recurrence's
-    # + zeta(-a) V((b,) + rest) cancels the k = a weight pair (0, zeta(-a)),
-    # so both are left out.
-    wden, edge, pairs = _weights(a, False)
+def _rev_step(a: int, weights: tuple, nums: Sequence[int], den: int, star: bool) -> Pair:
+    # l = (a, b) + rest; nums[i] / den is the value at (b + i,) + rest, and
+    # weights is _weights(a, False).  The star-composition split on the first
+    # slot cancels the stray depth-(r-1) term, so the star recurrence keeps
+    # plain zeta weights and lacks only the final -V((a + b,) + rest).  The
+    # recurrence's + zeta(-a) V((b,) + rest) cancels the k = a weight pair
+    # (0, zeta(-a)), so both are left out.
+    wden, edge, pairs = weights
     total = edge * nums[a + 1]
     for i, w in pairs:
         if i:
             total -= w * nums[i]
     if not star:
         total -= wden * nums[a]
-    return Fraction(total, wden * den)
+    den *= wden
+    g = gcd(total, den)
+    return total // g, den // g
 
 
-def _rows(kind: ValueKind, lt: IndexTuple) -> Iterator[List[Fraction]]:
+def _recurrence(kind: ValueKind) -> Tuple[bool, bool, Callable[..., Pair], bool]:
+    """(regular, star, step, the star flag of the step's _weights) for a kind:
+    the regular recurrences weight their inner sum by the family's own depth-one
+    values, the reverse ones by plain zeta values."""
+    regular = kind in (ValueKind.MZF_REG, ValueKind.MZSF_REG)
+    star = kind in (ValueKind.MZSF_REG, ValueKind.MZSF_REV)
+    return regular, star, _reg_step if regular else _rev_step, star and regular
+
+
+def _rows(kind: ValueKind, lt: IndexTuple) -> Iterator[List[Pair]]:
     """Yield the rows of the recurrence walk from a validated l, depth 1 first.
 
     Each recurrence replaces the pair it peels (the last two entries for
     regular values, the first two for reverse ones) by one entry x.  With o
     the tuple in peeling order, row d holds the values at depth d whose other
-    entries are o_1, ..., o_{d-1}, as a list over x from o_d, and is computed
-    from row d - 1 alone.  Row d needs x in [o_d, hi_d] with hi_r = o_r and
-    hi_d = o_d + hi_{d+1} + 1: exactly the tuples the recurrence reaches
-    from l.  Only the row being built and the one below it are held.
+    entries are o_1, ..., o_{d-1}, as a list of reduced (numerator,
+    denominator) pairs over x from o_d, and is computed from row d - 1 alone.
+    Row d needs x in [o_d, hi_d] with hi_r = o_r and hi_d = o_d + hi_{d+1} +
+    1: exactly the tuples the recurrence reaches from l.  Only the row being
+    built and the one below it are held.
     """
-    regular = kind in (ValueKind.MZF_REG, ValueKind.MZSF_REG)
-    star = kind in (ValueKind.MZSF_REG, ValueKind.MZSF_REV)
-    step = _reg_step if regular else _rev_step
+    regular, star, step, wstar = _recurrence(kind)
     order = lt if regular else lt[::-1]
     hi = list(order)
     for d in range(len(lt) - 2, -1, -1):
         hi[d] += hi[d + 1] + 1
-    row = [zeta_neg(x) for x in range(order[0], hi[0] + 1)]
+    row = _zeta_row(order[0], hi[0])
     yield row
     for d in range(1, len(lt)):
         nums, den = _as_ints(row)
-        row = [step(x, nums, den, star) for x in range(order[d], hi[d] + 1)]
+        row = [step(x, _weights(x, wstar), nums, den, star) for x in range(order[d], hi[d] + 1)]
         yield row
 
 
@@ -168,18 +190,21 @@ def value(kind: ValueKind | str, l: Sequence[int]) -> Fraction:
     """Evaluate any of the four value families by kind: the last row's entry."""
     for row in _rows(ValueKind(kind), as_index_tuple(l)):
         pass
-    return row[0]
+    return Fraction(*row[0])
 
 
-def _origin_values(kind: ValueKind, n: int) -> List[Fraction]:
-    """[value(kind, (0,) * k) for k in 1..n]: the first entries of the walk at (0,) * n."""
+def _origin_values(kind: ValueKind, n: int) -> List[Pair]:
+    """The depth-k origin values value(kind, (0,) * k) for k in 1..n as reduced
+    pairs: the first entries of the walk at (0,) * n."""
     return [row[0] for row in _rows(kind, (0,) * n)] if n >= 1 else []
 
 
-def value_grid(
-    kind: ValueKind | str, max_depth: int, max_weight: int
-) -> Iterator[Tuple[IndexTuple, Fraction]]:
-    """Yield (l, value(kind, l)) for l in iter_index_tuples(max_depth, max_weight).
+def _grid(
+    kind: ValueKind | str, max_depth: int, max_weight: int, text: bool = False
+) -> Iterator[Tuple[IndexTuple | str, int, int]]:
+    """Yield (l, n, d) with n / d = value(kind, l) reduced, d > 0, for l in
+    iter_index_tuples(max_depth, max_weight).  With ``text``, l is given as
+    its index text "l_1,...,l_r", built from its parent's text.
 
     Each parent p, the empty tuple or a grid tuple of depth k < max_depth, has
     one row of :func:`value`: the values at p + (x,) (regular) or (x,) + p
@@ -187,29 +212,46 @@ def value_grid(
     grid tuple asks.  The walk follows :func:`iter_index_tuples`, depth by
     depth, so each grid tuple is read from its parent's row, built one depth
     earlier, and then builds its own row from that row's tail: every step
-    runs once.  A parent's last child is the one at full weight, which drops
-    the parent's row, so the grid holds only the rows of live parents.
+    runs once, and the steps at one c share one read of their weights.  A
+    parent's last child is the one at full weight, which drops the parent's
+    row, so the grid holds only the rows of live parents.
     """
     kind = ValueKind(kind)
     if max_depth < 1 or max_weight < 0:
         return
-    regular = kind in (ValueKind.MZF_REG, ValueKind.MZSF_REG)
-    star = kind in (ValueKind.MZSF_REG, ValueKind.MZSF_REV)
-    step = _reg_step if regular else _rev_step
-    row = [zeta_neg(x) for x in range(max_weight + max_depth)]
-    # parent -> (its row, the row's (nums, den) if a step reads it)
-    rows = {(): (row, _as_ints(row) if max_depth > 1 else None)}
+    regular, star, step, wstar = _recurrence(kind)
+    top = max_weight + max_depth
+    weights = [_weights(c, wstar) for c in range(top - 1)]
+    row = _zeta_row(0, top - 1)
+    # parent -> (its row, the row's (nums, den) if a step reads it, its key)
+    rows = {(): (row, _as_ints(row) if max_depth > 1 else None, "")}
     for l in iter_index_tuples(max_depth, max_weight):
         p, x = (l[:-1], l[-1]) if regular else (l[1:], l[0])
         rest = max_weight - sum(l)
-        row, ints = rows[p] if rest else rows.pop(p)
-        yield l, row[x]
+        row, ints, key = rows[p] if rest else rows.pop(p)
+        if not text:
+            key = l
+        elif not key:
+            key = str(x)
+        else:
+            key = f"{key},{x}" if regular else f"{x},{key}"
+        n, d = row[x]
+        yield key, n, d
         depth = len(l)
         if depth < max_depth:
             nums, den = ints
             prev = nums[x:]
-            new = [step(c, prev, den, star) for c in range(rest + max_depth - depth)]
-            rows[l] = new, _as_ints(new) if depth + 1 < max_depth else None
+            new = [step(c, weights[c], prev, den, star) for c in range(rest + max_depth - depth)]
+            rows[l] = new, _as_ints(new) if depth + 1 < max_depth else None, key
+
+
+def value_grid(
+    kind: ValueKind | str, max_depth: int, max_weight: int
+) -> Iterator[Tuple[IndexTuple, Fraction]]:
+    """Yield (l, value(kind, l)) for l in iter_index_tuples(max_depth, max_weight),
+    each value read off one pass of :func:`_grid`."""
+    for l, n, d in _grid(kind, max_depth, max_weight):
+        yield l, Fraction(n, d)
 
 
 def mzf_reg(l: Sequence[int]) -> Fraction:
@@ -245,7 +287,7 @@ def _box_grid(
 
     The box of l is one slot step (:func:`mzv.stirling._box_step`) from the
     box of its parent l[:-1], built one depth earlier; as in
-    :func:`value_grid`, a parent's full-weight child is its last and drops it.
+    :func:`_grid`, a parent's full-weight child is its last and drops it.
     """
     boxes: Dict[IndexTuple, Dict[int, int]] = {(): {0: 1}}
     for l in iter_index_tuples(max_depth, max_weight):

@@ -753,7 +753,7 @@ def _suite_gregory(
         rec.equal(
             lambda: f"origin reverse value via Gregory sums r={r}",
             origin_rev_gregory(r),
-            rev_origin[r - 1],
+            Fraction(*rev_origin[r - 1]),
         )
     for r in range(1, min(bounds.max_r, 5) + 1):
         rec.true(lambda: f"origin product decomposition r={r}", origin_decomposition_check(r))

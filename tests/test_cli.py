@@ -16,7 +16,7 @@ import pytest
 import mzv.cli
 import mzv.verify
 from mzv.cli import main
-from mzv.values import iter_index_tuples
+from mzv.values import iter_index_tuples, value
 
 
 def run(capsys, *argv):
@@ -180,6 +180,32 @@ def test_decimal_is_refused_where_it_changes_nothing(capsys, argv):
     assert code == 2
     assert out == ""
     assert "--decimal" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("value", "--kind", "mzf-reg", "--index", "1", "--path", "all"),
+        ("coeff", "--index", "1,1"),
+        ("stirling", "--kind", "s", "--n", "7", "--m", "3"),
+        ("table", "--kind", "mzf-reg", "--json"),
+    ],
+)
+def test_decimal_over_the_cap_is_refused_before_computing(capsys, monkeypatch, argv):
+    def unused(*args, **kwargs):
+        raise AssertionError("a value was computed")
+
+    for name in ("value", "_grid", "asym_coeff", "stirling_first"):
+        monkeypatch.setattr(mzv.cli, name, unused)
+    code, out, err = run(capsys, *argv, "--decimal", "1001")
+    assert (code, out, err) == (2, "", "error: --decimal is 1,001; the cap is 1,000\n")
+
+
+def test_decimal_at_the_cap_is_written(capsys):
+    code, out, err = run(capsys, "value", "--kind", "mzf-reg", "--index", "1", "--decimal", "1000")
+    digits = "08" + "3" * 998
+    assert (code, err) == (0, "")
+    assert out == f"mzf-reg(1) = -1/12 (~ -0.{digits}, approximate)  [recurrence]\n"
 
 
 def test_json_and_csv_conflict(capsys):
@@ -535,6 +561,52 @@ def test_table_digests_are_pinned(capsys, kind):
     assert digest.hexdigest() == TABLE_DIGESTS[kind]
 
 
+def _oracle_table(kind, depth, weight, fmt):
+    # `mzv table` output rendered here from per-tuple values: the index text
+    # joined entry by entry, the value by str(Fraction), and the decimal
+    # rounded half to even at 6 digits.
+    lines = []
+    for l in iter_index_tuples(depth, weight):
+        query = f"{kind}({','.join(str(e) for e in l)})"
+        v = value(kind, l)
+        scaled = round(abs(v) * 10**6)
+        approx = f"{'-' if v < 0 else ''}{scaled // 10**6}.{scaled % 10**6:06d}"
+        if fmt == "text":
+            lines.append(f"{query} = {v}  [recurrence]\n")
+        elif fmt == "csv":
+            quoted = f'"{query}"' if "," in query else query
+            lines.append(f"{quoted},{v},recurrence\r\n")
+        else:
+            extra = f', "approx_decimal": "{approx}"' if fmt == "json-decimal" else ""
+            lines.append(
+                f'{{"query": "{query}", "value": "{v}", "provenance": "recurrence"{extra}}}'
+            )
+    if fmt == "text":
+        return "".join(lines)
+    if fmt == "csv":
+        return "query,value,provenance\r\n" + "".join(lines)
+    return '{"records": [' + ", ".join(lines) + "]}\n"
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_DIGESTS))
+@pytest.mark.parametrize("grid", [(2, 12), (4, 5)])
+@pytest.mark.parametrize(
+    "fmt, flags",
+    [("text", ()), ("csv", ("--csv",)), ("json", ("--json",)),
+     ("json-decimal", ("--json", "--decimal", "6"))],
+)
+def test_table_output_matches_a_per_tuple_rendering(capsys, kind, grid, fmt, flags):
+    # Two-digit entries at (2, 12), and depth 4: the index text of each
+    # record is built from its parent's, appended or prepended by kind.
+    depth, weight = grid
+    code, out, err = run(
+        capsys, "table", "--kind", kind, "--max-depth", str(depth), "--max-weight", str(weight),
+        *flags,
+    )
+    assert (code, err) == (0, "")
+    assert out == _oracle_table(kind, depth, weight, fmt)
+
+
 def test_table_decimal_records_are_pinned(capsys):
     code, out, _ = run(
         capsys,
@@ -594,7 +666,7 @@ def test_table_over_the_cap_is_refused_before_computing(capsys, monkeypatch, gri
 
     if count is None:  # small enough to count by enumeration
         count = f"{len(list(iter_index_tuples(int(grid[0]), int(grid[1])))):,}"
-    monkeypatch.setattr(mzv.cli, "value_grid", no_grid)
+    monkeypatch.setattr(mzv.cli, "_grid", no_grid)
     code, out, err = run(
         capsys, "table", "--kind", "mzf-reg", "--max-depth", grid[0], "--max-weight", grid[1]
     )
@@ -605,7 +677,7 @@ def test_table_over_the_cap_is_refused_before_computing(capsys, monkeypatch, gri
 
 def test_table_just_under_the_cap_is_computed(capsys, monkeypatch):
     # Depth 8, weight 12 is 203,489 tuples; an empty grid stands in for it.
-    monkeypatch.setattr(mzv.cli, "value_grid", lambda kind, depth, weight: iter(()))
+    monkeypatch.setattr(mzv.cli, "_grid", lambda kind, depth, weight, text=False: iter(()))
     code, out, err = run(
         capsys, "table", "--kind", "mzf-reg", "--max-depth", "8", "--max-weight", "12", "--json"
     )
@@ -794,13 +866,13 @@ def test_table_streams_the_grid(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     held_back = []
 
-    def grid(kind, depth, weight):
+    def grid(kind, depth, weight, text=False):
         for x in range(weight + 1):
             if x and f"{kind}({x - 1})" not in out.getvalue():
                 held_back.append(x - 1)
-            yield (x,), Fraction(1, x + 2)
+            yield (str(x) if text else (x,)), 1, x + 2
 
-    monkeypatch.setattr(mzv.cli, "value_grid", grid)
+    monkeypatch.setattr(mzv.cli, "_grid", grid)
     code = main(["table", "--kind", "mzf-rev", "--max-depth", "1", "--max-weight", "3", "--json"])
     assert (code, held_back) == (0, [])
     assert json.loads(out.getvalue())["records"][3] == {

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from mzv.stirling import stirling_kernel_box
 from mzv.values import (
     ValueKind,
     _box_grid,
+    _grid,
     _origin_values,
     _zero_padding_holds,
     akiyama_tanigawa_reg,
@@ -325,6 +326,21 @@ def test_value_grid_matches_per_tuple_engine(kind, grid):
 
 
 @pytest.mark.parametrize("kind", list(ValueKind))
+@pytest.mark.parametrize("grid", [(1, 12), (2, 12), (4, 5), (6, 7)])
+def test_integer_grid_gives_reduced_pairs_and_index_texts(kind, grid):
+    # The one walk behind value_grid and `mzv table`: each value as a reduced
+    # pair over a positive denominator, and with text=True each index as the
+    # text its entries join to, built from the parent's text.
+    tuples = list(iter_index_tuples(*grid))
+    pairs = list(_grid(kind, *grid))
+    assert [l for l, _, _ in pairs] == tuples
+    assert all(d > 0 and gcd(n, d) == 1 for _, n, d in pairs)
+    assert [Fraction(n, d) for _, n, d in pairs] == [v for _, v in value_grid(kind, *grid)]
+    texts = list(_grid(kind, *grid, text=True))
+    assert texts == [(",".join(map(str, l)), n, d) for l, n, d in pairs]
+
+
+@pytest.mark.parametrize("kind", list(ValueKind))
 @pytest.mark.parametrize("grid", [(3, 9), (6, 7)])
 def test_value_grid_leaves_the_memo_per_tuple_calls_leave(kind, grid):
     # No value is kept between calls, so no call order changes a value: a
@@ -348,9 +364,12 @@ def test_value_grid_of_an_empty_grid_computes_nothing(monkeypatch):
 @pytest.mark.parametrize("kind", list(ValueKind))
 def test_origin_values_are_the_origin_values_of_value(kind):
     # Row d of the walk at (0,) * n starts at the depth-d origin value.
+    # They come as reduced pairs, the denominator positive.
     origin = _origin_values(kind, 40)
-    assert origin == [value(kind, (0,) * k) for k in range(1, 41)]
-    assert _origin_values(kind, 1) == [value(kind, (0,))] == [zeta_neg(0)]
+    assert [Fraction(*pair) for pair in origin] == [value(kind, (0,) * k) for k in range(1, 41)]
+    assert all(d > 0 and gcd(n, d) == 1 for n, d in origin)
+    assert _origin_values(kind, 1) == [(-1, 2)]
+    assert value(kind, (0,)) == zeta_neg(0) == Fraction(-1, 2)
     assert _origin_values(kind, 0) == []
 
 
