@@ -39,7 +39,10 @@ over one denominator, per (i, r, shift).  A grid of calls can share one
 memo per path (the ``asym`` suite does, for the units of one run that run
 in one process, with one top per depth, so each step of the last index
 entry costs the definition sum one dot product); a single public call
-starts from an empty one.
+starts from an empty one.  Each path also takes a run of siblings, the
+tuples prefix + (x,) for several x (:func:`_asym_run`, :func:`_c_rec_run`,
+:func:`_c_explicit_run`), and does the work they share once; a call at one
+l is a run of length one.
 
 The module also computes generalized Gregory coefficients G_{m,n} as
 coefficients of the bivariate series
@@ -146,8 +149,17 @@ def _pairs(a: Shift) -> Pairs:
 def _asym_sum(
     l: IndexTuple, d: "Direction | None", a: Pairs, memo: dict, top: "int | None" = None
 ) -> Ratio:
-    """Definition sum, assuming validated inputs; ``d=None`` sums C^(d)(-l; a)
-    over all 2^(r-1) directions d in the same single pass.
+    """Definition sum at one l: a run (:func:`_asym_run`) of length one."""
+    return _asym_run(l[:-1], (l[-1],), d, a, memo, top)[0]
+
+
+def _asym_run(
+    prefix: IndexTuple, xs: Sequence[int], d: "Direction | None", a: Pairs, memo: dict,
+    top: "int | None" = None,
+) -> List[Ratio]:
+    """Definition sum at each l = prefix + (x,) for x in ``xs``, a run of
+    siblings, assuming validated inputs; ``d=None`` sums C^(d)(-l; a) over
+    all 2^(r-1) directions d in the same single pass.
 
     The coefficient is (-1)^(r+|l|) times the sum over the admissible n of
     prod_j B_{n_j}(a_j)/n_j! * (H_j - u_j + j - 1)_{l_j}, with (x)_k the
@@ -174,16 +186,17 @@ def _asym_sum(
     the last prefix l_1..l_{r-1} the stream computed; a call rebuilds rows
     from the first slot where its prefix differs.  Calls that share a top
     and differ only in l_r, such as siblings in :func:`iter_index_tuples`
-    order, then cost one dot product each.  Each kept path is a function of
-    its stream and prefix alone, so any calls may share a memo and no value
-    depends on which calls came first, while the memo holds at most r - 1
-    rows per stream.
+    order, then cost one dot product each, and a run of them reads the memo
+    once.  ``top`` defaults to the run's largest r + |l|.  Each kept path is
+    a function of its stream and prefix alone, so any calls may share a memo
+    and no value depends on which calls came first, while the memo holds at
+    most r - 1 rows per stream.
     """
-    r, total = len(l), len(l) + sum(l)
-    top = total if top is None else top
+    r = len(prefix) + 1
+    base = r + sum(prefix)  # r + |l| - l_r
+    top = base + max(xs) if top is None else top
     dirs = (None,) * (r - 1) if d is None else d
     stream = (top, d, *a[:-1])
-    prefix = l[:-1]
     kept_prefix, rows = memo.get(stream, ((), []))
     if kept_prefix != prefix:
         k = 0
@@ -193,7 +206,7 @@ def _asym_sum(
         den, low, row = rows[-1] if rows else (1, 0, [1])
         head = sum(prefix[:k])
         for j in range(k + 1, r):
-            lj, bit = l[j - 1], dirs[j - 1]
+            lj, bit = prefix[j - 1], dirs[j - 1]
             one_hi = head + j - 1  # d_j = 1: u_j <= H_{j-1} + j - 1
             head += lj
             # d_{j+1} = 1 bounds u_j <= u_{j+1} <= H_j + j.
@@ -215,10 +228,14 @@ def _asym_sum(
         memo[stream] = prefix, rows
     den, low, row = rows[-1] if rows else (1, 0, [1])
     if not row:
-        return 0, 1
-    slot_den, bern = shift_ratios(a[-1], total - low)
-    acc = factorial(l[-1]) * sum(map(mul, row, bern[total - low :: -1]))
-    return -acc if (total + l[-1]) % 2 else acc, den * slot_den
+        return [(0, 1)] * len(xs)
+    out = []
+    for lr in xs:
+        total = base + lr
+        slot_den, bern = shift_ratios(a[-1], total - low)
+        acc = factorial(lr) * sum(map(mul, row, bern[total - low :: -1]))
+        out.append((-acc if (total + lr) % 2 else acc, den * slot_den))
+    return out
 
 
 def asym_coeff(
@@ -290,11 +307,11 @@ def _lowest(value: Ratio) -> Ratio:
 
 
 def _rec_row(
-    memo: dict, key: tuple, lo: int, count: int, entry: Callable[[int], Ratio]
+    memo: dict, key: tuple, lo: int, count: int, entries: Callable[[range], List[Ratio]]
 ) -> Tuple[List[int], int]:
     """Entries y = lo..lo+count-1 of the recurrence row under ``key``, the
-    row's entry at y being ``entry(y)``, as (nums, den) over the row's one
-    denominator.
+    row's entries at a range of y being ``entries(ys)``, as (nums, den) over
+    the row's one denominator.
 
     The memo keeps each row as (y0, nums, den), its entries from y0 up as
     integer numerators over den, the lcm of the entries' reduced
@@ -304,8 +321,9 @@ def _rec_row(
     """
     y0, nums, den = memo.get(key) or (lo, [], 1)
     if lo < y0 or lo + count > y0 + len(nums):
-        below = [_lowest(entry(y)) for y in range(lo, y0)]
-        above = [_lowest(entry(y)) for y in range(y0 + len(nums), lo + count)]
+        below = [_lowest(v) for v in entries(range(lo, y0))] if lo < y0 else []
+        end = y0 + len(nums)
+        above = [_lowest(v) for v in entries(range(end, lo + count))] if lo + count > end else []
         grown = lcm(den, *(d for _, d in below + above))
         scale = grown // den
         nums = (
@@ -319,15 +337,25 @@ def _rec_row(
 
 
 def _c_rec(i: int, r: int, l: IndexTuple, a: Pairs, memo: dict) -> Ratio:
-    """Depth reduction; memo maps a parent to its row of sub-values, each
-    sub-value reduced before the row takes it.
+    """Depth reduction at one l: a run (:func:`_c_rec_run`) of length one."""
+    return _c_rec_run(i, r, l[:-1], (l[-1],), a, memo)[0]
+
+
+def _c_rec_run(
+    i: int, r: int, prefix: IndexTuple, xs: Sequence[int], a: Pairs, memo: dict
+) -> List[Ratio]:
+    """Depth reduction at each l = prefix + (x,) for x in ``xs``, a run of
+    siblings; memo maps a parent to its row of sub-values, each sub-value
+    reduced before the row takes it.
 
     A last-slot peel of (i, r, head + (x, l_r)) reads C(i, r-1, head + (y,))
     for y = x..x+l_r+1, a run of the row under (i, r-1, head); a first-slot
     peel of (r, r, (l_1, x) + tail) reads C(r-1, r-1, (y,) + tail), a run of
-    the row under (r-1, r-1, tail) (:func:`_rec_row`).  The two kinds never
-    share a key: last-slot rows sit at levels (i, r') with r' >= i, first-slot
-    rows at (r', r') with r' < i.  The key leaves out the shift, which the
+    the row under (r-1, r-1, tail) (:func:`_rec_row`).  The siblings of a
+    run share the row of their last-slot peels, read once for the longest of
+    them, and the entries that row lacks are again a run of siblings.  The
+    two kinds never share a key: last-slot rows sit at levels (i, r') with
+    r' >= i, first-slot rows at (r', r') with r' < i.  The key leaves out the shift, which the
     top-level (i, r, a) fixes at each level: a[:r'] at (i, r') while i < r',
     the last r' entries of a[:i] at (r', r') once the first slot is peeled.
     So a memo may be shared by top-level calls with the same i, r and a,
@@ -335,33 +363,36 @@ def _c_rec(i: int, r: int, l: IndexTuple, a: Pairs, memo: dict) -> Ratio:
     reach one (r', r') with different shifts.
     """
     if r == 1:
-        # -B_{l+1}(a)/(l+1) = -l! * B_{l+1}(a)/(l+1)!
-        den, bern = shift_ratios(a[0], l[0] + 1)
-        return -factorial(l[0]) * bern[l[0] + 1], den
+        # -B_{l+1}(a)/(l+1) = -l! * B_{l+1}(a)/(l+1)!, one table row for the run.
+        den, bern = shift_ratios(a[0], max(xs) + 1)
+        return [(-factorial(x) * bern[x + 1], den) for x in xs]
     if i < r:
         # Peel the last slot: the tail exponent is confined to a window of
         # width l_r + 2, and each choice shifts the next-to-last index.
-        head = l[:-2]
+        head = prefix[:-1]
         row = _rec_row(
-            memo, (i, r - 1, head), l[-2], l[-1] + 2,
-            lambda y: _c_rec(i, r - 1, head + (y,), a[:-1], memo),
+            memo, (i, r - 1, head), prefix[-1], max(xs) + 2,
+            lambda ys: _c_rec_run(i, r - 1, head, ys, a[:-1], memo),
         )
-        return _peel(-1, row, l[-1], a[-1])
+        return [_peel(-1, row, x, a[-1]) for x in xs]
     if r == 2:
         # i == r: all-ones staircase.
-        return _c22_closed(l[0], l[1], a[1])
+        return [_c22_closed(prefix[0], x, a[1]) for x in xs]
     # Peel the first slot: its exponent is forced to zero, the second slot's
     # exponent is summed out against the complement shift 1 - a_2, and the
     # remainder is the depth-(r-1) all-ones staircase.  The leading shift
     # entry of the sub-call is irrelevant (its exponent is again forced to
     # zero), so the shift tail is passed unchanged.
-    tail = l[2:]
-    row = _rec_row(
-        memo, (r - 1, r - 1, tail), l[1], l[0] + 2,
-        lambda y: _c_rec(r - 1, r - 1, (y,) + tail, a[1:], memo),
-    )
     p, q = a[1]
-    return _peel(1, row, l[0], (q - p, q))
+    out = []
+    for x in xs:
+        tail = prefix[2:] + (x,)
+        row = _rec_row(
+            memo, (r - 1, r - 1, tail), prefix[1], prefix[0] + 2,
+            lambda ys: [_c_rec(r - 1, r - 1, (y,) + tail, a[1:], memo) for y in ys],
+        )
+        out.append(_peel(1, row, prefix[0], (q - p, q)))
+    return out
 
 
 def c_ir_recurrence(
@@ -407,7 +438,10 @@ def _chain_links(
     A chain reads nothing but its links, so the key is the links themselves
     and one memo may serve any calls, the right and the left chains alike.
     """
-    k = len(links)
+    kept = memo.get(links)
+    if kept is not None:
+        return kept
+    k = max(len(links) - 1, 0)
     while k and links[:k] not in memo:
         k -= 1
     weights, den = memo[links[:k]] if k else ({0: 1}, 1)
@@ -419,44 +453,59 @@ def _chain_links(
 
 
 def _c_explicit(i: int, r: int, lt: IndexTuple, at: Pairs, memo: dict) -> Ratio:
-    """:func:`c_ir_explicit` on validated inputs; ``memo`` keeps the chains
-    (:func:`_chain_links`)."""
-    # Right chain: variables k_r, ..., k_{i+1}; k_{r+1} = 0.  After it,
-    # right[k] is k! times the summed product of the weights
-    # comb(k_{j+1}+l_j+1, k_j) * B_{k_{j+1}+l_j+1-k_j}(a_j) / (k_{j+1}+l_j+1)
-    # over j = r, ..., i+1 with k_{i+1} = k, as an integer over den.
-    right, den = _chain_links(tuple(zip(lt[i:], at[i:]))[::-1], memo)
+    """:func:`c_ir_explicit` on validated inputs: a run
+    (:func:`_c_explicit_run`) of length one."""
+    return _c_explicit_run(i, r, lt[:-1], (lt[-1],), at, memo)[0]
 
+
+def _c_explicit_run(
+    i: int, r: int, prefix: IndexTuple, xs: Sequence[int], at: Pairs, memo: dict
+) -> List[Ratio]:
+    """:func:`c_ir_explicit` at each l = prefix + (x,) for x in ``xs``, a run
+    of siblings, on validated inputs; ``memo`` keeps the chains
+    (:func:`_chain_links`).  The left chain and the left factor of the core
+    read only l_1..l_{i-1}, so a run builds them once."""
     sign = -1 if (r - i) % 2 else 1
-
-    if i == 1:
-        # w(k_2) * (-B_{l_1+k_2+1}(a_1) / (l_1+k_2+1)), with
-        # B_{L+1}(a)/(L+1) = L! B_{L+1}(a)/(L+1)!.
-        l1 = lt[0]
-        core_den, bern = shift_ratios(at[0], l1 + 1 + max(right))
-        total = sum(w * perm(l1 + k2, l1) * bern[l1 + k2 + 1] for k2, w in right.items())
-        return -sign * total, den * core_den
-
-    # Left chain: variables k_1, ..., k_{i-2}; k_0 = 0; weights use the
-    # complement shifts 1 - a_{j+1} = (q - p)/q.  For i == 2 the chain is empty.
-    links = tuple((lj, (q - p, q)) for lj, (p, q) in zip(lt, at[1 : i - 1]))
-    left, left_den = _chain_links(links, memo)
-    den *= left_den
-
-    # Depth-2 core on slots (i-1, i): with L1 = l_{i-1} + k_left and
-    # L2 = l_i + k_right, (-1)^L1 L1! L2! B_s(a_i)/s!, s = L1 + L2 + 2; the
-    # chain rescalings leave the integer (L1!/k_left!)(L2!/k_right!) N_s.
-    la, lb = lt[i - 2], lt[i - 1]
-    core_den, bern = shift_ratios(at[i - 1], la + lb + 2 + max(left) + max(right))
-    total = 0
-    for k_right, w_right in right.items():
-        w_right *= perm(lb + k_right, lb)
+    if i > 1:
+        # Left chain: variables k_1, ..., k_{i-2}; k_0 = 0; weights use the
+        # complement shifts 1 - a_{j+1} = (q - p)/q.  For i == 2 the chain is
+        # empty.
+        links = tuple((lj, (q - p, q)) for lj, (p, q) in zip(prefix, at[1 : i - 1]))
+        left, left_den = _chain_links(links, memo)
+        # Depth-2 core on slots (i-1, i): with L1 = l_{i-1} + k_left and
+        # L2 = l_i + k_right, (-1)^L1 L1! L2! B_s(a_i)/s!, s = L1 + L2 + 2;
+        # the chain rescalings leave the integer (L1!/k_left!)(L2!/k_right!)
+        # N_s.  The left factor (-1)^L1 (L1!/k_left!) w_left does not depend
+        # on k_right, so it is formed once, as a row over k_left.
+        la = prefix[i - 2]
+        left_row = [0] * (max(left) + 1)
         for k_left, w_left in left.items():
-            core = perm(la + k_left, la) * bern[la + lb + 2 + k_left + k_right]
-            if (la + k_left) % 2:
-                core = -core
-            total += w_right * w_left * core
-    return sign * total, den * core_den
+            w_left *= perm(la + k_left, la)
+            left_row[k_left] = -w_left if (la + k_left) % 2 else w_left
+    out = []
+    for x in xs:
+        lt = prefix + (x,)
+        # Right chain: variables k_r, ..., k_{i+1}; k_{r+1} = 0.  After it,
+        # right[k] is k! times the summed product of the weights
+        # comb(k_{j+1}+l_j+1, k_j) * B_{k_{j+1}+l_j+1-k_j}(a_j) / (k_{j+1}+l_j+1)
+        # over j = r, ..., i+1 with k_{i+1} = k, as an integer over den.
+        right, den = _chain_links(tuple(zip(lt[i:], at[i:]))[::-1], memo)
+        if i == 1:
+            # w(k_2) * (-B_{l_1+k_2+1}(a_1) / (l_1+k_2+1)), with
+            # B_{L+1}(a)/(L+1) = L! B_{L+1}(a)/(L+1)!.
+            l1 = lt[0]
+            core_den, bern = shift_ratios(at[0], l1 + 1 + max(right))
+            total = sum(w * perm(l1 + k2, l1) * bern[l1 + k2 + 1] for k2, w in right.items())
+            out.append((-sign * total, den * core_den))
+            continue
+        lb = lt[i - 1]
+        core_den, bern = shift_ratios(at[i - 1], la + lb + 1 + len(left_row) + max(right))
+        total = 0
+        for k_right, w_right in right.items():
+            s = la + lb + 2 + k_right
+            total += w_right * perm(lb + k_right, lb) * sum(map(mul, left_row, bern[s:]))
+        out.append((sign * total, den * left_den * core_den))
+    return out
 
 
 def c_ir_explicit(

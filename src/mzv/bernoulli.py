@@ -5,7 +5,10 @@ The base objects come from one exponential generating function: with
 R(X) = X / (e^X - 1), the coefficients of R(X)^m e^{zX} are
 B_n^(m)(z) / n!, the higher-order Bernoulli polynomials.  Order m = 1 gives
 the ordinary Bernoulli polynomials, and z = 0 the ordinary numbers (with the
-B_1 = -1/2 convention that R(X) itself carries).
+B_1 = -1/2 convention that R(X) itself carries).  The series of R(X)^m is
+kept in one list per order m, grown in place on demand: each coefficient is
+computed once, as one convolution of the order m - 1 series with R(X), and a
+truncation is a prefix of any longer one.
 
 The Bernoulli numbers themselves come from integer tangent numbers (Brent
 and Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
@@ -49,6 +52,8 @@ _ZETA_NEG: List[Fraction] = []
 _SHIFT_VALUES: Dict[Tuple[int, int], List[Fraction]] = {}
 # Keyed by ((p, q), top): the row (den, nums) that shift_ratios returns.
 _SHIFT_ROWS: Dict[Tuple[Tuple[int, int], int], Tuple[int, Tuple[int, ...]]] = {}
+# _RATIO_POWERS[m][n] = [X^n] R(X)^m, each series grown in place by _ratio_power.
+_RATIO_POWERS: List[List[Fraction]] = []
 
 
 def _tangent_numbers(k: int) -> List[int]:
@@ -174,25 +179,30 @@ def bernoulli_poly_at(n: int, z: RationalLike) -> Fraction:
     return _shift_values((zv.numerator, zv.denominator), n)[n] * factorial(n)
 
 
-@lru_cache(maxsize=None)
-def _ratio_power(m: int, order: int):
-    """Series coefficients of R(X)^m up to X^order."""
-    if m == 0:
-        return tuple([Fraction(1)] + [Fraction(0)] * order)
-    if m == 1:
-        # B_n(0)/n! = B_n/n!, with the B_1 = -1/2 of R(X) itself.
-        return tuple(_shift_values((0, 1), order)[: order + 1])
-    half = _ratio_power(m - 1, order)
-    base = _ratio_power(1, order)
-    out = [Fraction(0)] * (order + 1)
-    for i, a in enumerate(half):
-        if a == 0:
-            continue
-        for j in range(order + 1 - i):
-            b = base[j]
-            if b != 0:
-                out[i + j] += a * b
-    return tuple(out)
+def _ratio_power(m: int, order: int) -> Tuple[Fraction, ...]:
+    """Series coefficients of R(X)^m up to X^order, read from _RATIO_POWERS.
+
+    The series of order m grows in place, each coefficient computed once as
+    the convolution [X^n] R^m = sum_i [X^i] R^(m-1) [X^(n-i)] R: a truncation
+    is a prefix of any longer one, so every order shares one list per m.
+    """
+    while len(_RATIO_POWERS) <= m:
+        _RATIO_POWERS.append([])
+    series = _RATIO_POWERS[m]
+    have = len(series)
+    if order >= have:
+        if m == 0:
+            series.extend(Fraction(int(n == 0)) for n in range(have, order + 1))
+        elif m == 1:
+            # B_n(0)/n! = B_n/n!, with the B_1 = -1/2 of R(X) itself.
+            series.extend(_shift_values((0, 1), order)[have : order + 1])
+        else:
+            lower, base = _ratio_power(m - 1, order), _ratio_power(1, order)
+            nonzero = [(j, b) for j, b in enumerate(base) if b]
+            for n in range(have, order + 1):
+                terms = (lower[n - j] * b for j, b in nonzero if j <= n and lower[n - j])
+                series.append(sum(terms, Fraction(0)))
+    return tuple(series[: order + 1])
 
 
 @lru_cache(maxsize=None)

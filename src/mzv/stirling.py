@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .kernel import RationalLike, RationalPolynomial, horner, rat
@@ -129,19 +129,32 @@ def _second_kernels(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(map(tuple, kernels))
 
 
-def _box_step(totals: Dict[int, int], lj: int, j: int, shift: int) -> Dict[int, int]:
+def _box_step(
+    totals: Dict[int, int], lj: int, j: int, shift: int, factors: Dict[Tuple[int, int], tuple]
+) -> Dict[int, int]:
     """Carry the box totals over l_1..l_{j-1} through slot j (see
-    :func:`stirling_kernel_box`)."""
-    kernels = _second_kernels(lj)
-    grown: Dict[int, int] = {}
+    :func:`stirling_kernel_box`).
+
+    ``factors`` maps (l_j, x) to the row of S(l_j, k_j, x) for k_j = 0..l_j,
+    the kernels of :func:`_second_kernels` at the parameter x = K_{j-1} + j -
+    shift.  A row does not depend on the shift, which only sets the signs, so
+    the caller may share one map over every step and box of both shifts; it
+    owns the map and drops it with its boxes.
+    """
+    grown = [0] * (max(totals) + lj + 1)
+    flip = -1 if shift else 1
     for prev, weight in totals.items():
-        for kj, coeffs in enumerate(kernels):
-            factor = horner(coeffs, prev + j - shift)
-            if shift and (lj - kj) % 2:
-                factor = -factor
-            term = weight * factor * perm(prev + kj + j - 1, kj)
-            grown[prev + kj] = grown.get(prev + kj, 0) + term
-    return {k: w for k, w in grown.items() if w}
+        x = prev + j - shift
+        row = factors.get((lj, x))
+        if row is None:
+            row = factors[lj, x] = tuple(horner(coeffs, x) for coeffs in _second_kernels(lj))
+        # c is (-1)^(shift (l_j - k_j)) weight (K_j + j - 1)! / (K_{j-1} + j - 1)!
+        # at K_j = k, each k_j's c one product from the one before.
+        c = -weight if shift and lj % 2 else weight
+        for k, factor in enumerate(row, prev):
+            grown[k] += c * factor
+            c *= flip * (k + j)
+    return {k: w for k, w in enumerate(grown) if w}
 
 
 def stirling_kernel_box(l: Sequence[int], shift: int) -> Dict[int, int]:
@@ -159,11 +172,13 @@ def stirling_kernel_box(l: Sequence[int], shift: int) -> Dict[int, int]:
     slots before it; a grid of boxes can share the totals of a common
     prefix.  Every parameter K_{j-1} + j - shift is an integer, so every
     factor and total is an integer.  Returns {K_r: total weight of the box
-    points with that sum}, as ints, leaving out zero totals.
+    points with that sum}, as ints, leaving out zero totals.  Each call
+    starts from an empty map of factor rows.
     """
     totals: Dict[int, int] = {0: 1}
+    factors: Dict[Tuple[int, int], tuple] = {}
     for j, lj in enumerate(l, start=1):
-        totals = _box_step(totals, lj, j, shift)
+        totals = _box_step(totals, lj, j, shift, factors)
     return totals
 
 

@@ -50,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd, lcm, perm
-from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .bernoulli import zeta_neg, zeta_star_neg
 from .kernel import horner
@@ -280,7 +280,8 @@ def mzsf_rev(l: Sequence[int]) -> Fraction:
 
 
 def _box_grid(
-    max_depth: int, max_weight: int, shift: int
+    max_depth: int, max_weight: int, shift: int,
+    factors: Optional[Dict[Tuple[int, int], tuple]] = None,
 ) -> Iterator[Tuple[IndexTuple, Dict[int, int]]]:
     """Yield (l, stirling_kernel_box(l, shift)) for l in
     iter_index_tuples(max_depth, max_weight).
@@ -288,12 +289,16 @@ def _box_grid(
     The box of l is one slot step (:func:`mzv.stirling._box_step`) from the
     box of its parent l[:-1], built one depth earlier; as in
     :func:`_grid`, a parent's full-weight child is its last and drops it.
+    Every step reads its Stirling factor rows from ``factors``, a fresh map
+    unless the caller passes one; the caller owns it, so one map may serve
+    all the grids of one suite call, of either shift, and goes with the call.
     """
+    factors = {} if factors is None else factors
     boxes: Dict[IndexTuple, Dict[int, int]] = {(): {0: 1}}
     for l in iter_index_tuples(max_depth, max_weight):
         p = l[:-1]
         parent = boxes[p] if sum(l) < max_weight else boxes.pop(p)
-        box = _box_step(parent, l[-1], len(l), shift)
+        box = _box_step(parent, l[-1], len(l), shift, factors)
         yield l, box
         if len(l) < max_depth:
             boxes[l] = box

@@ -538,18 +538,21 @@ def test_explicit_path_never_reads_the_suite_memo(monkeypatch):
     # Corrupt every shared memo after each recurrence check, raising every
     # kept row entry nums[k] / den by one: later recurrence checks then fail,
     # while every explicit-path check, which never runs the recurrence, still
-    # passes.
+    # passes.  The staircase runs the recurrence on runs of siblings, so the
+    # corrupting run computes one l at a time.
     from mzv import verify
 
-    c_rec = verify._c_rec
+    c_rec_run = verify._c_rec_run
 
-    def corrupting(i, r, l, a, memo):
-        value = c_rec(i, r, l, a, memo)
-        for y0, nums, den in memo.values():
-            nums[:] = [n + den for n in nums]
-        return value
+    def corrupting(i, r, prefix, xs, a, memo):
+        values = []
+        for x in xs:
+            values += c_rec_run(i, r, prefix, (x,), a, memo)
+            for y0, nums, den in memo.values():
+                nums[:] = [n + den for n in nums]
+        return values
 
-    monkeypatch.setattr(verify, "_c_rec", corrupting)
+    monkeypatch.setattr(verify, "_c_rec_run", corrupting)
     result = verify.run_suite("asym", verify.Bounds(max_depth=3, max_weight=4, max_r=4))
     assert result.failures
     assert all(f.startswith("recurrence path") for f in result.failures)

@@ -229,5 +229,36 @@ def test_shift_ratios_row_ignores_earlier_high_reads():
     assert shift_ratios((1, 1), 5)[0] == 3600
 
 
+def _ratio_series(m, order):
+    """[X^n] R(X)^m for n <= order, R(X) = X / (e^X - 1), as a test-local
+    Fraction product: R is the inverse of sum_n X^n / (n + 1)!."""
+    e = [Fraction(1, factorial(n + 1)) for n in range(order + 1)]
+    r = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        r[n] = -sum(e[k] * r[n - k] for k in range(1, n + 1))
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for _ in range(m):
+        power = [sum(power[i] * r[n - i] for i in range(n + 1)) for n in range(order + 1)]
+    return tuple(power)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+def test_ratio_power_reads_in_any_order_match_the_fraction_product(monkeypatch, order):
+    # Each read grows the series of its m in place from an empty table; every
+    # read, short or long, before or after a longer one, must be the product.
+    monkeypatch.setattr(bernoulli, "_RATIO_POWERS", [])
+    reads = [(m, n) for m in range(6) for n in range(0, 15, 2)]
+    if order == "descending":
+        reads.reverse()
+    elif order == "interleaved":
+        reads = [(m, n) for n in (7, 0, 12, 3, 14, 9) for m in (4, 1, 5, 0, 3, 2)]
+    oracle = {m: _ratio_series(m, 14) for m in range(6)}
+    for m, n in reads:
+        assert bernoulli._ratio_power(m, n) == oracle[m][: n + 1], (m, n)
+    assert [len(series) for series in bernoulli._RATIO_POWERS] == [
+        max(n for k, n in reads if k == m) + 1 for m in range(6)
+    ]
+
+
 def _bernoulli_lcm(n):
     return lcm(*(bernoulli_number(k).denominator for k in range(n + 1)))

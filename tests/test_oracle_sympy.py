@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzv.bernoulli import bernoulli_number, zeta_neg
+from mzv.bernoulli import _ratio_power, bernoulli_number, zeta_neg
 from mzv.stirling import stirling_first, stirling_second
 
 sympy = pytest.importorskip("sympy")
@@ -39,3 +39,13 @@ def test_stirling_numbers_match_sympy():
         for m in range(n + 1):
             assert stirling_first(n, m) == int(stirling(n, m, kind=1, signed=True)), (n, m)
             assert stirling_second(n, m) == int(stirling(n, m)), (n, m)
+
+
+def test_ratio_power_series_match_sympy():
+    # R(X)^m = (X / (e^X - 1))^m, one sympy series per m read at every order n.
+    x = sympy.Symbol("x")
+    for m in range(4):
+        series = sympy.series((x / (sympy.exp(x) - 1)) ** m, x, 0, 11).removeO()
+        expected = [_fraction(series.coeff(x, n)) for n in range(11)]
+        for n in range(11):
+            assert _ratio_power(m, n) == tuple(expected[: n + 1]), (m, n)

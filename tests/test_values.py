@@ -211,13 +211,49 @@ def test_box_grid_matches_the_kernel_box(max_depth, max_weight, shift):
         assert box == stirling_kernel_box(l, shift), l
 
 
-def test_values_suite_makes_one_box_step_per_grid_tuple_and_shift(monkeypatch):
-    steps = []
+@pytest.mark.parametrize("order", ["zipped", "plain first", "star first"])
+def test_box_grids_sharing_one_factor_memo_match_fresh_kernel_boxes(order):
+    # One map of factor rows serves both shifts, read in any order; every box
+    # must equal the box of a single public call, which starts afresh.
+    factors = {}
+    if order == "zipped":
+        grids = zip(*(_box_grid(4, 6, shift, factors) for shift in (0, 1)))
+        boxes = [(l, plain, star) for (l, plain), (_, star) in grids]
+    else:
+        shifts = (0, 1) if order == "plain first" else (1, 0)
+        by_shift = {shift: list(_box_grid(4, 6, shift, factors)) for shift in shifts}
+        boxes = [(l, plain, star) for (l, plain), (_, star) in zip(by_shift[0], by_shift[1])]
+    assert [l for l, _, _ in boxes] == list(iter_index_tuples(4, 6))
+    for l, plain, star in boxes:
+        assert plain == stirling_kernel_box(l, 0), l
+        assert star == stirling_kernel_box(l, 1), l
+    # Rows are keyed by (l_j, x): l_j <= 6 and x = K_{j-1} + j - shift <= 6 + 4.
+    assert set(factors) <= set(product(range(7), range(11)))
+
+
+def test_a_kernel_box_call_starts_from_an_empty_factor_memo(monkeypatch):
+    seen = []
     step = stirling._box_step
 
-    def counted(totals, lj, j, shift):
+    def counted(totals, lj, j, shift, factors):
+        seen.append((j, len(factors)))
+        return step(totals, lj, j, shift, factors)
+
+    monkeypatch.setattr(stirling, "_box_step", counted)
+    for l in ((2, 1, 3), (2, 1, 3), (3, 0)):
+        seen.clear()
+        stirling_kernel_box(l, 1)
+        assert seen[0] == (1, 0) and [j for j, _ in seen] == list(range(1, len(l) + 1))
+
+
+def test_values_suite_makes_one_box_step_per_grid_tuple_and_shift(monkeypatch):
+    steps, memos = [], set()
+    step = stirling._box_step
+
+    def counted(totals, lj, j, shift, factors):
         steps.append(shift)
-        return step(totals, lj, j, shift)
+        memos.add(id(factors))
+        return step(totals, lj, j, shift, factors)
 
     monkeypatch.setattr(stirling, "_box_step", counted)
     monkeypatch.setattr(values, "_box_step", counted)
@@ -225,6 +261,8 @@ def test_values_suite_makes_one_box_step_per_grid_tuple_and_shift(monkeypatch):
     assert result.ok
     tuples = sum(1 for _ in iter_index_tuples(4, 6))
     assert (steps.count(0), steps.count(1), len(steps)) == (tuples, tuples, 2 * tuples)
+    # Both shifts' grids read one map of factor rows.
+    assert len(memos) == 1
 
 
 def test_iter_index_tuples():

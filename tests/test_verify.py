@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from mzv import bernoulli, stirling, verify
+from mzv import asymptotic, bernoulli, stirling, verify
 from mzv.asymptotic import c_ir
 from mzv.cli import main
 from mzv.kernel import RationalPolynomial
@@ -353,6 +353,29 @@ def test_passing_checks_build_no_description():
 
 # The failure text of three planted wrong routes, recorded when every
 # description was formatted before its check ran.
+# The staircase of the asym suite calls each of its three routes on runs of
+# siblings, through the run form of the route.
+_RUN_FORMS = {"_c_rec": "_c_rec_run", "_c_explicit": "_c_explicit_run", "_asym_sum": "_asym_run"}
+
+
+def _plant_route(monkeypatch, name, wrong):
+    """Make verify's route ``name`` give ``wrong(*args)`` at each l, args its
+    per-tuple arguments, (i, r, l, a, memo) or (l, d, a, memo, top): where
+    verify calls it per tuple and where the staircase calls its run form."""
+    if name == "_asym_sum":
+        monkeypatch.setattr(verify, name, wrong)
+
+        def run(prefix, xs, d, a, memo, top=None):
+            return [wrong(prefix + (x,), d, a, memo, top) for x in xs]
+
+    else:
+
+        def run(i, r, prefix, xs, a, memo):
+            return [wrong(i, r, prefix + (x,), a, memo) for x in xs]
+
+    monkeypatch.setattr(verify, _RUN_FORMS[name], run)
+
+
 PLANTED_COUNTEREXAMPLES = {
     "asym": "explicit path i=2, r=3, l=(1, 0, 2), a=(Fraction(1, 1), Fraction(1, 1), "
     "Fraction(1, 1)): 6047/6048 != -1/6048",
@@ -362,7 +385,7 @@ PLANTED_COUNTEREXAMPLES = {
 
 
 def _plant_wrong_routes(monkeypatch):
-    c_explicit = verify._c_explicit
+    c_explicit = asymptotic._c_explicit
     choi_check = verify.choi_identity_check
     sign_holds = verify._sign_holds
 
@@ -371,7 +394,7 @@ def _plant_wrong_routes(monkeypatch):
         value = value + 1 if (i, l) == (2, (1, 0, 2)) else value
         return value.numerator, value.denominator
 
-    monkeypatch.setattr(verify, "_c_explicit", wrong_explicit)
+    _plant_route(monkeypatch, "_c_explicit", wrong_explicit)
     monkeypatch.setattr(
         verify,
         "choi_identity_check",
@@ -448,7 +471,7 @@ JOINED_RESULTS = [
 
 def _plant_faults_across_asym_units(monkeypatch):
     c_rec, c_explicit, parity, grid = (
-        verify._c_rec, verify._c_explicit, verify._parity_holds, verify.value_grid
+        asymptotic._c_rec, asymptotic._c_explicit, verify._parity_holds, verify.value_grid
     )
 
     def wrong_rec(i, r, l, a, memo):
@@ -465,8 +488,8 @@ def _plant_faults_across_asym_units(monkeypatch):
         for l, v in grid(kind, max_depth, max_weight):
             yield l, v + 1 if (kind, l) == ("mzsf-reg", (0, 2)) else v
 
-    monkeypatch.setattr(verify, "_c_rec", wrong_rec)
-    monkeypatch.setattr(verify, "_c_explicit", wrong_explicit)
+    _plant_route(monkeypatch, "_c_rec", wrong_rec)
+    _plant_route(monkeypatch, "_c_explicit", wrong_explicit)
     monkeypatch.setattr(
         verify,
         "_parity_holds",
@@ -531,7 +554,7 @@ PLANTED_UNIT_BOUNDS = Bounds(max_depth=2, max_weight=3, max_r=3)
 def test_a_unit_off_in_one_part_of_a_route_fails_with_the_fraction_text(
     monkeypatch, route, part
 ):
-    honest, planted = getattr(verify, route), []
+    honest, planted = getattr(asymptotic, route), []
 
     def off_by_one(*args):
         num, den = honest(*args)
@@ -544,7 +567,7 @@ def test_a_unit_off_in_one_part_of_a_route_fails_with_the_fraction_text(
             planted.append(Fraction(num, den))
         return num, den
 
-    monkeypatch.setattr(verify, route, off_by_one)
+    _plant_route(monkeypatch, route, off_by_one)
     failures = run_suite("asym", PLANTED_UNIT_BOUNDS).failures
     # The text rec.equal gives for the two sides as Fractions.
     rec = verify._Recorder()
@@ -557,6 +580,53 @@ def test_a_unit_off_in_one_part_of_a_route_fails_with_the_fraction_text(
         rec.equal(description, planted[0], c_ir(2, 3, (1, 0, 2), ones))
     assert len(planted) == 1
     assert failures == tuple(rec.failures) and len(failures) == 1
+
+
+# Faults in three checks of one staircase section at depth 2, weight 3, r 3,
+# each planted as the value minus or plus one: the explicit path at i = 3 on
+# (0, 2, 0), and at (1, 0, 2), a later tuple, the explicit path at i = 1 and
+# the recurrence at i = 2.  The failures must come in check order, l first,
+# then i, then the shift, then the recurrence before the explicit path, as
+# one loop over the checks gave them at 7ce90ae; recording them in the order
+# the routes run (case by case, or route by route) reorders this list.
+STAIRCASE_ORDER_FAILURES = (
+    "explicit path i=3, r=3, l=(0, 2, 0), a=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)): "
+    "-719/720 != 1/720",
+    "explicit path i=3, r=3, l=(0, 2, 0), a=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)): "
+    "-721/720 != -1/720",
+    "explicit path i=3, r=3, l=(0, 2, 0), a=(Fraction(1, 3), Fraction(1, 1), Fraction(1, 1)): "
+    "-719/720 != 1/720",
+    "explicit path i=1, r=3, l=(1, 0, 2), a=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)): "
+    "-30173/30240 != 67/30240",
+    "explicit path i=1, r=3, l=(1, 0, 2), a=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)): "
+    "-30173/30240 != 67/30240",
+    "explicit path i=1, r=3, l=(1, 0, 2), a=(Fraction(1, 3), Fraction(1, 1), Fraction(1, 1)): "
+    "-7362167/7348320 != -13847/7348320",
+    "recurrence path i=2, r=3, l=(1, 0, 2), a=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)): "
+    "6047/6048 != -1/6048",
+    "recurrence path i=2, r=3, l=(1, 0, 2), a=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)): "
+    "6047/6048 != -1/6048",
+    "recurrence path i=2, r=3, l=(1, 0, 2), a=(Fraction(1, 3), Fraction(1, 1), Fraction(1, 1)): "
+    "6047/6048 != -1/6048",
+)
+
+
+def test_staircase_failures_come_in_check_order_whatever_order_the_routes_run(monkeypatch):
+    c_rec, c_explicit = asymptotic._c_rec, asymptotic._c_explicit
+
+    def wrong_rec(i, r, l, a, memo):
+        num, den = c_rec(i, r, l, a, memo)
+        return (num + den, den) if (i, l) == (2, (1, 0, 2)) else (num, den)
+
+    def wrong_explicit(i, r, l, a, memo):
+        num, den = c_explicit(i, r, l, a, memo)
+        return (num - den, den) if (i, l) in ((1, (1, 0, 2)), (3, (0, 2, 0))) else (num, den)
+
+    _plant_route(monkeypatch, "_c_rec", wrong_rec)
+    _plant_route(monkeypatch, "_c_explicit", wrong_explicit)
+    result = run_suite("asym", PLANTED_UNIT_BOUNDS)
+    assert result.failures == STAIRCASE_ORDER_FAILURES
+    assert result.checked == 858
 
 
 # The recurrence grids each suite reads, by kind.
