@@ -207,7 +207,7 @@ class _Recorder:
 class _Memos:
     """The memo store of one call in one process, shared by the ``asym``
     units that run there: the definition-sum memo (streams keyed by top,
-    direction and shift, see ``_asym_sum``), the chain memo (keyed by the
+    direction and shift, see ``_asym_run``), the chain memo (keyed by the
     links, see ``_chain_links``) and the recurrence memos.  A recurrence memo
     may be shared only by top-level calls with the same i, r and shift (see
     ``_c_rec``), so there is one per (r, i, shift)."""
