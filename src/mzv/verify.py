@@ -210,7 +210,7 @@ class _Memos:
     direction and shift, see ``_asym_run``), the chain memo (keyed by the
     links, see ``_chain_links``) and the recurrence memos.  A recurrence memo
     may be shared only by top-level calls with the same i, r and shift (see
-    ``_c_rec``), so there is one per (r, i, shift)."""
+    ``_c_rec_run``), so there is one per (r, i, shift)."""
 
     def __init__(self) -> None:
         self.definition: dict = {}
