@@ -94,14 +94,14 @@ def as_direction(d: Sequence[int], depth: int) -> Direction:
     at depth 1).
     """
     bits = tuple(int(b) for b in d)
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"direction entries must be 0 or 1, got {b}")
     if len(bits) != depth - 1:
         raise ValueError(
             f"direction vector has length {len(bits)}, expected {depth - 1} "
             f"for depth {depth}"
         )
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"direction entries must be 0 or 1, got {b}")
     return bits
 
 
@@ -598,10 +598,7 @@ def classify_direction(d: Sequence[int]) -> Tuple[int, int]:
     a zero, where the leading position has no predecessor and therefore
     counts whenever it holds a one.
     """
-    bits = tuple(int(b) for b in d)
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"direction entries must be 0 or 1, got {b}")
+    bits = as_direction(d, len(d) + 1)
     j = sum(1 for t in range(len(bits) - 1) if bits[t] == 0 and bits[t + 1] == 1)
     k = sum(
         1 for m, b in enumerate(bits) if b == 1 and (m == 0 or bits[m - 1] == 1)

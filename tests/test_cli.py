@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mzv.cli
 import mzv.verify
@@ -100,7 +102,7 @@ _VALUE_ROUTES = ("value", "rev_via_gregory", "mzf_rev_stirling", "mzsf_rev_stirl
 def test_value_over_the_size_cap_is_refused_before_any_compute(capsys, monkeypatch):
     for name in _VALUE_ROUTES:
         monkeypatch.setattr(mzv.cli, name, _refuse)
-    assert mzv.cli.VALUE_MAX_SIZE == 300
+    assert mzv.cli.CAPS["value size"] == 300
     for kind in ("mzf-reg", "mzf-rev", "mzsf-reg", "mzsf-rev"):
         for index in ("300", ",".join(["0"] * 301), "100,100,98"):
             code, out, err = run(capsys, "value", "--kind", kind, "--index", index, "--path", "all")
@@ -239,12 +241,29 @@ def test_coeff_bad_direction_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--d", "0,1"], "direction vector has length 2, expected 1 for depth 2"),
+        (["--d", "2"], "direction entries must be 0 or 1, got 2"),
+        (["--a=-1,1"], "shift partial sum a_1+...+a_1 = -1 is not positive"),
+        (["--a=1"], "shift vector has length 1, expected 2"),
+    ],
+    ids=["d-length", "d-bit", "a-sum", "a-length"],
+)
+def test_coeff_library_checks_are_usage_errors(capsys, monkeypatch, flags, message):
+    # The library's own checks of the direction and the shift refuse the
+    # argument before the definition sum starts.
+    monkeypatch.setattr(mzv.cli, "asym_coeff", _refuse)
+    assert run(capsys, "coeff", "--index", "1,1", *flags) == (2, "", f"error: {message}\n")
+
+
 def test_coeff_over_the_size_cap_is_refused_before_any_compute(capsys, monkeypatch):
     def no_compute(*args):
         raise AssertionError("an over-cap coeff started computing")
 
     monkeypatch.setattr(mzv.cli, "asym_coeff", no_compute)
-    assert mzv.cli.COEFF_MAX_SIZE == 1_000
+    assert mzv.cli.CAPS["coeff size"] == 1_000
     for index in ("1000", ",".join(["0"] * 32), "10,10,10,10,10,10,10,10,10,10"):
         code, out, err = run(capsys, "coeff", "--index", index)
         assert code == 2, index
@@ -263,7 +282,7 @@ def test_coeff_over_the_shift_cap_is_refused_before_any_compute(capsys, monkeypa
         raise AssertionError("an over-cap coeff started computing")
 
     monkeypatch.setattr(mzv.cli, "asym_coeff", no_compute)
-    assert mzv.cli.COEFF_MAX_SIZE_BITS == 10_000
+    assert mzv.cli.CAPS["coeff size bits"] == 10_000
     code, out, err = run(capsys, "coeff", "--index", "999", "--a", shift)
     assert (code, out) == (2, "")
     assert err == (
@@ -316,7 +335,7 @@ def test_gregory_over_the_order_cap_is_refused_before_any_compute(capsys, monkey
     # Stubbed: the real --max 60 60 table takes about 10 s.
     calls = []
     monkeypatch.setattr(mzv.cli, "gregory", lambda m, n: calls.append((m, n)) or 0)
-    assert mzv.cli.GREGORY_MAX_ORDER == 120
+    assert mzv.cli.CAPS["gregory order"] == 120
     for bounds in (("61", "60"), ("1", "120"), ("120", "1")):
         code, out, err = run(capsys, "gregory", "--max", *bounds)
         assert (code, out, calls) == (2, "", []), bounds
@@ -395,7 +414,7 @@ def test_stirling_over_the_n_cap_exits_2_before_any_compute(capsys, monkeypatch,
         "stirling_poly_second_at",
     ):
         monkeypatch.setattr(mzv.cli, name, _refuse)
-    assert mzv.cli.STIRLING_MAX_N == 2_000
+    assert mzv.cli.CAPS["stirling n"] == 2_000
     code, out, err = run(capsys, "stirling", "--kind", kind, "--n", "2001", "--m", "3", *extra)
     assert (code, out, err) == (2, "", "error: --n is 2,001; the cap is 2,000\n")
 
@@ -403,7 +422,7 @@ def test_stirling_over_the_n_cap_exits_2_before_any_compute(capsys, monkeypatch,
 def test_stirling_y_over_the_size_cap_exits_2_before_any_compute(capsys, monkeypatch):
     # (n - m) times the bit length of y's larger term: 1,999 * 997 for a
     # denominator of 10^300, which was still running after 30 s uncapped.
-    assert mzv.cli.STIRLING_MAX_Y_BITS == 100_000
+    assert mzv.cli.CAPS["stirling y bits"] == 100_000
     for name in ("stirling_poly_first_at", "stirling_poly_second_at"):
         monkeypatch.setattr(mzv.cli, name, _refuse)
     for kind in ("s-poly", "S-poly"):
@@ -695,15 +714,29 @@ def test_help_exits_zero(capsys):
     assert "value" in out and "verify" in out
 
 
-def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
-    def crash(args):
-        raise RuntimeError("boom")
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("_cmd_value", ["value", "--kind", "mzf-reg", "--index", "1"]),
+        ("value", ["value", "--kind", "mzf-reg", "--index", "1"]),
+        ("asym_coeff", ["coeff", "--index", "1,1"]),
+        ("gregory", ["gregory", "--max", "2", "2"]),
+        ("stirling_poly_second_at", ["stirling", "--kind", "S-poly", "--n", "3", "--m", "1", "--y=2"]),
+        ("_grid", ["table", "--kind", "mzf-reg"]),
+    ],
+    ids=["handler", "value", "coeff", "gregory", "stirling", "table"],
+)
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys, name, argv):
+    # Every argument is checked before any compute, so a ValueError out of the
+    # compute is a crash and not a usage error.
+    def crash(*args, **kwargs):
+        raise ValueError("boom")
 
-    monkeypatch.setattr(mzv.cli, "_cmd_value", crash)
-    code, out, err = run(capsys, "value", "--kind", "mzf-reg", "--index", "1")
+    monkeypatch.setattr(mzv.cli, name, crash)
+    code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert err.splitlines() == ["error: internal error: RuntimeError: boom"]
+    assert err.splitlines() == ["error: internal error: ValueError: boom"]
     assert "Traceback" not in err
 
 
@@ -1043,3 +1076,108 @@ def test_record_output_is_pinned(capsys, name, fmt):
     code, out, err = run(capsys, *argv, *(() if fmt == "text" else ("--" + fmt,)))
     assert (code, err) == (0, "")
     assert out == expected[fmt]
+
+
+# Flag values a user can type: small, at a boundary, negative or malformed.  Every
+# value that passes the checks computes in milliseconds.
+def _int_text(low, high):
+    return st.sampled_from([*map(str, range(low, high + 1)), "x"])
+
+
+def _flag(flag, values):
+    """No flag, or ``flag=value``."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda t: [word for part in t for word in part])
+
+
+def _listed(entries, max_size=3):
+    return st.lists(entries, min_size=1, max_size=max_size).map(",".join)
+
+
+_OUTPUT = _argv(
+    st.sampled_from([[], [], ["--json"], ["--csv"], ["--json", "--csv"]]),
+    _flag("--decimal", st.sampled_from(["1", "4", "1000", "0", "x"])),
+)
+_KIND = st.sampled_from(["mzf-reg", "mzf-rev", "mzsf-reg", "mzsf-rev", "x"]).map(
+    lambda k: [f"--kind={k}"]
+)
+_INDEX = _listed(st.sampled_from(["0", "1", "2", "3", "0", "1", "-1", "x", ""])).map(
+    lambda i: [f"--index={i}"]
+)
+_RATIONAL = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=7).map(str),
+    st.sampled_from(["1/0", "x"]),
+)
+# One subcommand with its flags.
+_IN_CAP = st.one_of(
+    _argv(st.just(["value"]), _KIND, _INDEX, _flag("--path", st.sampled_from(
+        ["recurrence", "stirling", "gregory", "all", "x"])), _OUTPUT),
+    _argv(st.just(["coeff"]), _INDEX, _flag("--d", _listed(_int_text(-1, 2))),
+          _flag("--a", _listed(_RATIONAL)), _OUTPUT),
+    _argv(st.just(["gregory", "--max"]), st.tuples(_int_text(-1, 6), _int_text(-1, 6)).map(list),
+          _OUTPUT),
+    _argv(st.just(["table"]), _KIND, _flag("--max-depth", _int_text(-1, 3)),
+          _flag("--max-weight", _int_text(-1, 3)), _OUTPUT),
+    _argv(st.just(["stirling"]), st.sampled_from(["s", "S", "s-poly", "S-poly"]).map(
+        lambda k: [f"--kind={k}"]), _int_text(-1, 12).map(lambda n: [f"--n={n}"]),
+          _int_text(-1, 12).map(lambda m: [f"--m={m}"]), _flag("--y", _RATIONAL), _OUTPUT),
+    _argv(st.just(["verify"]), st.sampled_from([*mzv.verify.SUITE_NAMES, "all", "x"]).map(
+        lambda s: [f"--suite={s}"]), _flag("--max-depth", _int_text(0, 2)),
+          _flag("--max-weight", _int_text(-1, 2)), _flag("--max-r", _int_text(0, 3)),
+          _flag("--seed", _int_text(-2, 2)), _OUTPUT),
+)
+# Just over and far over each cap.
+_OVER_CAP = _argv(st.sampled_from([
+    ["value", "--kind=mzf-reg", "--index=300"],
+    ["value", "--kind=mzsf-rev", "--path=all", "--index=" + ",".join(["0"] * 301)],
+    ["value", "--kind=mzf-rev", "--path=stirling", "--index=100000"],
+    ["value", "--kind=mzf-rev", "--path=gregory", "--index=" + ",".join(["0"] * 119)],
+    ["value", "--kind=mzf-rev", "--path=all", "--index=117,1"],
+    ["value", "--kind=mzf-reg", "--index=1", "--decimal=1001"],
+    ["coeff", "--index=1000"],
+    ["coeff", "--index=10,10,10,10,10,10,10,10,10,10"],
+    ["coeff", "--index=999", "--a=2037/2039"],
+    ["coeff", "--index=10", f"--a=1/{10**300}"],
+    ["gregory", "--max", "60", "61"],
+    ["gregory", "--max", "1", "1000000"],
+    ["stirling", "--kind=s", "--n=2001", "--m=3"],
+    ["stirling", "--kind=S-poly", "--n=1000000000", "--m=0"],
+    ["stirling", "--kind=s-poly", "--n=2000", "--m=1", f"--y=1/{2**50}"],
+    ["stirling", "--kind=S-poly", "--n=2000", "--m=1", f"--y=1/{10**300}"],
+    ["stirling", "--kind=S", "--n=5", "--m=2", "--decimal=1000000"],
+    ["verify", "--suite=gregory", "--max-r=13"],
+    ["verify", "--suite=all", "--max-depth=9", "--max-weight=1"],
+    ["verify", "--suite=all", "--max-depth=1", "--max-weight=15"],
+    ["verify", "--suite=all", "--max-depth=8", "--max-weight=11"],
+    ["verify", "--suite=asym", "--max-r=1000000"],
+    ["table", "--kind=mzf-reg", "--max-depth=8", "--max-weight=13"],
+    ["table", "--kind=mzsf-rev", "--max-depth=100000", "--max-weight=100000"],
+    ["table", "--kind=mzf-rev", "--decimal=1001"],
+]), st.sampled_from([[], ["--json"], ["--csv"]]))
+_COMPUTE = (
+    "value", "mzf_rev_stirling", "mzsf_rev_stirling", "rev_via_gregory", "asym_coeff",
+    "gregory", "stirling_first", "stirling_second", "stirling_poly_first",
+    "stirling_poly_second", "stirling_poly_first_at", "stirling_poly_second_at",
+    "run_suites", "_grid",
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.booleans().flatmap(lambda over: st.tuples(_OVER_CAP if over else _IN_CAP, st.just(over))))
+def test_no_typed_argv_crashes(case):
+    # A typed argv computes (exit 0) or is refused before the first byte of
+    # output (exit 2); an argv over a cap is refused before any compute.
+    argv, over_cap = case
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in _COMPUTE if over_cap else ():
+            patch.setattr(mzv.cli, name, _refuse)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if over_cap or code == 2:
+        assert (code, out.getvalue()) == (2, ""), argv
