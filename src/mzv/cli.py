@@ -40,7 +40,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json
-from math import comb, inf
+from math import comb, inf, log10
 from typing import Callable, Dict, Iterable, NoReturn, Optional, Sequence, Tuple, TypeVar, Union
 
 from .asymptotic import as_direction, as_shift, asym_coeff, gregory, rev_via_gregory
@@ -175,6 +175,13 @@ def _parse_bits(text: str) -> Tuple[int, ...]:
 
 
 def _parse_rational(text: str) -> Fraction:
+    # Fraction writes out an exponent form's power of ten before any cap sees the value, so an
+    # |E| over the digits of a number within the largest bit cap (30,103) is refused first.
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    most = int(CAPS["stirling y bits"] * log10(2)) + 1
+    if e and digits.isdecimal() and (len(digits) > len(str(most)) or int(digits) > most):
+        raise _UsageError(f"the exponent of {text!r} is over {most:,}, past the largest bit cap")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -54,7 +54,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from .bernoulli import zeta_neg, zeta_star_neg
 from .kernel import horner
-from .stirling import _box_step, _poly_coeffs, stirling_first, stirling_kernel_box
+from .stirling import _box_step, _poly_coeffs, _triangle, stirling_kernel_box
 
 IndexTuple = Tuple[int, ...]
 # A reduced rational (numerator, denominator), the denominator positive.
@@ -366,9 +366,9 @@ def akiyama_tanigawa_reg(r: int, l: int) -> Fraction:
     if l < 0:
         raise ValueError(f"need l >= 0, got l={l}")
     acc = Fraction(0)
-    for k in range(1, r + 1):
+    for k, s_rk in enumerate(_triangle(r, r, True)[0][1:], start=1):  # s(r, k), one row
         sign = -1 if k % 2 else 1
-        acc += sign * k * stirling_first(r, k) * zeta_neg(l + k - 1)
+        acc += sign * k * s_rk * zeta_neg(l + k - 1)
     return -acc / factorial(r)
 
 
@@ -382,8 +382,8 @@ def akiyama_tanigawa_rev(r: int, l: int) -> Fraction:
     if l < 0:
         raise ValueError(f"need l >= 0, got l={l}")
     acc = Fraction(0)
-    for k in range(1, r + 1):
-        acc += stirling_first(r, k) * zeta_neg(l + k - 1)
+    for k, s_rk in enumerate(_triangle(r, r, True)[0][1:], start=1):  # s(r, k), one row
+        acc += s_rk * zeta_neg(l + k - 1)
     return acc / factorial(r - 1)
 
 

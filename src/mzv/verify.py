@@ -37,17 +37,18 @@ The suites and what they cover:
   the origin identity, direction-vector partition, origin product
   decomposition, bundling, and reverse values via Gregory sums.
 
-Each suite runs as work units: ``asym`` as contiguous sections of its
-checks, every other suite as one.  ``run_suite`` runs one suite's units in
-order in this process; ``run_suites`` runs the units of several suites on up
-to one process per usable CPU, each pulling the next unit from one queue,
-largest first, and returns results sorted by suite name.  A suite's result
-joins its units' results in order, which is the result the checks give in
-one run.  Each ``asym`` unit builds a memo for each route it runs and drops
-it when it returns; the units share only pure caches, and each starts its
-suite's generator afresh and replays the draws of the sections before it,
-so where a unit runs, and after which others, changes no check and no
-result.
+Each suite runs as work units: ``asym`` as its three sections in check
+order (the worked values and the staircases, the basis-shift and parity
+checks, the bridges), every other suite as one.  ``run_suite`` runs one
+suite's units in order in this process; ``run_suites`` runs the units of
+several suites on up to one process per usable CPU, each pulling the next
+unit from one queue, and returns results sorted by suite name.  A suite's
+result joins its units' results in order, which is the result the checks
+give in one run.  Each ``asym`` unit builds a memo for each route it runs
+and drops it when it returns; the units share only pure caches, and each
+starts its suite's generator afresh, the relations unit replaying the
+staircases' draws, so where a unit runs, and after which others, changes no
+check and no result.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ from .bernoulli import (
 from .kernel import RationalPolynomial, horner
 from .stirling import _poly_coeffs, stirling_transform_apply
 from .values import (
-    IndexTuple,
     ValueKind,
     _as_ints,
     _box_grid,
@@ -575,17 +575,12 @@ def _suite_sign(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult
 # asym
 # ---------------------------------------------------------------------------
 
-# The staircase at r = max_r, the largest part of the suite, runs as this
-# many contiguous sections of its tuples.
-_TOP_PARTS = 3
-
-
 def _staircase_shifts(bounds: Bounds, rng: random.Random) -> List[List[Pairs]]:
     """The three shifts of the staircase at each r = 1..max_r, as int pairs:
     all ones, (1, 0, ..., 0) and one random draw, the suite's first draws.
-    Every section makes them, so that its generator then stands where the
-    whole suite's would.  The shifts and the grid tuples are valid by
-    construction, so the three paths are called on their validated entry
+    The relations unit makes them too, so that its generator then stands
+    where the whole suite's would.  The shifts and the grid tuples are valid
+    by construction, so the three paths are called on their validated entry
     points."""
     max_r = max(2, min(4, bounds.max_depth + 1))
     return [
@@ -599,59 +594,55 @@ def _fractions(a: Pairs) -> Tuple[Fraction, ...]:
     return tuple(Fraction(p, q) for p, q in a)
 
 
-def _staircase(
-    rec: _Recorder, bounds: Bounds, r: int, shifts: Sequence[Pairs],
-    tuples: Iterable[IndexTuple],
-) -> None:
+def _staircase(rec: _Recorder, bounds: Bounds, r: int, shifts: Sequence[Pairs]) -> None:
     """Definition / recurrence / explicit agreement of C_{i,r}(-l; a) for each
-    l in ``tuples`` (depth r), each i and each shift."""
-    # Each case (i, a) runs each route over all the tuples in turn, each
-    # route with its own memo, made here: the definition memo keeps one path
+    l of depth r up to the weight bound, each i and each shift."""
+    # The tuples are walked once, as runs of siblings (l[:-1], [l[-1], ...]),
+    # consecutive in iter_index_tuples order.  For each run, each case (i, a)
+    # runs each route with its own memo: the definition memo keeps one path
     # of prefix rows per stream (top, d, a_1..a_{r-1}), so with one top, r +
-    # max_weight, each step of l_r in iter_index_tuples order costs one dot
-    # product; the chain memo serves every case, and each case has a fresh
-    # recurrence memo.  The checks are then recorded l-major, in the order of
-    # (l, i, a, path), and each is decided by cross-multiplying; only a
-    # failed one goes to rec.ratios for its text.
+    # max_weight, each step of l_r costs one dot product; the chain memo
+    # serves every case, and each case keeps its recurrence memo over all the
+    # runs.  The run's checks are then recorded l-major, in the order of (l,
+    # i, a, path), and each is decided by cross-multiplying; only a failed
+    # one goes to rec.ratios for its text.
     definition: dict = {}
     chains: dict = {}
     top = r + bounds.max_weight
-    tuples = list(tuples)
-    # Runs of siblings, (l[:-1], [l[-1], ...]): consecutive in the tuples' order.
-    runs = [(p, [l[-1] for l in run]) for p, run in groupby(tuples, key=lambda l: l[:-1])]
-    cases = []
-    for i in range(1, r + 1):
-        d = staircase_direction(i, r)
-        for a in shifts:
-            recurrence: dict = {}
-            cases.append((
+    cases = [(i, staircase_direction(i, r), a, {}) for i in range(1, r + 1) for a in shifts]
+    tuples = iter_index_tuples(r, bounds.max_weight, min_depth=r)
+    for p, group in groupby(tuples, key=lambda l: l[:-1]):
+        run = list(group)
+        xs = [l[-1] for l in run]
+        values = [
+            (
                 i, a,
-                [v for p, xs in runs for v in _asym_run(p, xs, d, a, definition, top)],
-                [v for p, xs in runs for v in _c_rec_run(i, r, p, xs, a, recurrence)],
-                [v for p, xs in runs for v in _c_explicit_run(i, r, p, xs, a, chains)],
-            ))
-    for n, l in enumerate(tuples):
-        for i, a, references, recurrences, explicits in cases:
-            reference = u, v = references[n]
-            for path, value in (("recurrence", recurrences[n]), ("explicit", explicits[n])):
-                x, y = value
-                if x * v == u * y:
-                    rec.checked += 1
-                else:
-                    rec.ratios(
-                        lambda: f"{path} path i={i}, r={r}, l={l}, a={_fractions(a)}",
-                        value,
-                        reference,
-                    )
+                _asym_run(p, xs, d, a, definition, top),
+                _c_rec_run(i, r, p, xs, a, recurrence),
+                _c_explicit_run(i, r, p, xs, a, chains),
+            )
+            for i, d, a, recurrence in cases
+        ]
+        for n, l in enumerate(run):
+            for i, a, references, recurrences, explicits in values:
+                reference = u, v = references[n]
+                for path, value in (("recurrence", recurrences[n]), ("explicit", explicits[n])):
+                    x, y = value
+                    if x * v == u * y:
+                        rec.checked += 1
+                    else:
+                        rec.ratios(
+                            lambda: f"{path} path i={i}, r={r}, l={l}, a={_fractions(a)}",
+                            value,
+                            reference,
+                        )
 
 
 def _suite_asym(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
     """One section of the suite, in check order: 0, the worked values and the
-    staircase at r < max_r; 1 to _TOP_PARTS, contiguous runs of the staircase
-    at r = max_r; then the basis-shift and parity checks; last, the bridges."""
+    staircases at every r <= max_r; 1, the basis-shift and parity checks; 2,
+    the bridges."""
     rec = _Recorder()
-    shifts = _staircase_shifts(bounds, rng)
-    max_r = len(shifts)
     if section == 0:
         rec.equal("worked value C^(0)(0,-1)", asym_coeff((0, 1), (0,), (1, 1)), Fraction(1, 12))
         rec.equal("worked value C^(1)(0,-1)", asym_coeff((0, 1), (1,), (1, 1)), Fraction(0))
@@ -661,30 +652,26 @@ def _suite_asym(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult
         rec.equal(
             "worked value C^(1)(-1,-1)", asym_coeff((1, 1), (1,), (1, 1)), Fraction(1, 720)
         )
-        for r in range(1, max_r):
-            tuples = iter_index_tuples(r, bounds.max_weight, min_depth=r)
-            _staircase(rec, bounds, r, shifts[r - 1], tuples)
-    elif section <= _TOP_PARTS:
-        tuples = list(iter_index_tuples(max_r, bounds.max_weight, min_depth=max_r))
-        n = len(tuples)
-        run = tuples[(section - 1) * n // _TOP_PARTS : section * n // _TOP_PARTS]
-        _staircase(rec, bounds, max_r, shifts[-1], run)
-    elif section == _TOP_PARTS + 1:
-        _asym_relations(rec, bounds, max_r, rng)
+        for r, shifts in enumerate(_staircase_shifts(bounds, rng), start=1):
+            _staircase(rec, bounds, r, shifts)
+    elif section == 1:
+        _asym_relations(rec, bounds, rng)
     else:
         _asym_bridges(rec, bounds)
     return rec.result("asym")
 
 
-def _asym_relations(rec: _Recorder, bounds: Bounds, max_r: int, rng: random.Random) -> None:
+def _asym_relations(rec: _Recorder, bounds: Bounds, rng: random.Random) -> None:
     """The basis-shift relation and complement-shift parity."""
+    # The staircases' draws are replayed first, so the parity shifts are the
+    # draws that follow them.
+    max_r = len(_staircase_shifts(bounds, rng))
     # Both read the definition sum, from one memo, at one top per depth, r +
     # their weight bound (the merged tuple of a basis-shift check at top - 1),
     # so its streams serve whole runs of siblings.
     definition: dict = {}
     weight = min(bounds.max_weight, 3)
-    star_r = min(4, max_r)
-    for r in range(2, star_r + 1):
+    for r in range(2, max_r + 1):
         for l in iter_index_tuples(r, weight, min_depth=r):
             for i in range(2, r + 1):
                 for p in range(1, r + 1):
@@ -706,26 +693,21 @@ def _asym_bridges(rec: _Recorder, bounds: Bounds) -> None:
     """The coefficient<->value bridges: the definition sum against the
     recurrence values."""
     definition: dict = {}
-    # The grids list the depths in turn, each in the order of the l loop.
-    bridges = _grids(bounds, "mzf-rev", "mzf-reg", "mzsf-reg")
-    for r in range(1, bounds.max_depth + 1):
-        ones = ((1, 1),) * r
+    for (l, rev), (_, reg), (_, star_reg) in _grids(bounds, "mzf-rev", "mzf-reg", "mzsf-reg"):
+        r = len(l)
+        ones, flat = ((1, 1),) * r, (0,) * (r - 1)
         star_shift = ((1, 1),) + ((0, 1),) * (r - 1)
-        flat = (0,) * (r - 1)
-        top = r + bounds.max_weight
-        for l in iter_index_tuples(r, bounds.max_weight, min_depth=r):
-            (_, rev), (_, reg), (_, star_reg) = next(bridges)
-            # d=None: the reverse bridge sums all 2^(r-1) directions in one pass.
-            for kind, d, a, value in (
-                ("reverse", None, ones, rev),
-                ("regular", flat, ones, reg),
-                ("star", flat, star_shift, star_reg),
-            ):
-                rec.ratios(
-                    lambda: f"{kind} bridge l={l}",
-                    _asym_sum(l, d, a, definition, top),
-                    (value.numerator, value.denominator),
-                )
+        # d=None: the reverse bridge sums all 2^(r-1) directions in one pass.
+        for kind, d, a, value in (
+            ("reverse", None, ones, rev),
+            ("regular", flat, ones, reg),
+            ("star", flat, star_shift, star_reg),
+        ):
+            rec.ratios(
+                lambda: f"{kind} bridge l={l}",
+                _asym_sum(l, d, a, definition, r + bounds.max_weight),
+                (value.numerator, value.denominator),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -775,12 +757,13 @@ def _suite_gregory(bounds: Bounds, rng: random.Random, section: int) -> SuiteRes
 # 0 up to _SECTIONS[name] - 1 (only 0 for a suite not listed there), each
 # with a fresh generator seeded for the suite.  The sections are contiguous
 # runs of the suite's checks, so their results joined in section order are
-# the suite's.  The dict's order is the order in which the units are pulled,
-# longest first: asym's sections, then the other suites from the longest to
-# the shortest at the benchmark bounds, so that the last units to start are
-# short.  Measured in one process after the asym units, medians of 20 fresh
-# processes on a 2-core Xeon: values 32, gregory 28, stirling 22, choi 21,
-# bernoulli 10 and sign 10 ms of CPU.
+# the suite's.  The dict's order is the order in which the units are pulled:
+# asym's three sections, the staircases first, then the other suites from
+# the longest to the shortest at the benchmark bounds, so that the last units
+# to start are short.  Measured in one process, each unit after those before
+# it, medians of 20 fresh processes on a 2-core Xeon at (4, 6, 7): the asym
+# staircases 73, relations 12 and bridges 13, values 18, gregory 16, stirling
+# 14, choi 12, bernoulli 6 and sign 6 ms of CPU.
 _SUITES: Dict[str, Callable[[Bounds, random.Random, int], SuiteResult]] = {
     "asym": _suite_asym,
     "values": _suite_values,
@@ -790,7 +773,7 @@ _SUITES: Dict[str, Callable[[Bounds, random.Random, int], SuiteResult]] = {
     "bernoulli": _suite_bernoulli,
     "sign": _suite_sign,
 }
-_SECTIONS = {"asym": 1 + _TOP_PARTS + 2}  # head, runs at r = max_r, relations, bridges
+_SECTIONS = {"asym": 3}  # the staircases, the relations, the bridges
 
 # A work unit: (suite name, section).
 Unit = Tuple[str, int]
@@ -881,18 +864,19 @@ def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteRes
 
     The suites' work units run on ``min(units, usable CPUs)`` processes: the
     calling process and ``os.fork``ed workers, each pulling the next unit
-    from one shared queue, longest first (see ``_SUITES``).  ``asym`` runs as
-    several units, contiguous sections of its checks; every other suite is
-    one.  A route's memo lives no longer than the unit that built it.  A
-    suite's result joins its units' results in section order, so it is the
-    same wherever each unit ran.  The caller takes the first unit before it
-    forks.  With one usable CPU (``taskset -c 0``) or one unit nothing
-    forks.  A worker's exception is re-raised here, with its type
-    and message, once every worker is reaped; a worker that dies without a
-    result raises ``RuntimeError``.  An exception in the caller kills and
-    reaps the workers first.  A caller killed by a signal leaves each worker
-    to finish the unit it runs, then exit without pulling another.  A failed
-    fork leaves its units to the processes already running.
+    from one shared queue, in the order of ``_SUITES``.  ``asym`` runs as
+    three units, its sections in check order: the staircases, the
+    relations, the bridges; every other suite is one.  A route's memo lives
+    no longer than the unit that built it.  A suite's result joins its
+    units' results in section order, so it is the same wherever each unit
+    ran.  The caller takes the first unit before it forks.  With one usable
+    CPU (``taskset -c 0``) or one unit nothing forks.  A worker's exception
+    is re-raised here, with its type and message, once every worker is
+    reaped; a worker that dies without a result raises ``RuntimeError``.  An
+    exception in the caller kills and reaps the workers first.  A caller
+    killed by a signal leaves each worker to finish the unit it runs, then
+    exit without pulling another.  A failed fork leaves its units to the
+    processes already running.
     """
     wanted = set(SUITE_NAMES) if "all" in names else set()
     wanted.update(_known(name) for name in names if name != "all")

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -444,6 +445,42 @@ def test_stirling_y_under_the_size_cap_is_computed(capsys):
     assert (code, err) == (0, "")
     value = Fraction(4**2000 - 7**2000, 3**2000)
     assert out == f"S-poly(2000,1; Y=-7/3) = {value}  [closed-form]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeff", "--index", "1", "--a=1e-10000000"],
+        ["stirling", "--kind", "S-poly", "--n", "3", "--m", "3", "--y=1e10000000"],
+    ],
+    ids=["coeff-a", "stirling-y"],
+)
+def test_an_exponent_past_the_largest_bit_cap_exits_2_at_once(argv):
+    # Fraction would write out 10^10,000,000 first (about 14 s), and the
+    # stirling call, at n - m = 0 under its y cap, would then render a
+    # 10-million-digit query text.
+    start = time.monotonic()
+    child = _spawn_cli(argv, subprocess.PIPE)
+    try:
+        out, err = child.communicate(timeout=2)
+    finally:
+        child.kill()
+        child.wait()
+    assert time.monotonic() - start < 2
+    assert (child.returncode, out) == (2, b"")
+    assert err.startswith(b"error: the exponent of ")
+
+
+def test_an_exponent_within_the_largest_bit_cap_is_parsed(capsys):
+    # |E| up to 30,103, the decimal digits of a 100,000-bit number.
+    code, out, err = run(capsys, "stirling", "--kind", "S-poly", "--n", "3", "--m", "1", "--y=1e2")
+    assert (code, out, err) == (0, "S-poly(3,1; Y=100) = 30301  [closed-form]\n", "")
+    code, out, _ = run(capsys, "stirling", "--kind", "S-poly", "--n", "3", "--m", "3", "--y=1e30103")
+    assert (code, out) == (0, f"S-poly(3,3; Y={10**30103}) = 1  [closed-form]\n")
+    for y in ("--y=1e30104", "--y=1E-30_104"):
+        code, out, err = run(capsys, "stirling", "--kind", "S-poly", "--n", "3", "--m", "3", y)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the exponent of ")
 
 
 def test_stirling_y_with_number_kind_is_usage_error(capsys):

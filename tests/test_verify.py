@@ -311,7 +311,7 @@ BENCH_COUNTS = {
 }
 
 
-# At these bounds the runs of asym's staircase at r = max_r are largest.
+# At these bounds asym's staircases hold the most tuples.
 LARGE_COUNTS = {
     "asym": 46593,
     "bernoulli": 279,
@@ -421,15 +421,15 @@ def test_planted_wrong_routes_report_pinned_counterexamples(monkeypatch, capsys)
 def test_planted_wrong_routes_in_a_worker_report_pinned_counterexamples(
     monkeypatch, capsys, usable_cpus, in_worker
 ):
-    # The worker pulls every unit after the caller's first, so asym's
-    # staircase at r = 3, choi and sign run there.
+    # The worker pulls every unit after the caller's first, asym's
+    # staircases, so choi and sign run there.
     usable_cpus(2)
     _plant_wrong_routes(monkeypatch)
     in_worker("sign")
     _assert_planted_counterexamples(capsys)
 
 
-# Faults planted in four of asym's units at depth 3, weight 3, r 3, where its
+# Faults planted in each of asym's units at depth 3, weight 3, r 3, where its
 # staircase at r = 4 has 35 tuples: the recurrence at the second of them and
 # the explicit path at the last, a parity check whose second shift is a
 # random draw, and the star bridge at (0, 2), which no other suite reads.
@@ -498,17 +498,15 @@ def _plant_faults_across_asym_units(monkeypatch):
     monkeypatch.setattr(verify, "value_grid", wrong_grid)
 
 
-def test_the_planted_faults_fall_in_four_asym_units(monkeypatch):
-    # The first and the last run of the staircase at r = 4, the basis-shift
-    # and parity unit, and the bridges.
+def test_the_planted_faults_fall_in_all_three_asym_units(monkeypatch):
+    # The two staircase faults in the staircases, the parity fault in the
+    # basis-shift and parity unit, and the bridge fault in the bridges.
     _plant_faults_across_asym_units(monkeypatch)
-    failing = [
-        unit
+    counts = [
+        (unit, len(verify._run_unit(unit, JOIN_BOUNDS).failures))
         for unit in verify._units(["asym"])
-        if verify._run_unit(unit, JOIN_BOUNDS).failures
     ]
-    top = verify._TOP_PARTS
-    assert failing == [("asym", 1), ("asym", top), ("asym", top + 1), ("asym", top + 2)]
+    assert counts == [(("asym", 0), 6), (("asym", 1), 2), (("asym", 2), 1)]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 7])
@@ -665,6 +663,23 @@ def test_staircase_failures_come_in_check_order_whatever_order_the_routes_run(mo
     result = run_suite("asym", PLANTED_UNIT_BOUNDS)
     assert result.failures == STAIRCASE_ORDER_FAILURES
     assert result.checked == 858
+
+
+def test_staircase_failures_within_one_run_of_siblings_come_l_first(monkeypatch):
+    # (1, 0, 0) and (1, 0, 2) are siblings, in one run of the staircase at
+    # r = 3, and the earlier tuple's fault is at the later i: recording a
+    # run's checks case by case would put (1, 0, 2) first.
+    c_explicit = asymptotic._c_explicit
+
+    def wrong_explicit(i, r, l, a, memo):
+        num, den = c_explicit(i, r, l, a, memo)
+        return (num - den, den) if (i, l) in ((3, (1, 0, 0)), (1, (1, 0, 2))) else (num, den)
+
+    _plant_route(monkeypatch, "_c_explicit", wrong_explicit)
+    failures = run_suite("asym", PLANTED_UNIT_BOUNDS).failures
+    assert [failure.split(", a=")[0] for failure in failures] == (
+        ["explicit path i=3, r=3, l=(1, 0, 0)"] * 3 + ["explicit path i=1, r=3, l=(1, 0, 2)"] * 3
+    )
 
 
 # The recurrence grids each suite reads, by kind.
