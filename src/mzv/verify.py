@@ -834,15 +834,22 @@ def _work(units: Sequence[Unit], bounds: Bounds, queue: int, sent: int, caller: 
     """The life of a forked worker: run the units it pulls from ``queue`` and
     write (indexed results as plain tuples, pickled exception or None) to
     ``sent``, then leave through ``os._exit``, never returning into the
-    caller's frames.  Before each pull it leaves at once if its parent is no
-    longer ``caller``: a killed caller's worker finishes the unit it runs and
-    starts no other."""
+    caller's frames.  It leaves at once if its parent is no longer
+    ``caller``, which it checks before each pull and, from a timer, every
+    0.05 s inside a unit: a killed caller's worker starts no other unit and
+    cuts the one it runs short."""
+    import signal
 
-    def pull() -> bytes:
+    def orphaned(*_) -> None:
         if os.getppid() != caller:
             os._exit(1)
+
+    def pull() -> bytes:
+        orphaned()
         return os.read(queue, 1)
 
+    signal.signal(signal.SIGALRM, orphaned)
+    signal.setitimer(signal.ITIMER_REAL, 0.05, 0.05)
     status = 1
     try:
         try:
@@ -874,9 +881,9 @@ def run_suites(names: Sequence[str], bounds: Bounds = Bounds()) -> List[SuiteRes
     is re-raised here, with its type and message, once every worker is
     reaped; a worker that dies without a result raises ``RuntimeError``.  An
     exception in the caller kills and reaps the workers first.  A caller
-    killed by a signal leaves each worker to finish the unit it runs, then
-    exit without pulling another.  A failed fork leaves its units to the
-    processes already running.
+    killed by a signal leaves each worker to exit about 0.05 s later, in the
+    middle of its unit or at its next pull.  A failed fork leaves its units
+    to the processes already running.
     """
     wanted = set(SUITE_NAMES) if "all" in names else set()
     wanted.update(_known(name) for name in names if name != "all")

@@ -172,24 +172,22 @@ def test_a_killed_worker_exits_3(monkeypatch, capsys, usable_cpus, in_worker):
     assert err.endswith(" ended without a result (exit status -9)\n")
 
 
-def test_a_caller_killed_by_sigkill_leaves_no_worker_that_starts_another_suite(
-    monkeypatch, usable_cpus, in_worker
-):
-    # The caller runs in a child of this process, which SIGKILLs it while it
-    # holds asym's first unit and the worker holds a planted choi suite, the
-    # worker having run asym's other units; released, the worker must finish
-    # choi, pull no next unit (bernoulli) and exit.  Both planted suites write
-    # to `report`, whose last write end is the worker's once this process
-    # closes its copy and the caller is dead, so EOF there means the worker
-    # exited.
-    usable_cpus(2)
+def _kill_the_caller_while_its_worker_runs_choi(monkeypatch, in_worker, choi, after_kill=None):
+    """Run asym, bernoulli and choi on two processes, the caller in a child of
+    this process, and SIGKILL the caller while it holds asym's first unit and
+    its worker, having run asym's other units, runs ``choi(report)``.  Return
+    what the units wrote to ``report``, the worker's pid and the seconds from
+    the kill to the worker's exit; ``after_kill()`` runs once the caller is
+    reaped.  The planted choi first writes "choi <pid>"
+    to ``report``, and bernoulli writes "bernoulli" there; the last write end
+    of ``report`` is the worker's once this process closes its copy and the
+    caller is dead, so EOF there means the worker exited."""
     assert verify._units(["bernoulli", "choi"]) == [("choi", 0), ("bernoulli", 0)]
     reported, report = os.pipe()
-    released, release = os.pipe()
 
     def held(bounds, rng, section):
         os.write(report, f"choi {os.getpid()}\n".encode())
-        os.read(released, 1)
+        choi(report)
         return verify.SuiteResult("choi", 0, ())
 
     asym = verify._SUITES["asym"]
@@ -219,11 +217,14 @@ def test_a_caller_killed_by_sigkill_leaves_no_worker_that_starts_another_suite(
         log = _read_within(reported)  # one short write: "choi <worker pid>"
         worker = int(log.split()[1])
         os.kill(caller, signal.SIGKILL)
+        killed = time.monotonic()
         assert os.waitpid(caller, 0)[1] == signal.SIGKILL
         caller = None
-        os.write(release, b".")
+        if after_kill:
+            after_kill()
         while chunk := _read_within(reported):
             log += chunk
+        seconds = time.monotonic() - killed
         exited = True
     finally:
         for pid in (caller, None if exited else worker):
@@ -231,11 +232,52 @@ def test_a_caller_killed_by_sigkill_leaves_no_worker_that_starts_another_suite(
                 os.kill(pid, signal.SIGKILL)
         if caller is not None:
             os.waitpid(caller, 0)
-        for fd in (reported, released, release):
-            os.close(fd)
-    assert log == f"choi {worker}\n".encode()
+        os.close(reported)
     with contextlib.suppress(ChildProcessError):
         os.waitpid(worker, 0)  # reaped here only if this process adopted the orphan
+    return log, worker, seconds
+
+
+def test_a_caller_killed_by_sigkill_leaves_no_worker_that_starts_another_suite(
+    monkeypatch, usable_cpus, in_worker
+):
+    # choi waits until this process releases it after the kill; the worker
+    # then either finishes choi or is cut short in it, and must pull no next
+    # unit (bernoulli).
+    usable_cpus(2)
+    released, release = os.pipe()
+
+    try:
+        log, worker, _ = _kill_the_caller_while_its_worker_runs_choi(
+            monkeypatch,
+            in_worker,
+            lambda report: os.read(released, 1),
+            lambda: os.write(release, b"."),
+        )
+    finally:
+        os.close(released)
+        os.close(release)
+    assert log == f"choi {worker}\n".encode()
+
+
+def test_a_caller_killed_by_sigkill_cuts_its_worker_s_unit_short(
+    monkeypatch, usable_cpus, in_worker
+):
+    # choi computes for 120 s and then writes "choi done"; the worker must
+    # leave it within a second of the kill.
+    usable_cpus(2)
+
+    def computing(report):
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline:
+            pass
+        os.write(report, b"choi done\n")
+
+    log, worker, seconds = _kill_the_caller_while_its_worker_runs_choi(
+        monkeypatch, in_worker, computing
+    )
+    assert log == f"choi {worker}\n".encode()
+    assert seconds < 1
 
 
 def test_an_interrupt_in_the_caller_kills_and_reaps_the_workers(monkeypatch, usable_cpus, in_worker):
