@@ -25,7 +25,9 @@ multiple of the denominators of B_0..B_n, q^n L B_n(a) =
 sum_k C(n,k) (L B_k) p^(n-k) q^k is an integer.  :func:`shift_ratios` reads
 that list as one row per (shift, top), the shift given as the int pair
 (p, q), integer numerators over top! q^top L(top), so a sum over the row can
-be added up as integers.
+be added up as integers.  The rows are kept up to a bound on their total
+entries, and past it dropped all at once: a row depends on (shift, top)
+alone, so one built again is the same row.
 
 The iterated Hurwitz-type sum of depth r at argument -l with shift z > 0 has
 the exact value
@@ -51,7 +53,11 @@ _ZETA_NEG: List[Fraction] = []
 # Per shift a = p/q, keyed by (p, q): B_0(a)/0!, B_1(a)/1!, ... in order.
 _SHIFT_VALUES: Dict[Tuple[int, int], List[Fraction]] = {}
 # Keyed by ((p, q), top): the row (den, nums) that shift_ratios returns.
+# _SHIFT_ROW_ENTRIES counts the entries of its rows; a row that would take
+# the count past _SHIFT_ROW_BOUND clears the table first.
 _SHIFT_ROWS: Dict[Tuple[Tuple[int, int], int], Tuple[int, Tuple[int, ...]]] = {}
+_SHIFT_ROW_ENTRIES = 0
+_SHIFT_ROW_BOUND = 16384
 # _RATIO_POWERS[m][n] = [X^n] R(X)^m, each series grown in place by _ratio_power.
 _RATIO_POWERS: List[List[Fraction]] = []
 
@@ -157,14 +163,20 @@ def shift_ratios(a: Tuple[int, int], top: int) -> Tuple[int, Tuple[int, ...]]:
 
     ``a`` is the shift p/q as the int pair (p, q) in lowest terms, q > 0,
     which hashes faster than a Fraction.  den = top! q^top L(top), so the row
-    depends on (a, top) alone and a sum over it is a sum of integers.  Each
-    row is built once, by one integer division per entry.
+    depends on (a, top) alone and a sum over it is a sum of integers.  A
+    row is built by one integer division per entry, and kept until the
+    table's entries would pass _SHIFT_ROW_BOUND.
     """
+    global _SHIFT_ROW_ENTRIES
     key = (a, top)
     row = _SHIFT_ROWS.get(key)
     if row is None:
         if top < 0:
             raise ValueError(f"need top >= 0, got {top}")
+        if _SHIFT_ROW_ENTRIES + top + 1 > _SHIFT_ROW_BOUND:
+            _SHIFT_ROWS.clear()
+            _SHIFT_ROW_ENTRIES = 0
+        _SHIFT_ROW_ENTRIES += top + 1
         den = factorial(top) * a[1] ** top * _denominator_lcm(top)
         values = _shift_values(a, top)[: top + 1]
         row = _SHIFT_ROWS[key] = (den, tuple(v.numerator * (den // v.denominator) for v in values))
@@ -205,7 +217,7 @@ def _ratio_power(m: int, order: int) -> Tuple[Fraction, ...]:
     return tuple(series[: order + 1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # the suites at (6, 9, 9) hold 122
 def bernoulli_higher_order(n: int, m: int) -> RationalPolynomial:
     """Higher-order Bernoulli polynomial B_n^(m)(z).
 

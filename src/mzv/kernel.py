@@ -1,15 +1,16 @@
 """Exact-arithmetic kernel: the integer Horner rule, a read-only polynomial
 value, and a dense quotient table of bivariate power series.
 
-Every coefficient in this module is a `fractions.Fraction` (lowest terms,
-positive denominator), and nothing here touches floating point.  No route
-adds or multiplies polynomials: each reads a coefficient tuple, as integer
-numerators over one denominator, through :func:`horner`.  So the two
-container types are deliberately small:
+Every coefficient in this module is exact, and nothing here touches
+floating point.  No route adds or multiplies polynomials: each reads a
+coefficient tuple, as integer numerators over one denominator, through
+:func:`horner`.  So the two container types are deliberately small:
 
 * :class:`RationalPolynomial` — an immutable dense univariate polynomial
   with trimmed coefficients, the value type of the Bernoulli-type and
-  Stirling-type polynomials.  It is built from its coefficients, then read,
+  Stirling-type polynomials.  It stores one form, the integer numerators
+  over one denominator that every route reads, and builds Fractions only for
+  a caller that asks for them.  It is built from its coefficients, then read,
   compared, evaluated and printed; it has no arithmetic.
 * :class:`BivariateSeries` — the quotient of two power series in two
   variables, stored as one list per total degree and grown in place, used
@@ -54,20 +55,21 @@ def horner(coeffs: Sequence[int], p: int, q: int = 1) -> int:
 class RationalPolynomial:
     """Dense univariate polynomial over the rationals, as a read-only value.
 
-    Coefficients are stored lowest degree first with trailing zeros trimmed,
-    so equal polynomials always compare and hash equal.  Instances are
-    immutable and have no arithmetic.  The degree of the zero polynomial is
-    minus infinity (:data:`NEG_INFINITY`).
+    Stored as (den, nums), coefficient k = nums[k] / den lowest degree first,
+    trailing zeros trimmed and den the lcm of the coefficient denominators,
+    so the form is in lowest terms and equal polynomials always compare and
+    hash equal.  Instances are immutable and have no arithmetic.  The degree
+    of the zero polynomial is minus infinity (:data:`NEG_INFINITY`).
     """
 
-    __slots__ = ("_coeffs", "_scaled")
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [rat(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self._coeffs: Tuple[Fraction, ...] = tuple(cs)
-        self._scaled = None  # see scaled
+        self._den = den = lcm(*(c.denominator for c in cs))
+        self._nums: Tuple[int, ...] = tuple(c.numerator * (den // c.denominator) for c in cs)
 
     @classmethod
     def monomial(cls, degree: int) -> "RationalPolynomial":
@@ -80,34 +82,30 @@ class RationalPolynomial:
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
-        """Coefficients, lowest degree first, trailing zeros trimmed."""
-        return self._coeffs
+        """Coefficients as Fractions, lowest degree first, trailing zeros trimmed."""
+        return tuple(Fraction(n, self._den) for n in self._nums)
 
     @property
     def degree(self):
         """Degree of the polynomial; minus infinity for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+        return len(self._nums) - 1 if self._nums else NEG_INFINITY
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of the degree-k monomial (zero beyond the degree)."""
         if k < 0:
             raise ValueError(f"coefficient index must be >= 0, got {k}")
-        return self._coeffs[k] if k < len(self._coeffs) else Fraction(0)
+        return Fraction(self._nums[k] if k < len(self._nums) else 0, self._den)
 
     def scaled(self) -> Tuple[int, Tuple[int, ...]]:
         """(den, nums) with coeffs[k] = nums[k] / den, den the lcm of the
-        coefficient denominators; built once per instance."""
-        if self._scaled is None:
-            cs = self._coeffs
-            den = lcm(*(c.denominator for c in cs))
-            self._scaled = (den, tuple(c.numerator * (den // c.denominator) for c in cs))
-        return self._scaled
+        coefficient denominators: the stored form."""
+        return self._den, self._nums
 
     def evaluate(self, x: RationalLike) -> Fraction:
         """Value at a rational point, by :func:`horner` on integer numerators."""
         x = rat(x)
-        (den, nums), q = self.scaled(), x.denominator
-        return Fraction(horner(nums, x.numerator, q), den * q ** max(len(nums) - 1, 0))
+        nums, q = self._nums, x.denominator
+        return Fraction(horner(nums, x.numerator, q), self._den * q ** max(len(nums) - 1, 0))
 
     # -- protocol bits ----------------------------------------------------------
 
@@ -116,24 +114,21 @@ class RationalPolynomial:
             other = RationalPolynomial((other,))
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._nums == other._nums and self._den == other._den
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._den, self._nums))
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __repr__(self):
-        return f"RationalPolynomial({list(self._coeffs)!r})"
+        return f"RationalPolynomial({list(self.coeffs)!r})"
 
     def to_string(self, var: str = "x") -> str:
         """Human-readable rendering, highest degree first."""
-        if not self._coeffs:
-            return "0"
         parts = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
+        for k, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             if k == 0:
@@ -146,7 +141,7 @@ class RationalPolynomial:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
     def __str__(self):
         return self.to_string()

@@ -70,7 +70,7 @@ def stirling_second(n: int, m: int) -> int:
     return _triangle(n, m, False)[0][m] if m <= n else 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)  # the suites at (6, 9, 9) hold 350
 def _poly_coeffs(n: int, m: int, first: bool) -> Tuple[int, ...]:
     """Integer coefficients of s(n, m, Y) (``first``) or S(n, m, Y), lowest
     degree first: from row n of the first-kind triangle or column m of the

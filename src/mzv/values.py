@@ -20,7 +20,8 @@ over one row denominator (formed once per row, and only for a row a step
 reads) and the weights as integer numerators over one denominator per
 (c, star), and reduces once, by one gcd, to the (numerator, denominator) pair
 it returns.  Rows are lists of such pairs; a Fraction is built only where a
-caller asks for one, so ``mzv table`` writes its text straight from the pairs.
+caller asks for one: ``mzv table`` writes its text and the suites decide straight
+from the pairs, and :func:`value_grid` is their public Fraction view.
 On top of the recurrences this module carries:
 
 * closed forms for the reverse values as Stirling-kernel transforms of
@@ -248,8 +249,8 @@ def _grid(
 def value_grid(
     kind: ValueKind | str, max_depth: int, max_weight: int
 ) -> Iterator[Tuple[IndexTuple, Fraction]]:
-    """Yield (l, value(kind, l)) for l in iter_index_tuples(max_depth, max_weight),
-    each value read off one pass of :func:`_grid`."""
+    """Yield (l, value(kind, l)) for l in iter_index_tuples(max_depth, max_weight):
+    the public Fraction view of one pass of :func:`_grid`."""
     for l, n, d in _grid(kind, max_depth, max_weight):
         yield l, Fraction(n, d)
 
@@ -304,13 +305,13 @@ def _box_grid(
             boxes[l] = box
 
 
-def _rev_stirling(r: int, box: Dict[int, int], origin: Tuple[List[int], int]) -> Fraction:
+def _rev_stirling(r: int, box: Dict[int, int], origin: Tuple[List[int], int]) -> Tuple[int, int]:
     """The Stirling closed form at a depth-r tuple from its kernel box
     (:func:`mzv.stirling.stirling_kernel_box`), with origin = (nums, den) and
     nums[k - 1] / den the depth-k origin value for k <= r + |l|
-    (:func:`_origin_values` through :func:`_as_ints`): one integer sum."""
+    (:func:`_origin_values` through :func:`_as_ints`): one integer sum over den."""
     nums, den = origin
-    return Fraction(sum(w * nums[r + k - 1] for k, w in box.items()), den)
+    return sum(w * nums[r + k - 1] for k, w in box.items()), den
 
 
 def _rev_stirling_at(l: Sequence[int], kind: ValueKind, shift: int) -> Fraction:
@@ -318,7 +319,7 @@ def _rev_stirling_at(l: Sequence[int], kind: ValueKind, shift: int) -> Fraction:
     lt = as_index_tuple(l)
     r = len(lt)
     origin = _as_ints(_origin_values(kind, r + sum(lt)))
-    return _rev_stirling(r, stirling_kernel_box(lt, shift), origin)
+    return Fraction(*_rev_stirling(r, stirling_kernel_box(lt, shift), origin))
 
 
 def mzf_rev_stirling(l: Sequence[int]) -> Fraction:
@@ -409,13 +410,13 @@ def sign_theorem_check(order: str, l: Sequence[int]) -> bool:
         plain, star = mzf_rev(lt), mzsf_rev(lt)
     else:
         raise ValueError(f"order must be 'regular' or 'reverse', got {order!r}")
-    return _sign_holds(lt, plain, star)
+    return _sign_holds(lt, plain.as_integer_ratio(), star.as_integer_ratio())
 
 
-def _sign_holds(lt: IndexTuple, plain: Fraction, star: Fraction) -> bool:
-    """The sign relation star = (-1)^(r + |l|) * plain at l."""
+def _sign_holds(lt: IndexTuple, plain: Pair, star: Pair) -> bool:
+    """The sign relation star = (-1)^(r + |l|) * plain at l, on reduced pairs."""
     sign = -1 if (len(lt) + sum(lt)) % 2 else 1
-    return star == sign * plain
+    return star == (sign * plain[0], plain[1])
 
 
 # ---------------------------------------------------------------------------

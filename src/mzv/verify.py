@@ -13,7 +13,8 @@ integer numerators over a known common denominator, and the checks of the
 ``asym`` suite compare two routes' values, each an unreduced numerator over a
 positive denominator, by cross-multiplication; both rebuild the failure text
 as reduced Fractions: the text a Fraction computation of the two sides would
-give.
+give.  The grid checks decide on the reduced pairs of :func:`mzv.values._grid`,
+all but the zero-padding ones, which read :func:`mzv.values.value_grid`.
 
 The suites and what they cover:
 
@@ -101,6 +102,7 @@ from .values import (
     ValueKind,
     _as_ints,
     _box_grid,
+    _grid,
     _origin_values,
     _rev_stirling,
     _sign_holds,
@@ -197,8 +199,10 @@ class _Recorder:
 
 
 def _grids(bounds: Bounds, *kinds: str) -> Iterator[tuple]:
-    """The value grids of ``kinds`` at the bounds, zipped: one tuple of (l, value) per kind."""
-    return zip(*(value_grid(kind, bounds.max_depth, bounds.max_weight) for kind in kinds))
+    """The recurrence grids of ``kinds`` at the bounds, zipped: (l, then each
+    kind's value at l as a reduced pair (numerator, denominator))."""
+    for rows in zip(*(_grid(kind, bounds.max_depth, bounds.max_weight) for kind in kinds)):
+        yield (rows[0][0],) + tuple((n, d) for _, n, d in rows)
 
 
 def _rng_for(suite: str, bounds: Bounds) -> random.Random:
@@ -496,24 +500,16 @@ def _suite_values(bounds: Bounds, rng: random.Random, section: int) -> SuiteResu
     # kernel box is one slot step from its parent's (_box_grid); the boxes of
     # both shifts read one map of Stirling factor rows.
     size = bounds.max_depth + bounds.max_weight
-    plain_origin = _as_ints(_origin_values(ValueKind.MZF_REV, size))
-    star_origin = _as_ints(_origin_values(ValueKind.MZSF_REV, size))
+    kinds = (ValueKind.MZF_REV, ValueKind.MZSF_REV)
+    origins = [_as_ints(_origin_values(kind, size)) for kind in kinds]
     factors: dict = {}
     boxes = zip(
         *(_box_grid(bounds.max_depth, bounds.max_weight, shift, factors) for shift in (0, 1))
     )
-    grids = _grids(bounds, "mzf-rev", "mzsf-rev")
-    for ((l, plain), (_, star)), ((_, plain_box), (_, star_box)) in zip(grids, boxes):
-        rec.equal(
-            lambda: f"plain reverse closed form l={l}",
-            _rev_stirling(len(l), plain_box, plain_origin),
-            plain,
-        )
-        rec.equal(
-            lambda: f"star reverse closed form l={l}",
-            _rev_stirling(len(l), star_box, star_origin),
-            star,
-        )
+    for (l, *values), shifted in zip(_grids(bounds, *kinds), boxes):
+        for name, value, (_, box), origin in zip(("plain", "star"), values, shifted, origins):
+            closed = _rev_stirling(len(l), box, origin)
+            rec.ratios(lambda: f"{name} reverse closed form l={l}", closed, value)
     for r in range(1, bounds.max_r + 1):
         for l in range(0, bounds.max_weight + 3):
             rec.equal(
@@ -549,7 +545,7 @@ def _suite_values(bounds: Bounds, rng: random.Random, section: int) -> SuiteResu
 def _suite_sign(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult:
     rec = _Recorder()
     grids = _grids(bounds, "mzf-reg", "mzsf-reg", "mzf-rev", "mzsf-rev")
-    for (l, plain_reg), (_, star_reg), (_, plain_rev), (_, star_rev) in grids:
+    for l, plain_reg, star_reg, plain_rev, star_rev in grids:
         if l[0] < 1:
             continue
         for order, plain, star in (
@@ -557,7 +553,8 @@ def _suite_sign(bounds: Bounds, rng: random.Random, section: int) -> SuiteResult
             ("reverse", plain_rev, star_rev),
         ):
             rec.true(
-                lambda: f"sign relation {order} l={l}: plain={plain}, star={star}",
+                lambda: f"sign relation {order} l={l}: "
+                f"plain={Fraction(*plain)}, star={Fraction(*star)}",
                 _sign_holds(l, plain, star),
             )
     for l2 in (1, 3, 5, 7, 9):
@@ -693,7 +690,7 @@ def _asym_bridges(rec: _Recorder, bounds: Bounds) -> None:
     """The coefficient<->value bridges: the definition sum against the
     recurrence values."""
     definition: dict = {}
-    for (l, rev), (_, reg), (_, star_reg) in _grids(bounds, "mzf-rev", "mzf-reg", "mzsf-reg"):
+    for l, rev, reg, star_reg in _grids(bounds, "mzf-rev", "mzf-reg", "mzsf-reg"):
         r = len(l)
         ones, flat = ((1, 1),) * r, (0,) * (r - 1)
         star_shift = ((1, 1),) + ((0, 1),) * (r - 1)
@@ -706,7 +703,7 @@ def _asym_bridges(rec: _Recorder, bounds: Bounds) -> None:
             rec.ratios(
                 lambda: f"{kind} bridge l={l}",
                 _asym_sum(l, d, a, definition, r + bounds.max_weight),
-                (value.numerator, value.denominator),
+                value,
             )
 
 
@@ -738,12 +735,12 @@ def _suite_gregory(bounds: Bounds, rng: random.Random, section: int) -> SuiteRes
     # Each kernel box is one slot step from its parent's (_box_grid).
     depth = min(bounds.max_depth, 3)
     origin = _origin_rev_table(depth + bounds.max_weight)
-    grid = value_grid("mzf-rev", depth, bounds.max_weight)
-    for (l, rev), (_, box) in zip(grid, _box_grid(depth, bounds.max_weight, 0)):
-        rec.equal(
+    grid = _grid("mzf-rev", depth, bounds.max_weight)
+    for (l, n, d), (_, box) in zip(grid, _box_grid(depth, bounds.max_weight, 0)):
+        rec.ratios(
             lambda: f"reverse value via Gregory l={l}",
-            _rev_via_gregory(len(l), box, origin),
-            rev,
+            _rev_via_gregory(len(l), box, origin).as_integer_ratio(),
+            (n, d),
         )
     return rec.result("gregory")
 

@@ -229,6 +229,25 @@ def test_shift_ratios_row_ignores_earlier_high_reads():
     assert shift_ratios((1, 1), 5)[0] == 3600
 
 
+def test_shift_rows_past_their_bound_clear_the_table_and_rebuild_the_same_rows(monkeypatch):
+    # Rows of top 5 hold 6 entries each, so under a bound of 20 entries the
+    # fourth row clears the first three; each built again equals the first build.
+    monkeypatch.setattr(bernoulli, "_SHIFT_ROWS", {})
+    monkeypatch.setattr(bernoulli, "_SHIFT_ROW_ENTRIES", 0)
+    monkeypatch.setattr(bernoulli, "_SHIFT_ROW_BOUND", 20)
+    shifts = ((1, 1), (1, 2), (3, 7))
+    first = {a: shift_ratios(a, 5) for a in shifts}
+    assert bernoulli._SHIFT_ROW_ENTRIES == 18 and list(bernoulli._SHIFT_ROWS) == [
+        (a, 5) for a in shifts
+    ]
+    shift_ratios((2, 5), 5)
+    assert bernoulli._SHIFT_ROW_ENTRIES == 6 and list(bernoulli._SHIFT_ROWS) == [((2, 5), 5)]
+    for a in shifts:
+        assert shift_ratios(a, 5) == first[a], a
+        held = sum(len(nums) for _, nums in bernoulli._SHIFT_ROWS.values())
+        assert bernoulli._SHIFT_ROW_ENTRIES == held <= 20
+
+
 def _ratio_series(m, order):
     """[X^n] R(X)^m for n <= order, R(X) = X / (e^X - 1), as a test-local
     Fraction product: R is the inverse of sum_n X^n / (n + 1)!."""

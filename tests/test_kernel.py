@@ -1,7 +1,7 @@
 """Tests for the exact-arithmetic kernel: polynomials and the bivariate quotient table."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -156,6 +156,31 @@ def test_polynomial_evaluate_matches_fraction_horner(a, x):
     assert type(value) is Fraction
     assert value == fraction_horner(a.coeffs, x)
     assert a.evaluate(x) == value  # a second call reads the stored numerators
+
+
+@given(
+    st.lists(rationals, max_size=6),
+    st.lists(st.booleans(), max_size=6),
+    st.integers(min_value=0, max_value=3),
+)
+def test_polynomial_stores_one_lowest_terms_form_whatever_form_its_coefficients_came_in(
+    cs, as_int, zeros
+):
+    p = RationalPolynomial(cs)
+    trimmed = list(cs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    den, nums = p.scaled()
+    assert den == lcm(*(c.denominator for c in trimmed)) and gcd(den, *nums) == 1
+    assert p.coeffs == tuple(trimmed) and all(type(c) is Fraction for c in p.coeffs)
+    assert [p.coefficient(k) for k in range(len(trimmed) + 1)] == trimmed + [0]
+    # The same values, the integral ones given as ints where as_int says so,
+    # and with trailing zeros: an equal polynomial, with an equal hash.
+    flags = as_int + [False] * len(cs)
+    other = [int(c) if c.denominator == 1 and flag else c for c, flag in zip(cs, flags)]
+    q = RationalPolynomial(other + [0] * zeros)
+    assert q == p and hash(q) == hash(p) and q.scaled() == (den, nums)
+    assert repr(q) == repr(p) and q.to_string() == p.to_string()
 
 
 def test_polynomial_scalar_interop():

@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from mzv import asymptotic, bernoulli, stirling, verify
+from mzv import asymptotic, bernoulli, stirling, values, verify
 from mzv.asymptotic import c_ir
 from mzv.cli import main
 from mzv.kernel import RationalPolynomial
@@ -511,10 +511,22 @@ JOINED_RESULTS = [
 ]
 
 
+def _plant_grid_fault(monkeypatch, kind, at):
+    """Raise the recurrence value of ``kind`` at the tuple ``at`` by one in
+    every grid verify reads: the _grid pairs of the suites' checks, and
+    through value_grid, the mapping of the zero-padding checks."""
+    grid = values._grid
+
+    def wrong_grid(grid_kind, max_depth, max_weight, text=False):
+        for l, n, d in grid(grid_kind, max_depth, max_weight, text):
+            yield (l, n + d, d) if (grid_kind, l) == (kind, at) else (l, n, d)
+
+    monkeypatch.setattr(verify, "_grid", wrong_grid)
+    monkeypatch.setattr(values, "_grid", wrong_grid)
+
+
 def _plant_faults_across_asym_units(monkeypatch):
-    c_rec, c_explicit, parity, grid = (
-        asymptotic._c_rec, asymptotic._c_explicit, verify._parity_holds, verify.value_grid
-    )
+    c_rec, c_explicit, parity = asymptotic._c_rec, asymptotic._c_explicit, verify._parity_holds
 
     def wrong_rec(i, r, l, a, memo):
         value = Fraction(*c_rec(i, r, l, a, memo))
@@ -526,10 +538,6 @@ def _plant_faults_across_asym_units(monkeypatch):
         value = value - 1 if (i, l) == (1, (3, 0, 0, 0)) else value
         return value.numerator, value.denominator
 
-    def wrong_grid(kind, max_depth, max_weight):
-        for l, v in grid(kind, max_depth, max_weight):
-            yield l, v + 1 if (kind, l) == ("mzsf-reg", (0, 2)) else v
-
     _plant_route(monkeypatch, "_c_rec", wrong_rec)
     _plant_route(monkeypatch, "_c_explicit", wrong_explicit)
     monkeypatch.setattr(
@@ -537,7 +545,7 @@ def _plant_faults_across_asym_units(monkeypatch):
         "_parity_holds",
         lambda i, r, l, a, memo, top: parity(i, r, l, a, memo, top) and (i, l) != (2, (0, 1, 1)),
     )
-    monkeypatch.setattr(verify, "value_grid", wrong_grid)
+    _plant_grid_fault(monkeypatch, "mzsf-reg", (0, 2))
 
 
 def test_the_planted_faults_fall_in_all_three_asym_units(monkeypatch):
@@ -583,7 +591,11 @@ def test_asym_units_run_in_any_order_in_one_process_give_the_same_results(bounds
 
 
 # The memo store every unit in a process shares: bernoulli's module tables.
-_BERNOULLI_TABLES = ("_BERNOULLI", "_ZETA_NEG", "_SHIFT_VALUES", "_SHIFT_ROWS", "_RATIO_POWERS")
+# _SHIFT_ROW_ENTRIES is the count of _SHIFT_ROWS' entries that bounds it.
+_BERNOULLI_TABLES = (
+    "_BERNOULLI", "_ZETA_NEG", "_SHIFT_VALUES", "_SHIFT_ROWS", "_SHIFT_ROW_ENTRIES",
+    "_RATIO_POWERS",
+)
 
 
 def _empty_bernoulli_tables(monkeypatch):
@@ -617,6 +629,28 @@ def test_asym_units_sharing_one_memo_store_in_any_order_give_the_fresh_results(
         _empty_bernoulli_tables(monkeypatch)
         results = {unit: verify._run_unit(unit, bounds) for unit in order}
         assert [results[unit] for unit in units] == fresh, order
+
+
+def test_the_suites_at_6_9_9_fit_in_the_bounded_caches(monkeypatch):
+    # From empty caches, the suites at depth 6, weight 9, r 9 keep every
+    # polynomial they cache (122 higher-order Bernoulli polynomials and 350
+    # Stirling coefficient tuples when this was written) and every shift row
+    # they build (965 entries): no cache evicts and the row table never clears.
+    caches = (bernoulli.bernoulli_higher_order, stirling._poly_coeffs)
+    for cache in caches:
+        cache.cache_clear()
+
+    class NeverCleared(dict):
+        def clear(self):
+            raise AssertionError("the shift rows were cleared")
+
+    monkeypatch.setattr(bernoulli, "_SHIFT_ROWS", NeverCleared())
+    monkeypatch.setattr(bernoulli, "_SHIFT_ROW_ENTRIES", 0)
+    bounds = Bounds(max_depth=6, max_weight=9, max_r=9)
+    assert all(run_suite(name, bounds).ok for name in SUITE_NAMES)
+    for cache in caches:
+        info = cache.cache_info()
+        assert 0 < info.currsize == info.misses, info
 
 
 # One wrong unit in a route's numerator or denominator, at a check whose
@@ -751,13 +785,7 @@ def test_a_planted_wrong_grid_value_is_reported_at_its_tuple(monkeypatch, kind):
     # with its own loop over the tuples.  The values suite also reads the
     # reverse grid for the left sides of its zero-padding checks, so those
     # that read (1, 1) fail too.
-    grid = verify.value_grid
-
-    def wrong_grid(grid_kind, max_depth, max_weight):
-        for l, v in grid(grid_kind, max_depth, max_weight):
-            yield l, v + 1 if (grid_kind, l) == (kind, (1, 1)) else v
-
-    monkeypatch.setattr(verify, "value_grid", wrong_grid)
+    _plant_grid_fault(monkeypatch, kind, (1, 1))
     bounds = Bounds(max_depth=3, max_weight=3, max_r=3)
     for suite in ("asym", "gregory", "sign", "values"):
         failures = run_suite(suite, bounds).failures
