@@ -19,15 +19,17 @@ values at non-positive integers are read from a second list,
 zeta(-l) = -B_{l+1} / (l+1) with zeta(0) = -1/2 (the bare number would give
 +1/2 there, as B_1 = -1/2).
 
-Bernoulli polynomial values B_n(a)/n! are kept per shift a = p/q in one
-list that only grows by appending, each value computed once: with L a
-multiple of the denominators of B_0..B_n, q^n L B_n(a) =
-sum_k C(n,k) (L B_k) p^(n-k) q^k is an integer.  :func:`shift_ratios` reads
-that list as one row per (shift, top), the shift given as the int pair
-(p, q), integer numerators over top! q^top L(top), so a sum over the row can
-be added up as integers.  The rows are kept up to a bound on their total
-entries, and past it dropped all at once: a row depends on (shift, top)
-alone, so one built again is the same row.
+With L a multiple of the denominators of B_0..B_n and a = p/q,
+q^n L B_n(a) = sum_k C(n,k) (L B_k) p^(n-k) q^k is an integer.  A point
+evaluation, :func:`bernoulli_poly_at` and so :func:`hurwitz_zeta_neg`, is
+that one integer over q^n L(n) and keeps no state.  Only
+:func:`shift_ratios` keeps the values B_n(a)/n! per shift, in one list that
+only grows by appending, each value computed once.  It reads that list as
+one row per (shift, top), the shift given as the int pair (p, q), integer
+numerators over top! q^top L(top), so a sum over the row can be added up as
+integers.  The rows are kept up to a bound on their total entries, and past
+it dropped all at once: a row depends on (shift, top) alone, so one built
+again is the same row.
 
 The iterated Hurwitz-type sum of depth r at argument -l with shift z > 0 has
 the exact value
@@ -184,11 +186,12 @@ def shift_ratios(a: Tuple[int, int], top: int) -> Tuple[int, Tuple[int, ...]]:
 
 
 def bernoulli_poly_at(n: int, z: RationalLike) -> Fraction:
-    """B_n(z) at a rational point, read from the per-shift list."""
+    """B_n(z) at a rational point z = p/q, as q^n L B_n(z) over q^n L; keeps no state."""
     if n < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-    zv = rat(z)
-    return _shift_values((zv.numerator, zv.denominator), n)[n] * factorial(n)
+    zv, big_l = rat(z), _denominator_lcm(n)
+    p, q = zv.numerator, zv.denominator
+    return Fraction(_scaled_bernoulli_poly((p, q), n, big_l), q**n * big_l)
 
 
 def _ratio_power(m: int, order: int) -> Tuple[Fraction, ...]:

@@ -17,7 +17,8 @@ Values are exact rationals rendered as ``p/q`` (integers drop the ``/1``);
 ``--decimal N`` (N from 1 to 1,000) adds a clearly-marked approximate decimal
 rendering to the records of ``value``, ``coeff``, ``stirling`` and ``table``.
 ``--json`` and ``--csv`` switch the output format.  Records are written as
-they are produced, so a table streams.  Every call runs a check phase and
+they are produced, so a table streams; ``gregory`` and ``verify`` write
+their whole result at once.  Every call runs a check phase and
 then a compute phase: every check of the arguments, the caps of ``CAPS``
 among them, runs before any compute.  Exit codes: 0 success, 1 identity
 failure (a path disagreement or a failed verification), 2 a refused argument
@@ -250,6 +251,24 @@ def _emit_records(
         write(f"verdict: {verdict}\n")
 
 
+def _write_document(
+    args: argparse.Namespace, document: Dict[str, object], rows: Iterable[Sequence[object]],
+    lines: Iterable[str],
+) -> None:
+    """Write a result that is whole before it is written: ``document`` as one
+    JSON line under ``--json``, ``rows`` as CSV under ``--csv``, and each of
+    ``lines`` as text otherwise.  Only the chosen one is read."""
+    if args.json:
+        print(json.dumps(document))
+    elif args.csv:
+        import csv
+
+        csv.writer(sys.stdout).writerows(rows)
+    else:
+        for line in lines:
+            print(line)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -325,35 +344,17 @@ def _cmd_gregory(args: argparse.Namespace) -> int:
     if max_m < 1 or max_n < 1:
         raise _UsageError(f"table bounds must be >= 1, got {max_m}, {max_n}")
     _cap("gregory order", max_m + max_n, f"the table has M + N = {max_m + max_n}")
-    rows = [
-        [str(gregory(m, n)) for n in range(1, max_n + 1)]
-        for m in range(1, max_m + 1)
-    ]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "query": f"gregory-table(max_m={max_m}, max_n={max_n})",
-                    "rows": rows,
-                    "provenance": "series",
-                }
-            )
-        )
-    elif args.csv:
-        import csv
-
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["m\\n"] + [str(n) for n in range(1, max_n + 1)])
-        for m, row in enumerate(rows, start=1):
-            writer.writerow([str(m)] + row)
-    else:
-        width = max(5, max(len(cell) for row in rows for cell in row) + 1)
-        header = "m\\n".ljust(5) + "".join(
-            str(n).rjust(width) for n in range(1, max_n + 1)
-        )
-        print(header)
-        for m, row in enumerate(rows, start=1):
-            print(str(m).ljust(5) + "".join(cell.rjust(width) for cell in row))
+    cells = [[str(gregory(m, n)) for n in range(1, max_n + 1)] for m in range(1, max_m + 1)]
+    table = [["m\\n", *map(str, range(1, max_n + 1))]]
+    table += [[str(m), *row] for m, row in enumerate(cells, start=1)]
+    width = max(5, max(len(cell) for row in cells for cell in row) + 1)
+    query = f"gregory-table(max_m={max_m}, max_n={max_n})"
+    _write_document(
+        args,
+        {"query": query, "rows": cells, "provenance": "series"},
+        table,
+        (row[0].ljust(5) + "".join(cell.rjust(width) for cell in row[1:]) for row in table),
+    )
     return EXIT_OK
 
 
@@ -369,27 +370,20 @@ def _cmd_stirling(args: argparse.Namespace) -> int:
         y_bits = max(abs(y.numerator), y.denominator).bit_length()
         _cap("stirling y bits", (n - m) * y_bits,
              f"--n minus --m is {n - m:,} and --y has {y_bits}-bit terms", product=True)
+    number, poly, poly_at = (
+        (stirling_first, stirling_poly_first, stirling_poly_first_at)
+        if kind[0] == "s"
+        else (stirling_second, stirling_poly_second, stirling_poly_second_at)
+    )
     if kind in ("s", "S"):
-        result = (
-            stirling_first(n, m) if kind == "s" else stirling_second(n, m)
-        )
-        record: Record = (f"{kind}({n},{m})", result, "recurrence-table")
+        record: Record = (f"{kind}({n},{m})", number(n, m), "recurrence-table")
     elif y is None:
-        poly = (
-            stirling_poly_first(n, m)
-            if kind == "s-poly"
-            else stirling_poly_second(n, m)
-        )
+        deformed = poly(n, m)
         # A constant polynomial is a number, and gets a decimal like one.
-        exact = poly.coefficient(0) if poly.degree < 1 else poly.to_string("Y")
+        exact = deformed.coefficient(0) if deformed.degree < 1 else deformed.to_string("Y")
         record = (f"{kind}({n},{m})", exact, "closed-form")
     else:
-        at = (
-            stirling_poly_first_at(n, m, y)
-            if kind == "s-poly"
-            else stirling_poly_second_at(n, m, y)
-        )
-        record = (f"{kind}({n},{m}; Y={y})", at, "closed-form")
+        record = (f"{kind}({n},{m}; Y={y})", poly_at(n, m, y), "closed-form")
     _emit_records(args, [record])
     return EXIT_OK
 
@@ -408,57 +402,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _cap(cap, bound, f"{flag} is {bound:,}")
     tuples = comb(args.max_depth + args.max_weight + 1, args.max_depth) - 1
     _cap("verify tuples", tuples, f"the bounds give {tuples:,} index tuples")
-    bounds = Bounds(
-        max_depth=args.max_depth,
-        max_weight=args.max_weight,
-        max_r=args.max_r,
-        seed=args.seed,
-    )
+    bounds = Bounds(args.max_depth, args.max_weight, args.max_r, args.seed)
     results = run_suites([args.suite], bounds)
+    keys = ("suite", "checked", "ok", "first_counterexample")
+    entries = [(res.suite, res.checked, res.ok, res.failures[0] if res.failures else None)
+               for res in results]
     all_ok = all(res.ok for res in results)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "results": [
-                        {
-                            "suite": res.suite,
-                            "checked": res.checked,
-                            "ok": res.ok,
-                            "first_counterexample": (
-                                res.failures[0] if res.failures else None
-                            ),
-                        }
-                        for res in results
-                    ],
-                    "ok": all_ok,
-                }
-            )
-        )
-    elif args.csv:
-        import csv
-
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["suite", "checked", "ok", "first_counterexample"])
-        for res in results:
-            writer.writerow(
-                [
-                    res.suite,
-                    res.checked,
-                    "ok" if res.ok else "FAIL",
-                    res.failures[0] if res.failures else "",
-                ]
-            )
-    else:
-        for res in results:
-            if res.ok:
-                print(f"{res.suite}: {res.checked} identities verified")
-            else:
-                print(
-                    f"{res.suite}: FAILED ({len(res.failures)} of "
-                    f"{res.checked} checks)"
-                )
-                print(f"  first counterexample: {res.failures[0]}")
+    _write_document(
+        args,
+        {"results": [dict(zip(keys, entry)) for entry in entries], "ok": all_ok},
+        [keys, *((suite, checked, "ok" if ok else "FAIL", first or "")
+                 for suite, checked, ok, first in entries)],
+        (
+            f"{res.suite}: {res.checked} identities verified" if res.ok
+            else f"{res.suite}: FAILED ({len(res.failures)} of {res.checked} checks)\n"
+            f"  first counterexample: {res.failures[0]}"
+            for res in results
+        ),
+    )
     return EXIT_OK if all_ok else EXIT_IDENTITY_FAILURE
 
 

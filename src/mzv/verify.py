@@ -116,17 +116,6 @@ from .values import (
     value_grid,
 )
 
-SUITE_NAMES: Tuple[str, ...] = (
-    "asym",
-    "bernoulli",
-    "choi",
-    "gregory",
-    "sign",
-    "stirling",
-    "values",
-)
-
-
 class Bounds(NamedTuple):
     """Grid limits for the suites.
 
@@ -770,6 +759,7 @@ _SUITES: Dict[str, Callable[[Bounds, random.Random, int], SuiteResult]] = {
     "bernoulli": _suite_bernoulli,
     "sign": _suite_sign,
 }
+SUITE_NAMES: Tuple[str, ...] = tuple(sorted(_SUITES))
 _SECTIONS = {"asym": 3}  # the staircases, the relations, the bridges
 
 # A work unit: (suite name, section).

@@ -248,6 +248,18 @@ def test_shift_rows_past_their_bound_clear_the_table_and_rebuild_the_same_rows(m
         assert bernoulli._SHIFT_ROW_ENTRIES == held <= 20
 
 
+def test_point_evaluations_keep_no_per_shift_list(monkeypatch):
+    # Each new point once added a list to the per-shift table for good; 2,000
+    # points must leave it empty, and each value must still be B_n(z).
+    monkeypatch.setattr(bernoulli, "_SHIFT_VALUES", {})
+    points = [Fraction(p, q) for q in range(1, 41) for p in range(-25, 25)]
+    for i, z in enumerate(points):
+        n = i % 12
+        assert bernoulli_poly_at(n, z) == bernoulli_poly(n).evaluate(z), (n, z)
+        assert hurwitz_zeta_neg(n, abs(z) + 1) == -bernoulli_poly(n + 1).evaluate(abs(z) + 1) / (n + 1)
+    assert bernoulli._SHIFT_VALUES == {}
+
+
 def _ratio_series(m, order):
     """[X^n] R(X)^m for n <= order, R(X) = X / (e^X - 1), as a test-local
     Fraction product: R is the inverse of sum_n X^n / (n + 1)!."""

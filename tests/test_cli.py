@@ -1115,6 +1115,62 @@ def test_record_output_is_pinned(capsys, name, fmt):
     assert out == expected[fmt]
 
 
+# The suites' results that the planted case writes: one passes, and one fails with a
+# comma and quotes in its first counterexample, which CSV and JSON must each quote.
+PLANTED_RESULTS = [
+    mzv.verify.SuiteResult("choi", 52, ()),
+    mzv.verify.SuiteResult("sign", 15, ('merge at (1, 2): got "1/2", want "1/3"', "second")),
+]
+
+# Per argv, the exit code and the SHA-256 of the whole stdout in text, CSV and JSON.  The
+# 1 x 1 gregory table keeps the text columns at their 5-character least; the 9 x 7 one
+# widens them to its longest cell.
+DOCUMENT_DIGESTS = {
+    "gregory-1x1": (("gregory", "--max", "1", "1"), 0, {
+        "text": "6722cfeb9b608741c0d92846ce36aeff3a1ae2f365d00e9664a3ccf61fc793bb",
+        "csv": "9e06b9bb159eaf764fcd38045e690bf213c73199f7dde7e8558c1595e8c8aeed",
+        "json": "a787f5d3086f490596773e1597ecfe6646c80bdfdf7f95250ed2d2013cb1539d",
+    }),
+    "gregory-4x4": (("gregory", "--max", "4", "4"), 0, {
+        "text": "32b01b3823dd2a627c44845ae43e0bbb7f1007b4f734fb655fd1efd014524d19",
+        "csv": "d2189f1f9ea28de3d84eecbf0f85411b32b56f06d713ec80f62752e579488498",
+        "json": "3a9a4ddd2db02c7b09376dc9b9bca4399200b890ece36e707e4a1b1bb3537a9a",
+    }),
+    "gregory-9x7": (("gregory", "--max", "9", "7"), 0, {
+        "text": "0532374e8e83383185aac50148e2918f8dcb4f0f3254047a1b5a783a348c5325",
+        "csv": "de5fac262037b18069fd8a0ddbc5f90971dda190ef06900cb5000728b62be925",
+        "json": "0a63cdee753c20eb2e52f1a4d57ca6e8942d2cdd37573511a144f1536aec0ff1",
+    }),
+    "verify-all": (("verify", "--suite", "all", "--max-depth", "2", "--max-weight", "2",
+                    "--max-r", "3"), 0, {
+        "text": "511bf372fffea2c9cf469fd5a0cb8d2679c05dc487403a3128297f624e11b67b",
+        "csv": "e8c2452dee5f08948947cad70279eeb8bc519e9137dc49f294a45973b7dab4f8",
+        "json": "0cbf90de48caa1443fd460f77f8f040cfbb814f5afe288566ed2822a5e51d96d",
+    }),
+    "verify-choi": (("verify", "--suite", "choi", "--max-weight", "2", "--max-r", "3"), 0, {
+        "text": "a6940e8d60c622978f0a3aae13bdf86c898b418e9046c5480637a84a684f677a",
+        "csv": "13e5f1e42906ce12a277f99a95d702a20ecea19374caa8d3e2e7c7a488a36da1",
+        "json": "69403aa5ef1ba633ea798ab28eb9bd8c64ad78043557af992b1044237ae128e8",
+    }),
+    "verify-planted": (("verify", "--suite", "all"), 1, {
+        "text": "2e05b5e306f5ae7e428991b17ea05e5ddc3e9a97c5ad2ff71550f5b09194909f",
+        "csv": "f53a4adf4e1089c8fb231344629273ef6c2c60976b35e15a51492430bcf5659d",
+        "json": "a93549322561f7e489c606dedf8e776ec10100e54d020cc8b7c1b8e97d39091a",
+    }),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("name", sorted(DOCUMENT_DIGESTS))
+def test_gregory_and_verify_output_is_pinned(capsys, monkeypatch, name, fmt):
+    argv, status, digests = DOCUMENT_DIGESTS[name]
+    if name == "verify-planted":
+        monkeypatch.setattr(mzv.cli, "run_suites", lambda names, bounds: PLANTED_RESULTS)
+    code, out, err = run(capsys, *argv, *(() if fmt == "text" else ("--" + fmt,)))
+    assert (code, err) == (status, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
+
+
 # Flag values a user can type: small, at a boundary, negative or malformed.  Every
 # value that passes the checks computes in milliseconds.
 def _int_text(low, high):
