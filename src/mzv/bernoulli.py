@@ -14,22 +14,22 @@ The Bernoulli numbers themselves come from integer tangent numbers (Brent
 and Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
 2011): B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), so the only rational
 step is one reduction per number.  They are kept in one list, grown on
-demand, which also yields the series coefficients B_n / n! of R(X).  Zeta
-values at non-positive integers are read from a second list,
-zeta(-l) = -B_{l+1} / (l+1) with zeta(0) = -1/2 (the bare number would give
-+1/2 there, as B_1 = -1/2).
+demand, which every route reads: the series coefficients B_n / n! of R(X)
+and the zeta values at non-positive integers, zeta(-l) = -B_{l+1} / (l+1)
+with zeta(0) = -1/2 (the bare number would give +1/2 there, as B_1 = -1/2),
+are computed from it.
 
 With L a multiple of the denominators of B_0..B_n and a = p/q,
 q^n L B_n(a) = sum_k C(n,k) (L B_k) p^(n-k) q^k is an integer.  A point
 evaluation, :func:`bernoulli_poly_at` and so :func:`hurwitz_zeta_neg`, is
-that one integer over q^n L(n) and keeps no state.  Only
-:func:`shift_ratios` keeps the values B_n(a)/n! per shift, in one list that
-only grows by appending, each value computed once.  It reads that list as
-one row per (shift, top), the shift given as the int pair (p, q), integer
-numerators over top! q^top L(top), so a sum over the row can be added up as
-integers.  The rows are kept up to a bound on their total entries, and past
-it dropped all at once: a row depends on (shift, top) alone, so one built
-again is the same row.
+that one integer over q^n L(n) and keeps no state.  :func:`shift_ratios`
+alone writes the values B_n(a)/n! per shift, in one list that only grows by
+appending, each value computed once.  It reads that list as one row per
+(shift, top), the shift given as the int pair (p, q), integer numerators
+over top! q^top L(top), so a sum over the row can be added up as integers.
+The rows are kept up to a bound on their total entries, and past it dropped
+all at once: a row depends on (shift, top) alone, so one built again is the
+same row.
 
 The iterated Hurwitz-type sum of depth r at argument -l with shift z > 0 has
 the exact value
@@ -37,7 +37,9 @@ the exact value
     (-1)^r * l! / (r+l)! * B_{r+l}^(r)(z),
 
 exposed as :func:`choi_value`, together with the contiguous-shift identity
-check :func:`choi_identity_check`.  No value is cached per point.
+check :func:`choi_identity_check`.  Between calls the module keeps only the
+Bernoulli numbers, the R(X)^m series, the per-shift lists, the bounded rows
+and the bounded polynomial cache of :func:`bernoulli_higher_order`.
 """
 
 from __future__ import annotations
@@ -49,9 +51,8 @@ from typing import Dict, List, Tuple
 
 from .kernel import RationalLike, RationalPolynomial, horner, rat
 
-# B_0, B_1, ... and zeta(0), zeta(-1), ...: grown on demand by _grow.
+# B_0, B_1, ...: grown on demand by _grow.
 _BERNOULLI: List[Fraction] = []
-_ZETA_NEG: List[Fraction] = []
 # Per shift a = p/q, keyed by (p, q): B_0(a)/0!, B_1(a)/1!, ... in order.
 _SHIFT_VALUES: Dict[Tuple[int, int], List[Fraction]] = {}
 # Keyed by ((p, q), top): the row (den, nums) that shift_ratios returns.
@@ -82,9 +83,9 @@ def _tangent_numbers(k: int) -> List[int]:
 
 
 def _grow(n: int) -> None:
-    """Make _BERNOULLI hold B_0..B_n and _ZETA_NEG hold zeta(0)..zeta(-(n-1))."""
+    """Make _BERNOULLI hold B_0..B_n."""
     have = len(_BERNOULLI)
-    if n < have and n <= len(_ZETA_NEG):
+    if n < have:
         return
     # The triangle cannot be extended in place, so rebuild it at least
     # doubled: every number is then built a bounded number of times.
@@ -101,10 +102,6 @@ def _grow(n: int) -> None:
             sign = 1 if k % 2 else -1
             new.append(Fraction(sign * m * tangent[k], 4**k * (4**k - 1)))
     _BERNOULLI[have : top + 1] = new
-    low = len(_ZETA_NEG)
-    _ZETA_NEG[low:top] = [
-        Fraction(-1, 2) if l == 0 else -_BERNOULLI[l + 1] / (l + 1) for l in range(low, top)
-    ]
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -209,8 +206,8 @@ def _ratio_power(m: int, order: int) -> Tuple[Fraction, ...]:
         if m == 0:
             series.extend(Fraction(int(n == 0)) for n in range(have, order + 1))
         elif m == 1:
-            # B_n(0)/n! = B_n/n!, with the B_1 = -1/2 of R(X) itself.
-            series.extend(_shift_values((0, 1), order)[have : order + 1])
+            # B_n/n!, with the B_1 = -1/2 of R(X) itself.
+            series.extend(bernoulli_number(n) / factorial(n) for n in range(have, order + 1))
         else:
             lower, base = _ratio_power(m - 1, order), _ratio_power(1, order)
             nonzero = [(j, b) for j, b in enumerate(base) if b]
@@ -248,15 +245,12 @@ def bernoulli_higher_at(n: int, m: int, z: RationalLike) -> Fraction:
 def zeta_neg(l: int) -> Fraction:
     """zeta(-l) for integer l >= 0: -B_{l+1} / (l+1), and -1/2 at l = 0.
 
-    zeta(0) = -1/2, zeta(-1) = -1/12, zeta(-2k) = 0 for k >= 1.  Read from a
-    table grown with the Bernoulli numbers, so repeated calls are list
-    lookups.
+    zeta(0) = -1/2, zeta(-1) = -1/12, zeta(-2k) = 0 for k >= 1.  Computed
+    from the one Bernoulli table on each call; no value is kept.
     """
     if l < 0:
         raise ValueError(f"zeta_neg expects l >= 0 (the value zeta(-l)), got l={l}")
-    if l >= len(_ZETA_NEG):
-        _grow(l + 1)
-    return _ZETA_NEG[l]
+    return Fraction(-1, 2) if l == 0 else -bernoulli_number(l + 1) / (l + 1)
 
 
 def zeta_star_neg(l: int) -> Fraction:

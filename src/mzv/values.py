@@ -18,10 +18,11 @@ row shared by all the tuples that read it and dropped after the last of them.
 A step adds its terms as integers: it reads its row as integer numerators
 over one row denominator (formed once per row, and only for a row a step
 reads) and the weights as integer numerators over one denominator per
-(c, star), and reduces once, by one gcd, to the (numerator, denominator) pair
-it returns.  Rows are lists of such pairs; a Fraction is built only where a
-caller asks for one: ``mzv table`` writes its text and the suites decide straight
-from the pairs, and :func:`value_grid` is their public Fraction view.
+(c, star), each built once into a bounded cache (:func:`_weights`), and
+reduces once, by one gcd, to the (numerator, denominator) pair it returns.
+Rows are lists of such pairs; a Fraction is built only where a caller asks
+for one: ``mzv table`` writes its text and the suites decide straight from
+the pairs, and :func:`value_grid` is their public Fraction view.
 On top of the recurrences this module carries:
 
 * closed forms for the reverse values as Stirling-kernel transforms of
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd, lcm, perm
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -90,24 +92,18 @@ def as_index_tuple(l: Sequence[int]) -> IndexTuple:
 # ---------------------------------------------------------------------------
 
 
-# _WEIGHTS[star][c] is (den, edge, pairs): the inner-sum weights
-# comb(c, k) * w(k) for k in 0..c, w = zeta_star_neg if star else zeta_neg,
-# as pairs (c - k, numerator) over the one denominator den, zero weights left
-# out.  den is a multiple of c + 1, and edge = den / (c + 1) carries the
-# recurrences' 1/(c + 1) term.  Grown on demand.
-_WEIGHTS: Tuple[Dict[int, tuple], Dict[int, tuple]] = ({}, {})
-
-
+@lru_cache(maxsize=1024)  # the suites at (6, 9, 9) hold 28, a value at 300 zeros 299
 def _weights(c: int, star: bool) -> tuple:
-    table = _WEIGHTS[star]
-    entry = table.get(c)
-    if entry is None:
-        weight = zeta_star_neg if star else zeta_neg
-        ws = [(c - k, comb(c, k) * weight(k)) for k in range(c + 1)]
-        den = lcm(c + 1, *(w.denominator for _, w in ws))
-        pairs = tuple((i, w.numerator * (den // w.denominator)) for i, w in ws if w)
-        entry = table[c] = (den, den // (c + 1), pairs)
-    return entry
+    """(den, edge, pairs): the inner-sum weights comb(c, k) * w(k) for k in
+    0..c, w = zeta_star_neg if star else zeta_neg, as pairs (c - k, numerator)
+    over the one denominator den, zero weights left out.  den is a multiple of
+    c + 1, and edge = den / (c + 1) carries the recurrences' 1/(c + 1) term.
+    """
+    weight = zeta_star_neg if star else zeta_neg
+    ws = [(c - k, comb(c, k) * weight(k)) for k in range(c + 1)]
+    den = lcm(c + 1, *(w.denominator for _, w in ws))
+    pairs = tuple((i, w.numerator * (den // w.denominator)) for i, w in ws if w)
+    return den, den // (c + 1), pairs
 
 
 def _as_ints(row: Sequence[Pair]) -> Tuple[List[int], int]:

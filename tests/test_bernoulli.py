@@ -260,6 +260,24 @@ def test_point_evaluations_keep_no_per_shift_list(monkeypatch):
     assert bernoulli._SHIFT_VALUES == {}
 
 
+def test_only_shift_ratios_writes_the_per_shift_list(monkeypatch):
+    # From empty tables, a higher-order polynomial and a Choi value add no
+    # per-shift list (the order-one R(X) series reads the Bernoulli numbers);
+    # only shift_ratios adds one, for the shift it is asked for.
+    for name, empty in (("_SHIFT_VALUES", {}), ("_SHIFT_ROWS", {}), ("_RATIO_POWERS", [])):
+        monkeypatch.setattr(bernoulli, name, empty)
+    monkeypatch.setattr(bernoulli, "_SHIFT_ROW_ENTRIES", 0)
+    bernoulli_higher_order.cache_clear()
+    assert bernoulli_higher_order(12, 3).evaluate(0) == factorial(12) * _ratio_series(3, 12)[12]
+    assert choi_value(4, 6, 3) == Fraction(factorial(6), factorial(10)) * bernoulli_higher_at(10, 4, 3)
+    assert bernoulli._SHIFT_VALUES == {}
+    den, nums = shift_ratios((1, 2), 5)
+    assert list(bernoulli._SHIFT_VALUES) == [(1, 2)]
+    assert [Fraction(n, den) for n in nums] == [
+        bernoulli_poly(n).evaluate(Fraction(1, 2)) / factorial(n) for n in range(6)
+    ]
+
+
 def _ratio_series(m, order):
     """[X^n] R(X)^m for n <= order, R(X) = X / (e^X - 1), as a test-local
     Fraction product: R is the inverse of sum_n X^n / (n + 1)!."""

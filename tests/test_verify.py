@@ -593,8 +593,7 @@ def test_asym_units_run_in_any_order_in_one_process_give_the_same_results(bounds
 # The memo store every unit in a process shares: bernoulli's module tables.
 # _SHIFT_ROW_ENTRIES is the count of _SHIFT_ROWS' entries that bounds it.
 _BERNOULLI_TABLES = (
-    "_BERNOULLI", "_ZETA_NEG", "_SHIFT_VALUES", "_SHIFT_ROWS", "_SHIFT_ROW_ENTRIES",
-    "_RATIO_POWERS",
+    "_BERNOULLI", "_SHIFT_VALUES", "_SHIFT_ROWS", "_SHIFT_ROW_ENTRIES", "_RATIO_POWERS",
 )
 
 
@@ -633,10 +632,11 @@ def test_asym_units_sharing_one_memo_store_in_any_order_give_the_fresh_results(
 
 def test_the_suites_at_6_9_9_fit_in_the_bounded_caches(monkeypatch):
     # From empty caches, the suites at depth 6, weight 9, r 9 keep every
-    # polynomial they cache (122 higher-order Bernoulli polynomials and 350
-    # Stirling coefficient tuples when this was written) and every shift row
-    # they build (965 entries): no cache evicts and the row table never clears.
-    caches = (bernoulli.bernoulli_higher_order, stirling._poly_coeffs)
+    # entry they cache (122 higher-order Bernoulli polynomials, 350 Stirling
+    # coefficient tuples and 28 recurrence weights when this was written) and
+    # every shift row they build (965 entries): no cache evicts and the row
+    # table never clears.
+    caches = (bernoulli.bernoulli_higher_order, stirling._poly_coeffs, values._weights)
     for cache in caches:
         cache.cache_clear()
 
